@@ -69,12 +69,14 @@ paired. DESIGN.md discusses this.)
 Controller state is epoch-scoped by default: each node's policy
 instance is reconstructed per spec inside the engine worker, so a
 node's controller re-learns after every membership change. With
-``warm_start=True`` a node whose job membership did *not* change
-across the epoch boundary gets its previous epoch's policy snapshot
-re-injected (via the spec's ``initial_state`` field, which is part of
-the content address — warm node-epochs never collide with cold ones
-in the run cache); membership changes still cold-start, because a
-controller's model of the departed mix is stale by construction.
+``warm_start=True`` a node whose job membership and effective
+catalog did *not* change across the epoch boundary gets its previous
+epoch's policy snapshot re-injected (via the spec's ``initial_state``
+field, which is part of the content address — warm node-epochs never
+collide with cold ones in the run cache); membership changes still
+cold-start, because a controller's model of the departed mix is stale
+by construction, and so do broker transfers, because the learned
+partitionings no longer fit the node's resources.
 """
 
 from __future__ import annotations
@@ -502,11 +504,12 @@ class ClusterSimulator:
         engine: execution engine for node-epoch batches; defaults to a
             fresh serial engine.
         warm_start: re-inject each node's prior-epoch policy snapshot
-            whenever its job membership did not change across the
-            epoch boundary, so membership-stable controllers keep
-            their learned state instead of re-learning from scratch.
-            Membership *changes* still cold-start (the controller's
-            model of the old mix is stale by construction). Off by
+            whenever its job membership and effective catalog did not
+            change across the epoch boundary, so membership-stable
+            controllers keep their learned state instead of
+            re-learning from scratch. Membership or budget *changes*
+            still cold-start (the controller's model of the old mix or
+            resources is stale by construction). Off by
             default: warm-started node-epoch specs carry the previous
             epoch's state in their content address, which chains
             digests across epochs and reduces cache sharing between
@@ -661,10 +664,11 @@ class ClusterSimulator:
         self._observed: Dict[int, Tuple[float, float]] = {}
         self._unfair_streak: Dict[int, int] = {node.node_id: 0 for node in self._nodes}
         # Warm-start bookkeeping: each node's previous-epoch membership
-        # and final policy snapshot, and the jobs that migrated in at
-        # the current epoch boundary (warm-up penalty targets).
+        # and final policy snapshot (with the effective catalog it was
+        # learned under), and the jobs that migrated in at the current
+        # epoch boundary (warm-up penalty targets).
         self._prev_membership: Dict[int, Tuple[int, ...]] = {}
-        self._node_states: Dict[int, PolicyState] = {}
+        self._node_states: Dict[int, Tuple[ResourceCatalog, PolicyState]] = {}
         self._migrated_in: Dict[int, set] = {}
         # Fleet fault-tolerance state: which nodes are down (and until
         # when), their parked budgets, the re-placement queue, policy
@@ -1229,20 +1233,23 @@ class ClusterSimulator:
                     f"straggler slowdown {slowdown:.2f}x missed deadline",
                 )
                 continue
+            held = self._node_states.get(node.node_id)
             if initial_state is None and (
                 self._warm_start
+                and held is not None
                 and self._prev_membership.get(node.node_id) == node.job_ids
+                and held[0] == node.effective_catalog
             ):
-                # Membership unchanged across the epoch boundary: the
-                # controller's learned model still describes this mix,
-                # so hand the prior epoch's snapshot back to it.
-                initial_state = self._node_states.get(node.node_id)
-                if initial_state is not None:
-                    warm_nodes.add(node.node_id)
-                    obs.event(
-                        "warm_start", "cluster", node=node.node_id, epoch=epoch
-                    )
-                    obs.metrics.counter("cluster.warm_starts").inc()
+                # Membership and catalog unchanged across the epoch
+                # boundary: the controller's learned model still
+                # describes this mix on this hardware, so hand the
+                # prior epoch's snapshot back to it. (A broker transfer
+                # changes the catalog; the old partitionings then lie
+                # outside the new space.)
+                initial_state = held[1]
+                warm_nodes.add(node.node_id)
+                obs.event("warm_start", "cluster", node=node.node_id, epoch=epoch)
+                obs.metrics.counter("cluster.warm_starts").inc()
             fault_plan = self._fault_plans.get(node.node_id)
             if flaky > 0.0:
                 fault_plan = _flaky_overlay(fault_plan, flaky)
@@ -1269,7 +1276,7 @@ class ClusterSimulator:
             self._recovery.warmup_penalty_intervals if self._recovery is not None else 0
         )
         simulated = {node.node_id for node in spec_nodes}
-        for node, result, slowdown in zip(spec_nodes, results, spec_slowdowns):
+        for spec, node, result, slowdown in zip(specs, spec_nodes, results, spec_slowdowns):
             if isinstance(result, RunError):
                 _failed_record(node, slowdown, f"engine: {result.error}")
                 self._node_states.pop(node.node_id, None)
@@ -1339,7 +1346,7 @@ class ClusterSimulator:
                 )
             )
             if result.final_state is not None:
-                self._node_states[node.node_id] = result.final_state
+                self._node_states[node.node_id] = (spec.catalog, result.final_state)
             else:
                 self._node_states.pop(node.node_id, None)
         failed = {record.node_id for record in records if record.failed}
@@ -1389,13 +1396,14 @@ class ClusterSimulator:
             for node in self._nodes:
                 if node.node_id in self._down_until:
                     continue
-                state = self._node_states.get(node.node_id)
-                if state is None:
+                held = self._node_states.get(node.node_id)
+                if held is None:
                     continue
+                catalog, state = held
                 self._checkpoints[node.node_id] = _Checkpoint(
                     epoch=epoch,
                     membership=node.job_ids,
-                    catalog=node.effective_catalog,
+                    catalog=catalog,
                     state=state,
                 )
         if self._slo_tracker is not None:

@@ -29,7 +29,6 @@ from repro.obs import active_collector
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state
-from repro.serialize import thaw_data
 from repro.state import BOState
 
 
@@ -162,11 +161,14 @@ class BayesianOptimizer:
         )
 
     def restore(self, state: BOState) -> "BayesianOptimizer":
-        """Resume from a :meth:`snapshot`; returns self for chaining."""
+        """Resume from a :meth:`snapshot`; returns self for chaining.
+
+        Only reads ``state``: its data is shared with the snapshot.
+        """
         self._gp.restore(state.gp)
-        self._rng = rng_from_state(thaw_data(state.rng))
+        self._rng = rng_from_state(state.rng)
         self._iteration = int(state.iteration)
-        probes = [Configuration.from_dict(d) for d in thaw_data(state.probes)]
+        probes = [Configuration.from_dict(d) for d in state.probes]
         for probe in probes:
             if not self._space.contains(probe):
                 raise ModelError(f"probe {probe!r} is outside this optimizer's space")

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.resources.allocation import Configuration
-from repro.serialize import thaw_data
 from repro.state import GoalRecordsState
 
 
@@ -165,7 +164,10 @@ class GoalRecords:
         )
 
     def restore(self, state: GoalRecordsState) -> "GoalRecords":
-        """Replace the sample book with a :meth:`snapshot`'s contents."""
+        """Replace the sample book with a :meth:`snapshot`'s contents.
+
+        Only reads ``state``: its data is shared with the snapshot.
+        """
         if tuple(state.goal_names) != self._goal_names:
             raise ModelError(
                 f"goal mismatch: records track {self._goal_names}, "
@@ -188,7 +190,7 @@ class GoalRecords:
                     else tuple(float(v) for v in sample["isolation_ips"])
                 ),
             )
-            for sample in thaw_data(state.samples)
+            for sample in state.samples
         ]
         return self
 

@@ -25,10 +25,11 @@ count, submission order, or completion order, because
 * every RNG stream a run consumes is derived from the spec's content
   digest (:meth:`RunSpec.seed_for`), never from shared generators or
   submission sequence;
-* every result — computed serially, computed in a worker, or loaded
-  from cache — passes through the same lossless JSON representation
-  (:meth:`RunResult.to_dict` / ``from_dict``), so all three paths
-  yield structurally equal objects.
+* :meth:`RunResult.to_dict` is lossless and ``from_dict`` inverts it,
+  so a result computed serially (handed back as :func:`execute_run`
+  built it), computed in a worker (shipped through the pool pipe as
+  ``to_dict`` data) or loaded from cache has the same ``to_dict``
+  form. Only those two real boundaries pay for the codec.
 
 Duplicate specs inside a batch execute once (the 21-mix PARSEC grid
 shares one Balanced Oracle run per mix across all drivers that ask for
@@ -85,15 +86,11 @@ def execute_run(spec: RunSpec) -> RunResult:
     )
 
 
-def _execute_run_payload(spec: RunSpec) -> dict:
-    """Worker entry point: run a spec, ship the result as plain data."""
-    return execute_run(spec).to_dict()
-
-
 def _execute_run_traced(
     spec: RunSpec, collect: bool = False
 ) -> Tuple[dict, float, Optional[List[dict]]]:
-    """Worker entry point reporting wall time and (optionally) spans.
+    """Worker entry point: the result as plain data, wall time and
+    (optionally) spans.
 
     Worker processes have their own memory, so spans recorded inside
     them never reach the parent's collector directly. With ``collect``
@@ -105,11 +102,11 @@ def _execute_run_traced(
     """
     started = time.perf_counter()
     if not collect:
-        return _execute_run_payload(spec), time.perf_counter() - started, None
+        return execute_run(spec).to_dict(), time.perf_counter() - started, None
     local = TraceCollector()
     with use_collector(local):
         with local.span("run_spec", "engine"):
-            payload = _execute_run_payload(spec)
+            payload = execute_run(spec).to_dict()
     events = [event.to_dict() for event in local.events]
     return payload, time.perf_counter() - started, events
 
@@ -628,9 +625,8 @@ class ExecutionEngine:
         if self._cache.disabled and not was_disabled:
             self._stats.cache_errors += 1
 
-    def _note_success(self, slot: _Slot, payload: dict, obs) -> None:
+    def _note_success(self, slot: _Slot, result: RunResult, obs) -> None:
         slot.attempts += 1
-        result = RunResult.from_dict(payload)
         self._stats.executed += 1
         obs.metrics.counter("engine.executed").inc()
         self._store(slot.spec, result)
@@ -696,12 +692,21 @@ class ExecutionEngine:
 
         Returns the worker-measured duration on success (for the
         utilization gauge), ``None`` on failure.
+
+        Failures are read with ``future.exception()``, never re-raised
+        through ``future.result()``: a raise would attach this frame's
+        traceback to the exception the future keeps, and that
+        future/traceback/frame cycle would pin every caller frame (a
+        whole cluster simulator) until a full garbage collection.
         """
-        try:
-            outcome = future.result()
-        except Exception as error:  # noqa: BLE001 - reported per spec
+        if future.cancelled():
+            error: Optional[BaseException] = concurrent.futures.CancelledError()
+        else:
+            error = future.exception()
+        if error is not None:
             self._note_failure(slot, f"{type(error).__name__}: {error}", obs)
             return None
+        outcome = future.result()
         if len(outcome) == 4:  # blob transport reports its cache fate
             payload, duration_s, events, blob_hit = outcome
             obs.metrics.counter(
@@ -720,20 +725,24 @@ class ExecutionEngine:
                 at_ns=obs.now_ns() - int(duration_s * 1e9),
                 lane=f"worker:{lane}",
             )
-        self._note_success(slot, payload, obs)
+        self._note_success(slot, RunResult.from_dict(payload), obs)
         return duration_s
 
     def _execute_serial(self, slot: _Slot, obs) -> None:
-        """Run one spec in-process (the serial path of both surfaces)."""
+        """Run one spec in-process (the serial path of both surfaces).
+
+        The result never leaves the process, so it is handed back as
+        :func:`execute_run` built it, without a codec round trip.
+        """
         slot.state = _RUNNING
         started = time.perf_counter()
         try:
             with obs.span("run_spec", "engine"):
-                payload = _execute_run_payload(slot.spec)
+                result = execute_run(slot.spec)
         except Exception as error:  # noqa: BLE001 - reported per spec
             self._note_failure(slot, f"{type(error).__name__}: {error}", obs)
         else:
-            self._note_success(slot, payload, obs)
+            self._note_success(slot, result, obs)
         obs.metrics.histogram("engine.run_seconds").observe(
             time.perf_counter() - started
         )

@@ -80,16 +80,21 @@ class PartitioningPolicy(abc.ABC):
         The contract: ``restore(snapshot())`` on a compatibly
         constructed instance (same space, same constructor kwargs) must
         continue **bit-identically** to never tearing the policy down.
+        The payload must be built from fresh containers, never aliases
+        of live state, so the snapshot stays a value as the policy
+        keeps stepping.
         """
         return None
 
     def restore(self, state: Optional[PolicyState]) -> None:
         """Resume from a :meth:`snapshot`; ``None`` is a no-op.
 
-        The default implementation serves stateless policies: it
-        accepts ``None`` silently and rejects any actual state, so a
-        snapshot can never silently vanish into a policy that does not
-        implement the protocol.
+        Overrides must only read ``state``: its payload is shared, not
+        copied, with every holder of the snapshot. The default
+        implementation serves stateless policies: it accepts ``None``
+        silently and rejects any actual state, so a snapshot can never
+        silently vanish into a policy that does not implement the
+        protocol.
         """
         if state is None:
             return

@@ -296,7 +296,7 @@ class BoPFPolicy(PartitioningPolicy):
             "level": self._level,
             "cooldown": self._cooldown,
             "stall": self._stall,
-            "stall_best": self._stall_best,
+            "stall_best": float(self._stall_best),
             "violating_streak": self._violating_streak,
             "total_boosts": self._total_boosts,
             "ema": None if self._ema is None else [float(v) for v in self._ema],

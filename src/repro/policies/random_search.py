@@ -21,7 +21,6 @@ from repro.policies.base import PartitioningPolicy
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state
-from repro.serialize import thaw_data
 from repro.state import PolicyState
 from repro.system.simulation import Observation
 
@@ -68,6 +67,4 @@ class RandomSearchPolicy(PartitioningPolicy):
         self._check_state(state)
         payload = state.payload_dict()
         self._rng = rng_from_state(payload["rng"])
-        self._seen = {
-            Configuration.from_dict(d) for d in thaw_data(payload["seen"])
-        }
+        self._seen = {Configuration.from_dict(d) for d in payload["seen"]}

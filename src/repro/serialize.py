@@ -110,72 +110,6 @@ def mapping_to_dict(allocations: Mapping[str, Any]) -> Dict[str, list]:
     return {name: list(values) for name, values in allocations.items()}
 
 
-# -- frozen payloads -------------------------------------------------------
-#
-# Policy-state payloads ride inside :class:`~repro.engine.RunSpec`, which
-# must stay hashable (the engine deduplicates batches with specs as dict
-# keys) and content-addressable (payload bytes enter the spec digest).
-# ``freeze_data`` converts arbitrary JSON-compatible data into a canonical
-# hashable tuple form; mappings are tagged with a marker so an empty dict
-# and an empty list stay distinguishable through the round trip.
-
-#: First element of a frozen mapping; reserved — lists in payloads must
-#: not start with this string.
-MAP_MARKER = "__map__"
-
-
-def freeze_data(value: Any) -> Any:
-    """JSON-compatible data as a canonical, hashable nested-tuple form.
-
-    Mappings become ``(MAP_MARKER, (key, frozen_value), ...)`` with keys
-    sorted; sequences become plain tuples; scalars pass through. Raises
-    :class:`~repro.errors.ExperimentError` on anything non-JSON-native
-    (objects must be converted via their ``to_dict`` first).
-
-    Idempotent: already-frozen values freeze to themselves, so payloads
-    can pass through ``__post_init__`` canonicalization any number of
-    times (a dataclass rebuilt from codec output re-freezes its fields).
-    """
-    if isinstance(value, Mapping):
-        return (MAP_MARKER,) + tuple(
-            (str(k), freeze_data(v)) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        )
-    if isinstance(value, (list, tuple)):
-        items = tuple(value)
-        if items and items[0] == MAP_MARKER:
-            # Already-frozen mapping: re-canonicalize in place.
-            if all(
-                isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
-                for p in items[1:]
-            ):
-                return (MAP_MARKER,) + tuple(
-                    (k, freeze_data(v)) for k, v in sorted(items[1:], key=lambda kv: kv[0])
-                )
-            raise ExperimentError(
-                f"sequences must not start with the reserved {MAP_MARKER!r}"
-            )
-        return tuple(freeze_data(v) for v in items)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ExperimentError(
-        f"state payloads must be JSON-compatible plain data; got {type(value).__name__}: {value!r}"
-    )
-
-
-def thaw_data(value: Any) -> Any:
-    """Inverse of :func:`freeze_data`, yielding JSON-native containers."""
-    if isinstance(value, tuple):
-        if value and value[0] == MAP_MARKER:
-            return {k: thaw_data(v) for k, v in value[1:]}
-        return [thaw_data(v) for v in value]
-    return value
-
-
-def frozen_data_codec() -> FieldCodec:
-    """Codec for a field holding :func:`freeze_data` output."""
-    return FieldCodec(encode=thaw_data, decode=freeze_data)
-
-
 def vector_codec() -> FieldCodec:
     """Codec for a tuple-of-floats field (JSON list of numbers)."""
     return FieldCodec(

@@ -28,6 +28,7 @@ from typing import Dict, Optional
 from repro import serialize
 from repro.errors import ExperimentError
 from repro.serve.manager import SessionSpec
+from repro.serve.server import MAX_FRAME_BYTES
 from repro.workloads.arrivals import ArrivalTrace
 
 
@@ -70,7 +71,9 @@ class _Pool:
     async def open(self) -> None:
         self._idle = asyncio.Queue()
         for _ in range(self._size):
-            stream = await asyncio.open_connection(self._host, self._port)
+            stream = await asyncio.open_connection(
+                self._host, self._port, limit=MAX_FRAME_BYTES
+            )
             self._idle.put_nowait(stream)
 
     async def close(self) -> None:

@@ -48,8 +48,10 @@ _STATUS_REASONS = {
     500: "Internal Server Error",
 }
 
-#: Largest accepted request frame (a snapshot of a long session is the
-#: biggest legitimate payload; this bound just stops runaway clients).
+#: Largest accepted frame: the line limit of the server's streams and
+#: of :class:`~repro.serve.loadgen.LoadGenerator` connections, and the
+#: cap on a REST body (a snapshot of a long session is the biggest
+#: legitimate payload; this bound just stops runaway clients).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -98,7 +100,7 @@ class ControlPlaneServer:
             raise ExperimentError("server already started")
         self._ambient.enter_context(use_collector(self.collector))
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port, limit=MAX_FRAME_BYTES
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
@@ -141,6 +143,14 @@ class ControlPlaneServer:
                 await self._serve_jsonl(line, reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except ValueError:
+            # StreamReader.readline's report of a line longer than
+            # MAX_FRAME_BYTES. The stream cannot resync mid-frame, so
+            # answer once and close.
+            with contextlib.suppress(Exception):
+                error = f"request frame exceeds {MAX_FRAME_BYTES} bytes"
+                writer.write(json.dumps({"ok": False, "error": error}).encode() + b"\n")
+                await writer.drain()
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
@@ -205,8 +215,6 @@ class ControlPlaneServer:
             if line is None:
                 raw = await reader.readline()
                 if not raw:
-                    return
-                if len(raw) > MAX_FRAME_BYTES:
                     return
                 line = raw.decode("utf-8", "replace").rstrip("\r\n")
             if line.strip():

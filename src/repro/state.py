@@ -18,12 +18,16 @@ of each stateful core component.
 
 Design constraints the representation answers to:
 
-* **Hashable** — a snapshot rides inside a
-  :class:`~repro.engine.RunSpec` (the ``initial_state`` field), and
-  specs are dict keys in the engine's dedup map, so the payload is
-  canonicalized into frozen tuples (:func:`repro.serialize.freeze_data`).
-* **Content-addressed** — payload bytes enter the spec digest, so the
-  frozen form is canonical: equal state produces equal digests.
+* **Plain JSON data, held as given** — payloads are the dicts, lists
+  and scalars the snapshots build. Construction checks them with one
+  ``json.dumps(..., sort_keys=True)`` pass (anything else raises
+  :class:`~repro.errors.ExperimentError`); :class:`PolicyState`
+  equality and hashing use that canonical JSON, which is also what a
+  :class:`~repro.engine.RunSpec` digest covers for its
+  ``initial_state``.
+* **Read-only** — ``to_dict()``/``payload_dict()`` return the stored
+  data, not copies: snapshots build fresh containers and restores only
+  read them, so a snapshot stays a value while controllers step on.
 * **Bit-identical resume** — restoring a snapshot and continuing must
   be indistinguishable from never tearing the controller down. That
   forces *everything* the decision path reads into the snapshot: the
@@ -35,11 +39,12 @@ Design constraints the representation answers to:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro import serialize
-from repro.errors import PolicyError
+from repro.errors import ExperimentError, PolicyError
 
 #: Version of the snapshot envelope; bump on incompatible layout changes.
 STATE_VERSION = 1
@@ -52,7 +57,18 @@ def _check_version(cls_name: str, version: int, known: int = STATE_VERSION) -> N
         )
 
 
-@dataclass(frozen=True)
+def _canonical_json(value: Any) -> str:
+    """``value`` as canonical JSON; raises unless it is plain JSON data
+    (convert objects through their ``to_dict`` first)."""
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as error:
+        raise ExperimentError(
+            f"state payloads must be JSON-compatible plain data: {error}"
+        ) from None
+
+
+@dataclass(frozen=True, eq=False)
 class PolicyState:
     """A policy's complete serializable state at one instant.
 
@@ -60,9 +76,13 @@ class PolicyState:
         policy: kind tag of the policy that produced the snapshot
             (``"SATORI"``, ``"Random"``, ...); ``restore`` validates it
             so a snapshot never silently lands in the wrong controller.
-        payload: the policy-specific state, canonicalized into frozen
-            tuples on construction (pass plain dicts/lists/scalars).
+        payload: the policy-specific state as plain JSON data, held as
+            given (checked on construction, never copied). Treat it as
+            read-only: it is shared with every ``to_dict`` caller.
         version: envelope version for forward-compatibility checks.
+
+    Equality and hashing compare the policy tag, the version and the
+    payload's canonical JSON.
     """
 
     policy: str
@@ -71,25 +91,31 @@ class PolicyState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", str(self.policy))
-        object.__setattr__(self, "payload", serialize.freeze_data(self.payload))
         object.__setattr__(self, "version", int(self.version))
+        _canonical_json(self.payload)
+
+    def _key(self) -> Tuple[str, int, str]:
+        return self.policy, self.version, _canonical_json(self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolicyState):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def payload_dict(self) -> Dict[str, Any]:
-        """The payload thawed back into JSON-native containers."""
-        thawed = serialize.thaw_data(self.payload)
-        if not isinstance(thawed, dict):
+        """The payload mapping itself (read-only; not a copy)."""
+        if not isinstance(self.payload, dict):
             raise PolicyError(
-                f"{self.policy} state payload is not a mapping: {type(thawed).__name__}"
+                f"{self.policy} state payload is not a mapping: {type(self.payload).__name__}"
             )
-        return thawed
+        return self.payload
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible representation (lossless)."""
-        return {
-            "policy": self.policy,
-            "version": self.version,
-            "payload": serialize.thaw_data(self.payload),
-        }
+        """JSON-compatible representation (lossless; payload not copied)."""
+        return {"policy": self.policy, "version": self.version, "payload": self.payload}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PolicyState":
@@ -149,12 +175,13 @@ class GPState:
 class BOState:
     """Serialized :class:`~repro.core.bo.BayesianOptimizer` state.
 
-    ``rng`` is the numpy bit-generator state dict (frozen); ``probes``
-    are the fixed proxy-change probe configurations, which are drawn
-    from the optimizer's RNG *at construction* — a restored optimizer
-    was constructed from a different seed, so the probe set must
-    travel with the snapshot (their encodings are recomputed from the
-    space on restore).
+    ``rng`` is the numpy bit-generator state dict; ``probes`` are the
+    fixed proxy-change probe configurations (``to_dict`` forms), which
+    are drawn from the optimizer's RNG *at construction* — a restored
+    optimizer was constructed from a different seed, so the probe set
+    must travel with the snapshot (their encodings are recomputed from
+    the space on restore). Both are plain JSON data held as given and
+    read-only; the enclosing :class:`PolicyState` checks them.
     """
 
     gp: GPState
@@ -164,14 +191,8 @@ class BOState:
     last_probe_means: Optional[Tuple[float, ...]] = None
     version: int = STATE_VERSION
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rng", serialize.freeze_data(self.rng))
-        object.__setattr__(self, "probes", serialize.freeze_data(self.probes))
-
     _CODECS = {
         "gp": serialize.object_codec(GPState),
-        "rng": serialize.frozen_data_codec(),
-        "probes": serialize.frozen_data_codec(),
         "last_probe_means": serialize.optional(serialize.vector_codec()),
     }
 
@@ -190,7 +211,9 @@ class GoalRecordsState:
     """Serialized :class:`~repro.core.objective.GoalRecords` sample book.
 
     Each sample is ``{"config": ..., "encoded": [...], "scores": [...]}``
-    (the configuration in its ``to_dict`` form), frozen canonically.
+    (the configuration in its ``to_dict`` form): plain JSON data held
+    as given and read-only; the enclosing :class:`PolicyState` checks
+    it.
     """
 
     goal_names: Tuple[str, ...]
@@ -200,12 +223,8 @@ class GoalRecordsState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal_names", tuple(str(n) for n in self.goal_names))
-        object.__setattr__(self, "samples", serialize.freeze_data(self.samples))
 
-    _CODECS = {
-        "goal_names": serialize.FieldCodec(encode=list, decode=tuple),
-        "samples": serialize.frozen_data_codec(),
-    }
+    _CODECS = {"goal_names": serialize.FieldCodec(encode=list, decode=tuple)}
 
     def to_dict(self) -> Dict[str, Any]:
         return serialize.dataclass_to_dict(self, codecs=self._CODECS)

@@ -19,6 +19,7 @@ from repro.broker import (
 from repro.cluster import (
     BudgetTransfer,
     ClusterSimulator,
+    RecoveryConfig,
     ResourceBudget,
     ServerNode,
     coerce_budget,
@@ -505,6 +506,45 @@ class TestSimulatorIntegration:
         ).run()
         assert result.slo_attainment(0.0) == 1.0
         assert 0.0 <= result.slo_attainment(0.8) <= 1.0
+
+
+class TestWarmStartUnderBroker:
+    """Warm start must not carry state across a budget transfer.
+
+    A transferred node's configuration space changes under it, so the
+    prior epoch's partitionings (and the BO probe set) no longer fit:
+    restoring them fails the node-epoch. Warm start applies only when
+    membership *and* effective catalog are unchanged.
+    """
+
+    def run_cluster(self, broker, recovery, catalog4):
+        quiet = poisson_trace(
+            n_epochs=4, arrival_rate=0.0, mean_residency=10_000.0,
+            suites=("ecp",), seed=5, initial_jobs=6,
+        )
+        return ClusterSimulator(
+            quiet, n_nodes=3, placement="round_robin", policy="SATORI",
+            catalog=catalog4, epoch_config=TINY, seed=1, warm_start=True,
+            broker=broker, recovery=recovery,
+        ).run()
+
+    @pytest.mark.parametrize("broker", ["harvest", "trade"])
+    @pytest.mark.parametrize("recovery", [None, RecoveryConfig()], ids=["plain", "recovery"])
+    def test_transfers_cold_start_only_the_moved_nodes(self, broker, recovery, catalog4):
+        # Without recovery an engine failure would raise out of run().
+        result = self.run_cluster(broker, recovery, catalog4)
+        assert result.budget_transfers > 0
+        assert not any(record.failed for record in result.records)
+        assert not any(
+            event.kind == "node_epoch_failed" for event in result.fleet_events
+        )
+        by_coord = {(r.epoch, r.node_id): r for r in result.records}
+        warm = [r for r in result.records if r.warm_started]
+        assert warm, "unchanged nodes should still warm-start"
+        for record in warm:
+            previous = by_coord[(record.epoch - 1, record.node_id)]
+            assert record.budget == previous.budget
+            assert record.job_ids == previous.job_ids
 
 
 class TestBrokerSweep:

@@ -13,7 +13,9 @@ The engine's contract (DESIGN.md "Execution engine"):
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.engine import (
     CACHE_SCHEMA_VERSION,
     ExecutionEngine,
     RunCache,
+    RunError,
     RunSpec,
     default_cache_salt,
     derive_seed,
@@ -29,7 +32,7 @@ from repro.engine import (
 )
 from repro.errors import EngineError, ExperimentError, PolicyError
 from repro.experiments.comparison import compare_on_mix, compare_on_mixes, seed_to_int
-from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.workloads.mixes import suite_mixes
 
 FAST = RunConfig(duration_s=2.0, interval_s=0.1, baseline_reset_s=1.0)
@@ -129,6 +132,31 @@ class TestDeterminism:
         specs, serial = batch
         assert execute_run(specs[0]).to_dict() == serial[0].to_dict()
 
+    def test_serial_path_skips_the_result_codec(self, mixes, catalog, monkeypatch):
+        # The serial result never leaves the process: it is handed back
+        # as execute_run built it (to_dict equality with the pool path
+        # is test_workers_do_not_change_results).
+        calls = []
+        to_dict, from_dict = RunResult.to_dict, RunResult.from_dict.__func__
+
+        def counting_to_dict(self):
+            calls.append("to_dict")
+            return to_dict(self)
+
+        def counting_from_dict(cls, data):
+            calls.append("from_dict")
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(RunResult, "to_dict", counting_to_dict)
+        monkeypatch.setattr(RunResult, "from_dict", classmethod(counting_from_dict))
+        specs = [spec(mixes[0], catalog, policy="SATORI"), spec(mixes[1], catalog)]
+        engine = ExecutionEngine(workers=1)
+        results = engine.run(specs)
+        results += [engine.submit(spec(mixes[2], catalog)).result()]
+        assert all(isinstance(result, RunResult) for result in results)
+        assert results[0].final_state is not None
+        assert calls == []
+
     def test_duplicates_coalesce(self, mixes, catalog):
         engine = ExecutionEngine()
         one = spec(mixes[0], catalog)
@@ -137,6 +165,47 @@ class TestDeterminism:
         assert engine.stats.submitted == 2
         assert engine.stats.executed == 1
         assert engine.stats.deduplicated == 1
+
+
+class TestFailedPoolSpec:
+    def test_failure_does_not_pin_caller_frames(self, mixes, catalog, monkeypatch):
+        """A worker exception must not keep the caller's frames alive.
+
+        With the collector off, anything a reference cycle holds stays
+        alive: re-raising the failure through ``future.result()`` would
+        tie the future, the traceback and every frame up to the caller
+        into one cycle.
+        """
+        real = engine_module.execute_run
+        doomed = spec(mixes[0], catalog)
+
+        def selective(run_spec):
+            if run_spec == doomed:
+                raise RuntimeError("injected worker failure")
+            return real(run_spec)
+
+        # Pools fork, so the workers inherit the patched execute_run.
+        monkeypatch.setattr(engine_module, "execute_run", selective)
+
+        class Local:
+            pass
+
+        def caller():
+            local = Local()
+            with ExecutionEngine(workers=2) as engine:
+                results = engine.run([doomed, spec(mixes[1], catalog)], on_error="record")
+            return weakref.ref(local), results
+
+        gc.collect()
+        gc.disable()
+        try:
+            ref, results = caller()
+            assert isinstance(results[0], RunError)
+            assert "RuntimeError: injected worker failure" in results[0].error
+            assert isinstance(results[1], RunResult)
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # -- futures surface -----------------------------------------------------

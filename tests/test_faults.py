@@ -479,7 +479,7 @@ class TestFaultedDeterminism:
 
 class TestEngineResilience:
     def test_retry_rescues_transient_failure(self, fault_batch, monkeypatch):
-        real = engine_module._execute_run_payload
+        real = engine_module.execute_run
         failures = {"left": 1}
 
         def flaky(spec):
@@ -488,7 +488,7 @@ class TestEngineResilience:
                 raise RuntimeError("transient worker loss")
             return real(spec)
 
-        monkeypatch.setattr(engine_module, "_execute_run_payload", flaky)
+        monkeypatch.setattr(engine_module, "execute_run", flaky)
         engine = ExecutionEngine(retries=1)
         results = engine.run(fault_batch[:1])
         assert results[0].to_dict() == ExecutionEngine().run(fault_batch[:1])[0].to_dict()
@@ -496,14 +496,14 @@ class TestEngineResilience:
         assert engine.stats.failed == 0
 
     def test_partial_batch_records_failures(self, fault_batch, monkeypatch):
-        real = engine_module._execute_run_payload
+        real = engine_module.execute_run
 
         def selective(spec):
             if spec == fault_batch[0]:
                 raise RuntimeError("this spec always dies")
             return real(spec)
 
-        monkeypatch.setattr(engine_module, "_execute_run_payload", selective)
+        monkeypatch.setattr(engine_module, "execute_run", selective)
         engine = ExecutionEngine()
         results = engine.run(fault_batch, on_error="record")
         assert isinstance(results[0], RunError)
@@ -516,7 +516,7 @@ class TestEngineResilience:
         def boom(spec):
             raise RuntimeError("no survivors")
 
-        monkeypatch.setattr(engine_module, "_execute_run_payload", boom)
+        monkeypatch.setattr(engine_module, "execute_run", boom)
         with pytest.raises(EngineError):
             ExecutionEngine().run(fault_batch)
 
@@ -593,7 +593,7 @@ class TestEngineHardening:
     def test_backoff_is_exponential_and_deterministic(self, fault_batch, monkeypatch):
         from repro.obs import TraceCollector, use_collector
 
-        real = engine_module._execute_run_payload
+        real = engine_module.execute_run
         failures = {"left": 2}
 
         def flaky(spec):
@@ -603,7 +603,7 @@ class TestEngineHardening:
             return real(spec)
 
         slept = []
-        monkeypatch.setattr(engine_module, "_execute_run_payload", flaky)
+        monkeypatch.setattr(engine_module, "execute_run", flaky)
         monkeypatch.setattr(engine_module.time, "sleep", slept.append)
         engine = ExecutionEngine(retries=2, backoff_base_s=0.2, backoff_jitter=0.25)
         collector = TraceCollector()
@@ -628,7 +628,7 @@ class TestEngineHardening:
             raise RuntimeError("always")
 
         slept = []
-        monkeypatch.setattr(engine_module, "_execute_run_payload", boom)
+        monkeypatch.setattr(engine_module, "execute_run", boom)
         monkeypatch.setattr(engine_module.time, "sleep", slept.append)
         engine = ExecutionEngine(retries=2)  # backoff_base_s defaults to 0
         engine.run(fault_batch[:1], on_error="record")
@@ -636,9 +636,9 @@ class TestEngineHardening:
 
     def test_per_spec_deadline_abandons_straggler(self, fault_batch, monkeypatch):
         # Worker pools fork on this platform, so the monkeypatched
-        # payload function is inherited by the children: the first spec
+        # execute_run is inherited by the children: the first spec
         # outlives its deadline, the second finishes normally.
-        real = engine_module._execute_run_payload
+        real = engine_module.execute_run
         hang_spec = fault_batch[0]
 
         def selective(spec):
@@ -646,7 +646,7 @@ class TestEngineHardening:
                 time.sleep(2.5)
             return real(spec)
 
-        monkeypatch.setattr(engine_module, "_execute_run_payload", selective)
+        monkeypatch.setattr(engine_module, "execute_run", selective)
         engine = ExecutionEngine(workers=2, spec_timeout_s=0.4)
         started = time.perf_counter()
         results = engine.run(fault_batch, on_error="record")

@@ -22,15 +22,12 @@ from repro.faults.plan import FaultPlan
 from repro.policies.registry import make_policy
 from repro.resources.allocation import Configuration
 from repro.serialize import (
-    MAP_MARKER,
     FieldCodec,
     dataclass_from_dict,
     dataclass_to_dict,
-    freeze_data,
     mapping_to_dict,
     object_codec,
     optional,
-    thaw_data,
 )
 from repro.state import (
     BOState,
@@ -91,7 +88,7 @@ def configurations(draw):
 safe_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 names = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
 
-#: Arbitrary JSON-native data (string keys only — freeze_data stringifies
+#: Arbitrary JSON-native data (string keys only — JSON stringifies
 #: mapping keys, so non-string keys would not round-trip by design).
 json_payloads = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000), safe_floats, names),
@@ -308,36 +305,42 @@ class TestPolicyStateRoundTrips:
             PolicyState.from_dict(state.to_dict())
 
 
-# -- freeze / thaw ---------------------------------------------------------
+# -- payload canonicalization ----------------------------------------------
+
+
+def canonical(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 class TestFreezeThaw:
+    """A :class:`PolicyState` fixes its payload's canonical JSON at
+    construction (freeze) and hands the payload back unchanged (thaw)."""
+
     @given(json_payloads)
     @settings(max_examples=100, deadline=None)
     def test_thaw_inverts_freeze(self, data):
-        assert thaw_data(freeze_data(data)) == data
+        state = PolicyState(policy="P", payload=data)
+        assert state.to_dict()["payload"] == data
+        assert PolicyState.from_dict(json_round(state.to_dict())).payload == data
 
     @given(json_payloads)
     @settings(max_examples=100, deadline=None)
     def test_freeze_is_idempotent(self, data):
-        frozen = freeze_data(data)
-        assert freeze_data(frozen) == frozen
+        state = PolicyState(policy="P", payload=data)
+        again = PolicyState.from_dict(state.to_dict())
+        assert again == state
+        assert canonical(again.to_dict()) == canonical(state.to_dict())
 
     @given(json_payloads)
     @settings(max_examples=100, deadline=None)
     def test_frozen_data_is_hashable(self, data):
-        hash(freeze_data(data))
-
-    def test_reserved_marker_rejected_in_sequences(self):
-        with pytest.raises(ExperimentError, match="reserved"):
-            freeze_data([MAP_MARKER, 1, 2])
-
-    def test_non_json_values_rejected(self):
-        with pytest.raises(ExperimentError, match="JSON-compatible"):
-            freeze_data(object())
+        state = PolicyState(policy="P", payload=data)
+        assert hash(state) == hash(PolicyState.from_dict(json_round(state.to_dict())))
 
     def test_mapping_keys_sorted_canonically(self):
-        assert freeze_data({"b": 1, "a": 2}) == freeze_data({"a": 2, "b": 1})
+        a = PolicyState(policy="P", payload={"b": 1, "a": {"y": [2], "x": 3}})
+        b = PolicyState(policy="P", payload={"a": {"x": 3, "y": [2]}, "b": 1})
+        assert a == b and hash(a) == hash(b)
 
 
 # -- mode semantics --------------------------------------------------------

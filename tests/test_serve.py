@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.errors import ExperimentError
 from repro.serve import (
     ControlPlaneServer,
@@ -29,12 +30,19 @@ from repro.serve import (
     SessionManager,
     SessionSpec,
 )
-from repro.workloads.arrivals import poisson_trace
+from repro.serve.server import MAX_FRAME_BYTES
+from repro.workloads.arrivals import ArrivalTrace, JobArrival, poisson_trace
+from repro.workloads.registry import default_registry
 
 #: Small, fast session recipe used throughout: 4-unit catalog, the
 #: compact ECP suite, stateful SATORI controller (exercises policy
 #: state in snapshots).
 SPEC = SessionSpec(policy="SATORI", suite="ecp", mix=0, units=4, seed=7)
+
+#: asyncio's default stream line limit, which used to cap every frame.
+DEFAULT_STREAM_LIMIT = 64 * 1024
+#: Steps after which a SPEC session's snapshot frame exceeds it.
+LONG_STEPS = 100
 
 
 # -- SessionSpec ---------------------------------------------------------
@@ -230,7 +238,7 @@ class TestSessionSLO:
 
 
 async def _jsonl_client(host, port):
-    return await asyncio.open_connection(host, port)
+    return await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
 
 
 async def _request(reader, writer, payload):
@@ -314,6 +322,60 @@ class TestControlPlaneServer:
             await server.stop()
 
     @pytest.mark.asyncio
+    async def test_jsonl_resume_of_a_large_snapshot_is_bit_identical(self):
+        server = ControlPlaneServer()
+        await server.start()
+        try:
+            reader, writer = await _jsonl_client(*server.address)
+            created = await _request(
+                reader, writer, {"op": "create", "spec": SPEC.to_dict()}
+            )
+            sid = created["session"]
+            await _request(reader, writer, {"op": "step", "session": sid, "n": LONG_STEPS})
+            snapshot = (
+                await _request(reader, writer, {"op": "snapshot", "session": sid})
+            )["snapshot"]
+            assert len(json.dumps({"op": "resume", "snapshot": snapshot})) > (
+                DEFAULT_STREAM_LIMIT
+            )
+            resumed = await _request(reader, writer, {"op": "resume", "snapshot": snapshot})
+            assert resumed["ok"], resumed
+            rid = resumed["session"]
+            for session in (sid, rid):
+                stepped = await _request(
+                    reader, writer, {"op": "step", "session": session, "n": 10}
+                )
+                assert stepped["ok"] and stepped["steps"] == LONG_STEPS + 10
+            original = server.manager._get(sid).session.telemetry.records
+            continued = server.manager._get(rid).session.telemetry.records
+            assert len(original) == LONG_STEPS + 10
+            assert continued == original
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.stop()
+
+    @pytest.mark.asyncio
+    async def test_over_limit_frame_is_answered_then_closed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 1024)
+        server = ControlPlaneServer()
+        await server.start()
+        try:
+            reader, writer = await _jsonl_client(*server.address)
+            answer = await _request(reader, writer, {"op": "ping", "pad": "x" * 1400})
+            assert not answer["ok"] and "exceeds 1024 bytes" in answer["error"]
+            assert await reader.readline() == b""
+            writer.close()
+            await writer.wait_closed()
+            # The listener itself is unaffected.
+            reader, writer = await _jsonl_client(*server.address)
+            assert (await _request(reader, writer, {"op": "ping"}))["ok"]
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.stop()
+
+    @pytest.mark.asyncio
     async def test_rest_surface(self):
         server = ControlPlaneServer()
         await server.start()
@@ -380,6 +442,33 @@ class TestControlPlaneServer:
             assert report.decision_latency_p99_ms > 0.0
         finally:
             await server.stop()
+
+
+    @pytest.mark.asyncio
+    async def test_loadgen_snapshots_a_long_session_on_kill(self):
+        # One job resident for two epochs of LONG_STEPS steps each: its
+        # snapshot response is far beyond the default stream limit.
+        job = JobArrival(0, default_registry().get("amg"), 0, departure_epoch=2)
+        server = ControlPlaneServer()
+        await server.start()
+        host, port = server.address
+        try:
+            generator = LoadGenerator(
+                host, port, ArrivalTrace(n_epochs=3, jobs=(job,)),
+                base_spec=SPEC, epoch_s=0.01, steps_per_epoch=LONG_STEPS,
+                connections=2, mix_cycle=1, snapshot_on_kill=True,
+            )
+            report = await generator.run()
+            assert report.errors == 0
+            assert report.sessions_created == report.sessions_killed == 1
+            assert report.steps_total == 2 * LONG_STEPS
+        finally:
+            await server.stop()
+        # The snapshot the generator fetched really was that large.
+        manager = SessionManager()
+        sid = manager.create(generator._spec_for(0))
+        manager.step(sid, 2 * LONG_STEPS)
+        assert len(json.dumps({"snapshot": manager.snapshot(sid)})) > DEFAULT_STREAM_LIMIT
 
 
 # -- CLI smoke ------------------------------------------------------------

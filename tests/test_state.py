@@ -9,6 +9,7 @@ rule — exists so that guarantee survives the trip through the engine.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 
 from repro.cluster import ClusterSimulator, MigrationConfig
 from repro.engine import ExecutionEngine, RunCache, RunSpec, execute_run
-from repro.errors import ClusterError, PolicyError
-from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.errors import ClusterError, ExperimentError, PolicyError
+from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.policies.random_search import RandomSearchPolicy
 from repro.policies.registry import make_policy
 from repro.resources.space import ConfigurationSpace
@@ -50,6 +51,11 @@ def space(catalog, mix):
 def json_round(state: PolicyState) -> PolicyState:
     """Force a snapshot through an actual JSON encode/decode cycle."""
     return PolicyState.from_dict(json.loads(json.dumps(state.to_dict())))
+
+
+def canonical(data) -> str:
+    """The canonical JSON the spec digest hashes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def drive(policy, simulator, n_steps, observation=None):
@@ -117,6 +123,60 @@ class TestBitIdenticalResume:
         drive(controller, CoLocationSimulator(mix, catalog=catalog, seed=1), 15)
         state = controller.snapshot()
         assert json_round(state) == state
+
+
+# -- the payload contract ------------------------------------------------
+
+
+class TestPayloadContract:
+    """Payloads are plain JSON data, held as given, compared canonically."""
+
+    def test_non_json_payloads_rejected(self):
+        for value in (np.int64(3), np.bool_(True), np.zeros(2), object()):
+            with pytest.raises(ExperimentError, match="JSON-compatible"):
+                PolicyState(policy="SATORI", payload={"nested": [1, {"x": value}]})
+            # from_dict (every serve resume) goes through the same check.
+            with pytest.raises(ExperimentError, match="JSON-compatible"):
+                PolicyState.from_dict({"policy": "SATORI", "payload": {"x": value}})
+
+    def test_equality_and_hash_follow_canonical_json(self):
+        a = PolicyState(policy="P", payload={"b": 1, "a": (1.5, None, "s")})
+        b = PolicyState(policy="P", payload={"a": [1.5, None, "s"], "b": 1})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != PolicyState(policy="P", payload={"a": [1.5, None, "s"], "b": 2})
+        assert a != PolicyState(policy="Q", payload=b.payload)
+        assert a != PolicyState(policy="P", payload=b.payload, version=0)
+
+    def test_payload_is_held_as_given(self):
+        payload = {"rng": {"state": 2**100}, "seen": [{"cores": [1, 2]}]}
+        state = PolicyState(policy="Random", payload=payload)
+        assert state.payload is payload
+        assert state.payload_dict() is payload
+        assert state.to_dict()["payload"] is payload
+        assert PolicyState.from_dict(state.to_dict()) == state
+        assert json_round(state) == state
+
+    def test_non_mapping_payload_has_no_payload_dict(self):
+        with pytest.raises(PolicyError, match="not a mapping"):
+            PolicyState(policy="P", payload=[1, 2]).payload_dict()
+
+    @pytest.mark.parametrize("name", ["SATORI", "Random", "BoPF"])
+    def test_snapshot_is_a_value(self, catalog, mix, name):
+        """Neither the controller that took the snapshot nor one
+        restored from it may change it by stepping on."""
+        kwargs = {"qos_jobs": (0,)} if name == "BoPF" else {}
+        reference = make_policy(name, mix, catalog, rng=5, **kwargs)
+        _, obs = drive(reference, CoLocationSimulator(mix, catalog=catalog, seed=2), 15)
+        state = reference.snapshot()
+        frozen = canonical(state.to_dict())
+
+        drive(reference, CoLocationSimulator(mix, catalog=catalog, seed=2), 20, obs)
+        assert canonical(state.to_dict()) == frozen
+
+        restored = make_policy(name, mix, catalog, rng=9, initial_state=state, **kwargs)
+        drive(restored, CoLocationSimulator(mix, catalog=catalog, seed=3), 20, obs)
+        assert canonical(state.to_dict()) == frozen
 
 
 # -- protocol semantics --------------------------------------------------
@@ -246,6 +306,35 @@ class TestSpecIdentity:
         assert warm.final_state is not None
         assert warm.final_state.policy == "SATORI"
         assert warm.final_state != snapshot  # it kept learning
+
+    def test_pinned_digests_and_result_bytes(self, catalog, mix):
+        """Spec digests, canonical result JSON (hence every noise
+        stream and cache key) are pinned to the values computed before
+        payloads became JSON-native."""
+
+        def sha(data) -> str:
+            return hashlib.sha256(canonical(data).encode()).hexdigest()
+
+        cold = _spec(mix, catalog)
+        cold_result = ExecutionEngine().run_one(cold)
+        warm = _spec(mix, catalog, initial_state=cold_result.final_state)
+        warm_result = ExecutionEngine().run_one(warm)
+        assert cold.digest == (
+            "690f4ffdcc7455ef4e2ed7d07bb61019764dcca063a9de14eff75e6a07df5389"
+        )
+        assert warm.digest == (
+            "b575e032cb8e11fac41edecb0d9b0a205741614b2f86d287d00e439c86921287"
+        )
+        assert warm.cold_digest == cold.digest
+        assert sha(cold_result.to_dict()) == (
+            "d6538c8296fdc09b0ec34fc0a0914dda9e7d566c5c9976f6bd7676be1041f5c2"
+        )
+        assert sha(warm_result.to_dict()) == (
+            "0417223a18015a7831e3f7b61a399f6bb8e847d48cf6ddf3f5d161a3ccdc74ab"
+        )
+        # The result codec reproduces those bytes exactly.
+        rebuilt = RunResult.from_dict(json.loads(canonical(warm_result.to_dict())))
+        assert canonical(rebuilt.to_dict()) == canonical(warm_result.to_dict())
 
     def test_stateless_policy_yields_no_final_state(self, catalog, mix):
         result = execute_run(_spec(mix, catalog, policy="EqualPartition"))
