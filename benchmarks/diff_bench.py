@@ -48,11 +48,8 @@ ARTIFACTS = {
             ("schemes.*.epochs_per_s", "higher"),
             ("schemes.*.decide_ms.mean", "lower"),
             ("schemes.*.decide_ms.max", "lower"),
-            ("batched.batched_epochs_per_s", "higher"),
-            ("batched.scalar_epochs_per_s", "higher"),
-            ("batched.speedup", "higher"),
         ],
-        "context": ["n_nodes", "n_epochs", "epoch_seconds", "batched.workers"],
+        "context": ["n_nodes", "n_epochs", "epoch_seconds", "workers"],
     },
     "BENCH_chaos.json": {
         "metrics": [

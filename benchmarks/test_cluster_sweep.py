@@ -35,8 +35,8 @@ EPOCH_SECONDS = 8.0
 #: Scale of the fast BENCH_cluster run — small enough for tier-1 CI.
 #: Epochs are long enough (simulated seconds -> control intervals) that
 #: per-node-epoch compute dominates the pool's per-spec IPC, so the
-#: batched path's parallel speedup is visible rather than drowned in
-#: dispatch overhead.
+#: pool's parallel speedup is visible rather than drowned in dispatch
+#: overhead.
 BENCH_NODES = 3
 BENCH_EPOCHS = 4
 BENCH_EPOCH_SECONDS = 6.0
@@ -51,14 +51,13 @@ def _bench_workers():
     return max(2, min(BENCH_NODES, os.cpu_count() or 1))
 
 
-def _timed_cluster_run(trace, catalog, epoch_config, broker=None,
-                       engine=None, speculate=False):
+def _timed_cluster_run(trace, catalog, epoch_config, broker, engine):
     """One measured cluster run; returns (result, wall_s, collector)."""
     collector = TraceCollector()
     simulator = ClusterSimulator(
         trace, n_nodes=BENCH_NODES, catalog=catalog,
         epoch_config=epoch_config, policy="SATORI", seed=0,
-        broker=broker, engine=engine, speculate=speculate,
+        broker=broker, engine=engine,
     )
     started = time.perf_counter()
     with use_collector(collector):
@@ -76,12 +75,8 @@ def test_bench_cluster_artifact():
     are environment-dependent; the assertions only gate sanity (ran,
     positive rates, latencies recorded), never absolute speed.
 
-    The broker schemes run through the batched data path (worker pool
-    with blob spec transport + cross-epoch speculation); the
-    ``batched`` section reruns one configuration through the scalar
-    path (serial engine, no speculation) so every artifact carries its
-    own batch-vs-scalar speedup — the number CI surfaces in the job
-    summary and ``diff_bench.py`` tracks across runs.
+    Every broker scheme runs on one shared worker pool; its width is
+    recorded as ``workers``.
     """
     catalog = experiment_catalog()
     trace = default_trace(
@@ -91,16 +86,10 @@ def test_bench_cluster_artifact():
     epoch_config = RunConfig(duration_s=BENCH_EPOCH_SECONDS)
 
     schemes = {}
-    # trace_workers=False: the bench only reads parent-side decide
-    # spans; shipping every worker-interior span across the pool pipe
-    # would swamp the measurement.
-    with ExecutionEngine(
-        workers=_bench_workers(), spec_transport="blob", trace_workers=False
-    ) as engine:
+    with ExecutionEngine(workers=_bench_workers()) as engine:
         for broker in BENCH_BROKERS:
             result, elapsed, collector = _timed_cluster_run(
-                trace, catalog, epoch_config, broker=broker,
-                engine=engine, speculate=True,
+                trace, catalog, epoch_config, broker, engine
             )
             decides = collector.spans_named("broker.decide")
             latencies_ms = sorted(e.duration_ns / 1e6 for e in decides)
@@ -118,32 +107,6 @@ def test_bench_cluster_artifact():
             }
             assert schemes[broker]["epochs_per_s"] > 0.0
 
-        # Paired batch-vs-scalar comparison on one configuration: the
-        # batched leg reuses the warm pool, the scalar leg is the
-        # serial in-process engine the bench used before this path
-        # existed. Results are bit-identical (tests/test_batched_eval
-        # pins that); only the wall clock differs.
-        batched_result, batched_s, batched_obs = _timed_cluster_run(
-            trace, catalog, epoch_config, engine=engine, speculate=True,
-        )
-    scalar_result, scalar_s, _ = _timed_cluster_run(trace, catalog, epoch_config)
-    assert scalar_result.mean_speedup == batched_result.mean_speedup
-    assert scalar_result.fairness == batched_result.fairness
-    counters = batched_obs.metrics.counters()
-    batched = {
-        "workers": _bench_workers(),
-        "scalar_wall_s": round(scalar_s, 4),
-        "batched_wall_s": round(batched_s, 4),
-        "scalar_epochs_per_s": round(BENCH_EPOCHS / scalar_s, 3),
-        "batched_epochs_per_s": round(BENCH_EPOCHS / batched_s, 3),
-        "speedup": round(scalar_s / batched_s, 3),
-        "speculative_submitted": int(counters.get("cluster.speculative_submitted", 0)),
-        "speculative_hits": int(counters.get("cluster.speculative_hits", 0)),
-        "speculative_cancelled": int(counters.get("cluster.speculative_cancelled", 0)),
-        "blob_cache_hits": int(counters.get("engine.blob_cache_hits", 0)),
-        "blob_cache_misses": int(counters.get("engine.blob_cache_misses", 0)),
-    }
-
     report = {
         "benchmark": "cluster_broker",
         "n_nodes": BENCH_NODES,
@@ -151,8 +114,8 @@ def test_bench_cluster_artifact():
         "epoch_seconds": BENCH_EPOCH_SECONDS,
         "policy": "SATORI",
         "n_jobs": len(trace),
+        "workers": _bench_workers(),
         "schemes": schemes,
-        "batched": batched,
     }
     with open(_bench_path(), "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -167,11 +130,6 @@ def test_bench_cluster_artifact():
         ],
         precision=3,
     ))
-    print(
-        f"batched vs scalar: {batched['batched_epochs_per_s']} vs "
-        f"{batched['scalar_epochs_per_s']} epochs/s "
-        f"({batched['speedup']}x, {batched['workers']} workers)"
-    )
 
 
 @pytest.mark.slow

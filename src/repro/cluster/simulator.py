@@ -106,9 +106,9 @@ from repro.cluster.recovery import (
     FleetEvent,
     RecoveryConfig,
 )
-from repro.engine import EngineFuture, ExecutionEngine, RunError, RunSpec
+from repro.engine import ExecutionEngine, RunError, RunSpec
 from repro.engine.spec import derive_seed
-from repro.errors import ClusterError, EngineError, ExperimentError
+from repro.errors import ClusterError, ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.faults.nodes import NodeFaultPlan, NodeFaultSchedule
 from repro.faults.plan import FaultPlan
@@ -501,8 +501,8 @@ class ClusterSimulator:
             broker's.
         broker_kwargs: kwargs for the broker factory when ``broker``
             is a registry id.
-        engine: execution engine for node-epoch batches; defaults to a
-            fresh serial engine.
+        engine: execution engine that runs each epoch's node-epoch
+            specs as one batch; defaults to a fresh serial engine.
         warm_start: re-inject each node's prior-epoch policy snapshot
             whenever its job membership and effective catalog did not
             change across the epoch boundary, so membership-stable
@@ -514,21 +514,6 @@ class ClusterSimulator:
             epoch's state in their content address, which chains
             digests across epochs and reduces cache sharing between
             sweep cells.
-        speculate: cross-epoch speculative batching. While epoch E
-            drains, the next epoch's specs are already ``submit()``-ted
-            for every node whose E+1 membership is provable from the
-            trace alone (no departures among its jobs, no arrival or
-            re-placement can land on it, weather permits) — on a
-            worker-pool engine those specs compute while the parent
-            scores, brokers, and places epoch E. Specs are claimed by
-            content equality, so a hit is *by construction* the spec
-            the blocking path would have run, and a mispredicted spec
-            is cancelled (or its finished result discarded) — results
-            are bit-identical to ``speculate=False`` for every trace
-            and fault schedule. Off by default. On a serial engine
-            queued speculation simply waits (no wasted work). Warm
-            starts and migration disable speculation wholesale: their
-            specs depend on epoch-E outcomes.
         qos_slo: optional :class:`~repro.qos.SLOSpec` enforced for
             qos-kind jobs. When set, an :class:`~repro.qos.SLOTracker`
             scores every node-epoch's per-interval telemetry, records
@@ -564,7 +549,6 @@ class ClusterSimulator:
         broker_kwargs: Optional[dict] = None,
         engine: Optional[ExecutionEngine] = None,
         warm_start: bool = False,
-        speculate: bool = False,
         qos_slo: Optional[SLOSpec] = None,
     ):
         if n_nodes < 1:
@@ -692,23 +676,13 @@ class ClusterSimulator:
         self._displaced_epochs = 0
         # Incremental stepping state: :meth:`run` is a loop over
         # :meth:`step_epoch`, and external callers may interleave
-        # epochs with their own work (the serve layer, speculative
-        # batching). ``_previous`` holds the last epoch's records —
-        # the placement policy's information set.
+        # epochs with their own work. ``_previous`` holds the last
+        # epoch's records — the placement policy's information set.
         self._epoch = 0
         self._all_records: List[NodeEpochRecord] = []
         self._rejected: List[int] = []
         self._migrations = 0
         self._previous: Dict[int, NodeEpochRecord] = {}
-        # Cross-epoch speculation: futures for next-epoch specs we
-        # submitted early, keyed by spec (content identity). Claimed by
-        # equality when the epoch actually runs; unclaimed entries are
-        # mispredictions and are cancelled.
-        self._speculate = bool(speculate)
-        self._spec_futures: Dict[RunSpec, EngineFuture] = {}
-        self._speculative_submitted = 0
-        self._speculative_hits = 0
-        self._speculative_cancelled = 0
         # SLO enforcement: one tracker for the whole run, scoring each
         # node-epoch's qos jobs against the spec. Inert when no spec.
         self._qos_slo = qos_slo
@@ -786,10 +760,6 @@ class ClusterSimulator:
         no SLO, unaware policy, all-batch node — gets the shared
         kwargs object unchanged, so spec digests are bit-identical to
         a simulator without the feature.
-
-        Used by *both* the blocking spec build and speculative
-        submission: speculation claims specs by content equality, so
-        the two paths must construct identical kwargs.
         """
         if self._qos_slo is None or not policy_is_qos_aware(self._policy):
             return self._policy_kwargs
@@ -1267,7 +1237,8 @@ class ClusterSimulator:
             spec_nodes.append(node)
             spec_slowdowns.append(slowdown)
 
-        results = self._run_node_epochs(epoch, specs)
+        on_error = "record" if self._recovery is not None else "raise"
+        results = self._engine.run(specs, on_error=on_error) if specs else []
 
         penalty = (
             self._migration.warmup_penalty_intervals if self._migration is not None else 0
@@ -1418,140 +1389,6 @@ class ClusterSimulator:
                     )
         records.sort(key=lambda r: r.node_id)
         return records
-
-    # -- speculative cross-epoch batching ---------------------------------
-
-    def _run_node_epochs(self, epoch: int, specs: List[RunSpec]) -> List:
-        """Execute an epoch's specs, claiming/refreshing speculation.
-
-        Without ``speculate`` this is exactly the historical blocking
-        ``engine.run`` call. With it, each spec first tries to claim a
-        speculative future submitted last epoch (content equality —
-        a hit IS the same run), leftovers are cancelled as
-        mispredictions, the *next* epoch's predictable specs are
-        submitted before this epoch drains, and only then are this
-        epoch's futures drained in spec order — reproducing
-        ``on_error`` semantics bit-identically.
-        """
-        on_error = "record" if self._recovery is not None else "raise"
-        if not self._speculate:
-            return self._engine.run(specs, on_error=on_error) if specs else []
-        obs = active_collector()
-        futures: List[EngineFuture] = []
-        for spec in specs:
-            future = self._spec_futures.pop(spec, None)
-            if future is not None:
-                self._speculative_hits += 1
-                obs.metrics.counter("cluster.speculative_hits").inc()
-            else:
-                future = self._engine.submit(spec)
-            futures.append(future)
-        self._cancel_unclaimed(obs)
-        self._speculate_next(epoch + 1, obs)
-        results = []
-        for future in futures:
-            value = future.outcome()
-            if isinstance(value, RunError) and on_error == "raise":
-                raise EngineError(
-                    f"{value.spec!r} failed after {value.attempts} "
-                    f"attempt(s): {value.error}"
-                )
-            results.append(value)
-        return results
-
-    def _cancel_unclaimed(self, obs) -> None:
-        """Retire mispredicted speculative futures.
-
-        Still-queued specs are withdrawn from the engine; specs a pool
-        worker already started (or finished) just have their results
-        discarded — wasted work, counted separately, never wrong
-        results.
-        """
-        for spec, future in list(self._spec_futures.items()):
-            if self._engine.cancel(future):
-                self._speculative_cancelled += 1
-                obs.metrics.counter("cluster.speculative_cancelled").inc()
-            else:
-                obs.metrics.counter("cluster.speculative_wasted").inc()
-            del self._spec_futures[spec]
-
-    def _speculate_next(self, next_epoch: int, obs) -> None:
-        """Submit next-epoch specs whose content is already determined.
-
-        A node's epoch-``next_epoch`` spec is predictable exactly when
-        nothing that happens between now and then can change its mix,
-        catalog, or fault overlay: no resident job departs, no arrival
-        or re-placement can land on it, its weather neither downs it
-        nor fails it outright, and no resurrection state is pending.
-        Anything less certain is skipped — a wrong guess would only be
-        wasted work (claims go by content equality), but conservative
-        prediction keeps the speculation hit rate near 1 on stable
-        traces. Broker budget moves after this epoch simply turn the
-        affected predictions into cancelled misses.
-        """
-        if next_epoch >= self._trace.n_epochs:
-            return
-        if self._warm_start or self._migration is not None:
-            # Warm-start state and migration targets depend on the
-            # current epoch's outcome — next-epoch specs are not a
-            # function of the trace alone.
-            return
-        if self._down_until or self._queue or self._pending_restore:
-            return
-        if any(
-            schedule.down_at(next_epoch)
-            for schedule in self._fleet_schedules.values()
-        ):
-            # A node going down next epoch drains its jobs into the
-            # re-placement queue, perturbing every node with capacity.
-            return
-        departing = {
-            arrival.job_id for arrival in self._trace.departures_at(next_epoch)
-        }
-        has_arrivals = bool(self._trace.arrivals_at(next_epoch))
-        config = RunConfig(
-            duration_s=self._epoch_config.duration_s,
-            interval_s=self._epoch_config.interval_s,
-            baseline_reset_s=self._epoch_config.baseline_reset_s,
-            noise_sigma=self._epoch_config.noise_sigma,
-            phase_offset_s=next_epoch * self._epoch_config.duration_s,
-            warmup_fraction=self._epoch_config.warmup_fraction,
-            actuation_retries=self._epoch_config.actuation_retries,
-        )
-        for node in self._nodes:
-            if node.n_jobs < 2:
-                continue
-            if departing & set(node.job_ids):
-                continue
-            if has_arrivals and node.n_jobs < node.capacity:
-                continue
-            schedule = self._fleet_schedules.get(node.node_id)
-            slowdown = schedule.slowdown_at(next_epoch) if schedule else 1.0
-            flaky = schedule.flaky_at(next_epoch) if schedule else 0.0
-            if (
-                self._recovery is not None
-                and slowdown >= self._recovery.straggler_deadline_factor
-            ):
-                continue
-            fault_plan = self._fault_plans.get(node.node_id)
-            if flaky > 0.0:
-                fault_plan = _flaky_overlay(fault_plan, flaky)
-            spec = node.epoch_spec(
-                policy=self._policy,
-                run_config=config,
-                seed=derive_seed(
-                    self._seed, "node", node.node_id, "epoch", next_epoch
-                ),
-                policy_kwargs=self._node_policy_kwargs(node),
-                goals=self._goals,
-                fault_plan=fault_plan,
-                initial_state=None,
-            )
-            if spec in self._spec_futures:
-                continue
-            self._spec_futures[spec] = self._engine.submit(spec)
-            self._speculative_submitted += 1
-            obs.metrics.counter("cluster.speculative_submitted").inc()
 
     # -- brokering ---------------------------------------------------------
 
@@ -1717,10 +1554,6 @@ class ClusterSimulator:
         self._previous = {record.node_id: record for record in records}
         self._all_records.extend(records)
         self._epoch += 1
-        if self._speculate and self.finished:
-            # Nothing left to claim leftover speculation: retire it so
-            # a shared engine is not left holding our queued specs.
-            self._cancel_unclaimed(obs)
         return records
 
     def _score_epoch(self, records: Sequence[NodeEpochRecord]) -> None:

@@ -192,18 +192,6 @@ class RunSpec:
         }
 
     @cached_property
-    def mix_digest(self) -> str:
-        """SHA-256 digest of the mix alone — the blob-transport address.
-
-        Specs differing only in policy, seed, or methodology share one
-        mix digest, so pool workers hydrate the workload models once
-        per mix rather than once per submission (see
-        :mod:`repro.engine.blobs`).
-        """
-        payload = json.dumps(self.mix_payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    @cached_property
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical representation."""
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -215,9 +203,8 @@ class RunSpec:
         Semantically identical to the field-tuple comparison a frozen
         dataclass would generate (the digest covers every field), but
         after the first comparison it is a single cached-string check —
-        the engine's dedup map and the cluster's speculative-future
-        table key on specs, and hashing the full workload models on
-        every lookup dominated submission cost.
+        the engine's per-batch dedup map keys on specs, and hashing the
+        full workload models on every lookup dominated submission cost.
         """
         if self is other:
             return True

@@ -1,6 +1,7 @@
 """Tests for the multi-node cluster layer (arrivals, placement, nodes,
 the cluster simulator, and the sweep driver)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.cluster import (
     LeastLoadedPlacement,
     MigrationConfig,
     NodeView,
+    RecoveryConfig,
     RoundRobinPlacement,
     ServerNode,
     instance_name,
@@ -28,7 +30,12 @@ from repro.experiments.cluster import (
     node_fault_plans,
 )
 from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.faults import NodeFaultPlan
+from repro.obs import TraceCollector, use_collector
+from repro.qos import SLOSpec
 from repro.workloads.arrivals import (
+    KIND_BATCH,
+    KIND_QOS,
     ArrivalTrace,
     JobArrival,
     diurnal_trace,
@@ -417,6 +424,57 @@ class TestClusterSimulator:
             MigrationConfig(fairness_threshold=0.0)
         with pytest.raises(ClusterError):
             MigrationConfig(patience=0)
+
+
+class TestPoolMatchesSerial:
+    """A cluster on a worker pool replays bit-identically to one on a
+    serial engine with every fleet feature on at once."""
+
+    @staticmethod
+    def replay(workers):
+        registry = default_registry()
+        names = ["canneal", "streamcluster", "vips", "freqmine",
+                 "fluidanimate", "blackscholes"]
+        # Three full capacity-2 nodes. Node 2's crash queues its pair
+        # until it rejoins with its parked budget, where the pair
+        # reassembles and resurrects the epoch-0 checkpoint; job 5's
+        # departure opens the slot a migration needs.
+        trace = ArrivalTrace(n_epochs=5, jobs=tuple(
+            JobArrival(job_id, registry.get(name), 0,
+                       departure_epoch=3 if job_id == 5 else None,
+                       kind=KIND_QOS if job_id in (0, 2) else KIND_BATCH)
+            for job_id, name in enumerate(names)
+        ))
+        plans = {
+            0: NodeFaultPlan(straggler_rate=0.95, straggler_slowdown=3.5,
+                             start_epoch=3, end_epoch=4),
+            1: NodeFaultPlan(flaky_rate=0.5, flaky_intensity=0.5),
+            2: NodeFaultPlan(crash_epoch=1, crash_rejoin_epochs=1),
+        }
+        collector = TraceCollector()
+        with ExecutionEngine(workers=workers) as engine, use_collector(collector):
+            result = ClusterSimulator(
+                trace, n_nodes=3, placement="least_loaded", policy="BoPF",
+                catalog=experiment_catalog(), epoch_config=TINY, seed=1,
+                node_capacity=2, fleet_plans=plans,
+                recovery=RecoveryConfig(snapshot_cadence_epochs=1),
+                migration=MigrationConfig(fairness_threshold=0.9, patience=1),
+                broker="trade", warm_start=True,
+                qos_slo=SLOSpec(min_speedup=0.55, window=2, attain_target=0.75),
+                engine=engine,
+            ).run()
+        return result, collector.metrics.counters()
+
+    def test_every_fleet_feature(self):
+        serial, counters = self.replay(workers=1)
+        pooled, _ = self.replay(workers=2)
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+        assert counters.get("cluster.warm_starts", 0) > 0
+        assert serial.budget_transfers > 0
+        assert serial.node_epoch_failures > 0
+        assert serial.resurrections > 0
+        assert serial.migrations > 0
+        assert serial.slo is not None and serial.jobs_lost == ()
 
 
 class TestClusterSweep:

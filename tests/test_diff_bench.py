@@ -54,7 +54,7 @@ class TestRegression:
 class TestContextChanges:
     def test_equal_context_reports_nothing(self):
         payload = {"n_nodes": 3, "n_epochs": 4, "epoch_seconds": 6.0,
-                   "batched": {"workers": 3}}
+                   "workers": 3}
         assert diff_bench.context_changes(
             "BENCH_cluster.json", payload, dict(payload)) == []
 
@@ -143,23 +143,22 @@ class TestMain:
         assert "epoch_seconds 2.0 -> 6.0" in out
 
     def test_one_sided_metrics_are_noted_not_silent(self, tmp_path, capsys):
-        # The previous artifact predates the batched section; the
-        # current one gained it. Neither direction should warn, but the
-        # schema drift must be visible.
+        # The previous artifact predates the trade scheme; the current
+        # one gained it. Neither direction should warn, but the schema
+        # drift must be visible.
         prev, cur = tmp_path / "prev", tmp_path / "cur"
         scheme = {"epochs_per_s": 1.0, "decide_ms": {"mean": 2.0, "max": 4.0}}
         _write(prev, "BENCH_cluster.json", {
             "schemes": {"bo": scheme, "legacy": scheme},
         })
         _write(cur, "BENCH_cluster.json", {
-            "schemes": {"bo": scheme},
-            "batched": {"speedup": 1.9, "batched_epochs_per_s": 0.9},
+            "schemes": {"bo": scheme, "trade": scheme},
         })
         code = diff_bench.main([str(prev), str(cur), "--strict"])
         out = capsys.readouterr().out
         assert code == 0
         assert "WARN" not in out
-        assert "batched.speedup is new" in out
+        assert "schemes.trade.epochs_per_s is new" in out
         assert "schemes.legacy.epochs_per_s dropped" in out
 
     def test_qos_attainment_loss_warns_gain_notices(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import threading
 import weakref
 
 import pytest
@@ -152,7 +153,6 @@ class TestDeterminism:
         specs = [spec(mixes[0], catalog, policy="SATORI"), spec(mixes[1], catalog)]
         engine = ExecutionEngine(workers=1)
         results = engine.run(specs)
-        results += [engine.submit(spec(mixes[2], catalog)).result()]
         assert all(isinstance(result, RunResult) for result in results)
         assert results[0].final_state is not None
         assert calls == []
@@ -208,51 +208,69 @@ class TestFailedPoolSpec:
             gc.enable()
 
 
-# -- futures surface -----------------------------------------------------
+# -- interrupted batches -------------------------------------------------
 
 
-class TestFuturesSurface:
-    """``run()`` is a thin wrapper over submit/poll — paired bit-identity.
+class _Interrupt(BaseException):
+    """Stands in for Ctrl-C or ``SystemExit`` escaping a batch (pytest
+    intercepts a real ``KeyboardInterrupt``)."""
 
-    The control-flow inversion's acceptance test: driving the engine
-    through the non-blocking surface (``submit`` + ``as_completed`` or
-    manual ``poll`` loops) must produce results bit-identical to the
-    blocking ``run()`` it replaced.
-    """
 
-    def test_submit_as_completed_matches_run(self, mixes, catalog):
-        specs = [spec(mix, catalog) for mix in mixes[:3]]
-        blocking = ExecutionEngine(workers=2).run(specs)
+class TestInterruptedRun:
+    """A ``BaseException`` escaping ``run()`` must not wedge the engine:
+    the next ``run()`` of an equal spec executes it afresh."""
 
-        engine = ExecutionEngine(workers=2)
-        futures = [engine.submit(s) for s in specs]
-        completed = list(engine.as_completed(futures, timeout_s=300))
-        assert sorted(f.spec.digest for f in completed) == sorted(
-            f.spec.digest for f in futures
+    @staticmethod
+    def rerun(engine, specs):
+        """``engine.run(specs)`` on a daemon thread, so a hang fails
+        the test instead of blocking the suite."""
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.extend(engine.run(specs)), daemon=True
         )
-        stepped = [f.result() for f in futures]
-        assert [r.to_dict() for r in stepped] == [r.to_dict() for r in blocking]
-        engine.close()
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run() hung after an interrupted run()"
+        return results
 
-    def test_manual_poll_loop_matches_run(self, mixes, catalog):
-        one = spec(mixes[0], catalog)
-        blocking = ExecutionEngine().run_one(one)
+    def test_serial_engine(self, mixes, catalog, monkeypatch):
+        real = engine_module.execute_run
+        interrupted = []
 
+        def interrupt_once(run_spec):
+            if not interrupted:
+                interrupted.append(run_spec)
+                raise _Interrupt()
+            return real(run_spec)
+
+        monkeypatch.setattr(engine_module, "execute_run", interrupt_once)
+        specs = [spec(mixes[0], catalog)]
         engine = ExecutionEngine()
-        future = engine.submit(one)
-        assert not future.done
-        while engine.poll():
-            pass
-        assert future.done
-        assert future.peek().to_dict() == blocking.to_dict()
+        with pytest.raises(_Interrupt):
+            engine.run(specs)
+        results = self.rerun(engine, specs)
+        expected = ExecutionEngine().run(specs)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
 
-    def test_inflight_duplicates_share_one_execution(self, mixes, catalog):
-        engine = ExecutionEngine()
-        a = engine.submit(spec(mixes[0], catalog))
-        b = engine.submit(spec(mixes[0], catalog))
-        assert a.result().to_dict() == b.result().to_dict()
-        assert engine.stats.executed == 1
-        assert engine.stats.deduplicated == 1
+    def test_pool_engine(self, mixes, catalog, monkeypatch):
+        from_dict = RunResult.from_dict.__func__
+        interrupted = []
+
+        def interrupt_once(cls, data):
+            if not interrupted:
+                interrupted.append(data)
+                raise _Interrupt()
+            return from_dict(cls, data)
+
+        # Raised in the parent while it decodes the first worker result.
+        monkeypatch.setattr(RunResult, "from_dict", classmethod(interrupt_once))
+        specs = [spec(mixes[0], catalog), spec(mixes[1], catalog)]
+        with ExecutionEngine(workers=2) as engine:
+            with pytest.raises(_Interrupt):
+                engine.run(specs)
+            results = self.rerun(engine, specs)
+        expected = ExecutionEngine().run(specs)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
 
 
 # -- cache ---------------------------------------------------------------
