@@ -12,6 +12,12 @@ import asyncio
 import inspect
 
 import pytest
+from hypothesis import settings
+
+#: ``--hypothesis-profile=deep``: ten times hypothesis's default example
+#: count, for the CI step that runs the cluster combination fuzzer
+#: deeper than tier-1 does.
+settings.register_profile("deep", max_examples=1000)
 
 
 @pytest.hookimpl(tryfirst=True)
