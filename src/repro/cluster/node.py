@@ -22,6 +22,8 @@ Job instances get *instance-unique* workload names (``canneal#7`` for
 job id 7) because :class:`~repro.workloads.mixes.JobMix` forbids
 duplicate names — two copies of the same benchmark are distinct jobs
 with distinct speedups and must stay distinguishable in telemetry.
+The rename is the node's business: :meth:`ServerNode.evict` hands a
+job back as the arrival that placed it, ready for another node.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class ServerNode:
                 )
         self._max_jobs = None if capacity is None else int(capacity)
         self._jobs: Dict[int, Workload] = {}
-        self._kinds: Dict[int, str] = {}
+        self._arrivals: Dict[int, JobArrival] = {}
 
     # -- budget -----------------------------------------------------------
 
@@ -166,18 +168,12 @@ class ServerNode:
     @property
     def job_kinds(self) -> Tuple[str, ...]:
         """Resident job kinds, aligned with :attr:`job_ids`."""
-        return tuple(self._kinds.get(job_id, "batch") for job_id in self.job_ids)
-
-    def kind_of(self, job_id: int) -> str:
-        """The type label a resident job arrived with."""
-        if job_id not in self._jobs:
-            raise ClusterError(f"job {job_id} is not on node {self.node_id}")
-        return self._kinds.get(job_id, "batch")
+        return tuple(self._arrivals[job_id].kind for job_id in self.job_ids)
 
     @property
     def qos_jobs(self) -> int:
         """Resident jobs tagged latency-sensitive (``kind == "qos"``)."""
-        return sum(1 for kind in self._kinds.values() if kind == "qos")
+        return sum(1 for arrival in self._arrivals.values() if arrival.kind == "qos")
 
     def add_job(self, arrival: JobArrival) -> None:
         """Place a job instance on this node."""
@@ -191,15 +187,21 @@ class ServerNode:
             arrival.workload,
             name=instance_name(arrival.workload.name, arrival.job_id),
         )
-        self._kinds[arrival.job_id] = arrival.kind
+        self._arrivals[arrival.job_id] = arrival
 
     def remove_job(self, job_id: int) -> None:
-        """Remove a departed (or migrating) job instance."""
+        """Remove a departed job instance."""
+        self.evict(job_id)
+
+    def evict(self, job_id: int) -> JobArrival:
+        """Remove a resident job and return the arrival that placed it —
+        original workload name and kind — ready for another node's
+        :meth:`add_job` (a migration, or re-placement after a crash)."""
         try:
             del self._jobs[job_id]
         except KeyError:
             raise ClusterError(f"job {job_id} is not on node {self.node_id}") from None
-        self._kinds.pop(job_id, None)
+        return self._arrivals.pop(job_id)
 
     def has_job(self, job_id: int) -> bool:
         return job_id in self._jobs
@@ -244,10 +246,10 @@ class ServerNode:
         that route different jobs here) and a ``run_config`` whose
         ``phase_offset_s`` encodes the epoch's position in wall time,
         keeping workload phase behavior continuous across epochs.
-        ``initial_state`` warm-starts the node's controller from the
-        previous epoch's final snapshot (the cluster simulator passes
-        it only when job membership did not change across the epoch
-        boundary). The spec's catalog is the *effective* catalog — the
+        ``initial_state`` warm-starts the node's controller from a held
+        snapshot (the cluster simulator passes one only when the node
+        runs the membership and catalog it was learned under). The
+        spec's catalog is the *effective* catalog — the
         node's budget enters the content digest through it, so an
         epoch run under a shrunken budget never collides in the cache
         with one run at full budget.

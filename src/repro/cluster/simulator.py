@@ -10,10 +10,13 @@ which is what lets them fan out across worker processes and hit the
 content-addressed run cache like any other spec (two sweep cells that
 route the same jobs to the same node at the same epoch share one run).
 
-Epoch loop (in order):
+Epoch loop, in order (:meth:`ClusterSimulator.step_epoch` calls each
+owner by name; "supervisor" is the
+:class:`~repro.cluster.recovery.FleetSupervisor`, the one owner of
+fleet state):
 
-1. **fleet weather** — nodes whose down window ended rejoin (their
-   parked budget returns to service); nodes whose
+1. **fleet weather** (supervisor) — nodes whose down window ended
+   rejoin (their parked budget returns to service); nodes whose
    :class:`~repro.faults.nodes.NodeFaultSchedule` takes them down are
    drained: resident jobs move to the re-placement queue (or are lost
    when recovery is disabled) and the node's budget is parked;
@@ -22,13 +25,14 @@ Epoch loop (in order):
 3. **migration** (optional) — a node whose observed fairness stayed
    below the threshold for ``patience`` consecutive epochs evicts its
    worst-treated job to another node chosen by the placement policy;
-4. **re-placement** — displaced jobs are re-placed by the placement
-   policy *before* new arrivals (survivors outrank newcomers); a
-   crashed node's checkpointed policy state is resurrected on the
-   adopting node when its whole job group reassembles there;
+4. **re-placement** (supervisor) — displaced jobs are re-placed by the
+   placement policy *before* new arrivals (survivors outrank
+   newcomers); once arrivals are in, a crashed node's checkpointed
+   policy state is resurrected on the adopting node when its whole job
+   group reassembles there;
 5. **arrivals** — the placement policy routes each arriving job using
    :class:`~repro.cluster.placement.NodeView` summaries of the
-   *previous* epoch's telemetry (jobs with no free node anywhere are
+   *previous* epoch's records (jobs with no free node anywhere are
    rejected and counted — an admission-controlled cluster);
 6. **execution** — every live node with >= 2 resident jobs becomes one
    engine spec; nodes with 0 or 1 jobs are *synthesized* (an
@@ -37,11 +41,13 @@ Epoch loop (in order):
    nodes produce no record. Straggler weather scales a node-epoch's
    useful work by its slowdown factor — or fails it outright past the
    recovery deadline — and flaky weather overlays monitoring faults on
-   the node's spec;
+   the node's spec. The optional :class:`~repro.qos.SLOTracker` scores
+   each record as it is built, and the supervisor checkpoints the
+   controllers' snapshots on the recovery cadence;
 7. **scoring** — per-node records feed the next epoch's node views and
-   accumulate into cluster-wide metrics; the circuit breaker
-   quarantines nodes with ``failure_threshold`` consecutive failed
-   epochs;
+   accumulate into cluster-wide metrics; the supervisor's circuit
+   breaker quarantines nodes with ``failure_threshold`` consecutive
+   failed epochs;
 8. **brokering** (optional) — a :class:`~repro.broker.GlobalBroker`
    observes the scored records and reassigns each *live* node's
    elastic :class:`~repro.cluster.budget.ResourceBudget` for the
@@ -69,14 +75,15 @@ paired. DESIGN.md discusses this.)
 Controller state is epoch-scoped by default: each node's policy
 instance is reconstructed per spec inside the engine worker, so a
 node's controller re-learns after every membership change. With
-``warm_start=True`` a node whose job membership and effective
-catalog did *not* change across the epoch boundary gets its previous
-epoch's policy snapshot re-injected (via the spec's ``initial_state``
-field, which is part of the content address — warm node-epochs never
-collide with cold ones in the run cache); membership changes still
-cold-start, because a controller's model of the departed mix is stale
-by construction, and so do broker transfers, because the learned
-partitionings no longer fit the node's resources.
+``warm_start=True`` a node still running the job membership and
+effective catalog its held snapshot was learned under gets that
+snapshot re-injected (via the spec's ``initial_state`` field, which
+is part of the content address — warm node-epochs never collide with
+cold ones in the run cache); membership changes still cold-start,
+because a controller's model of the departed mix is stale by
+construction, and so do broker transfers, because the learned
+partitionings no longer fit the node's resources. Resurrection
+applies the same rule to checkpoints.
 """
 
 from __future__ import annotations
@@ -104,11 +111,12 @@ from repro.cluster.recovery import (
     EVT_NODE_REJOINED,
     EVT_SESSION_RESURRECTED,
     FleetEvent,
+    FleetSupervisor,
     RecoveryConfig,
 )
 from repro.engine import ExecutionEngine, RunError, RunSpec
 from repro.engine.spec import derive_seed
-from repro.errors import ClusterError, ExperimentError
+from repro.errors import ClusterError
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.faults.nodes import NodeFaultPlan, NodeFaultSchedule
 from repro.faults.plan import FaultPlan
@@ -117,8 +125,7 @@ from repro.obs import active_collector
 from repro.policies.registry import policy_is_qos_aware
 from repro.qos.slo import SLOSpec, SLOSummary, SLOTracker
 from repro.resources.types import ResourceCatalog
-from repro.state import PolicyState
-from repro.workloads.arrivals import KIND_QOS, ArrivalTrace, JobArrival
+from repro.workloads.arrivals import KIND_QOS, ArrivalTrace
 
 
 @dataclass(frozen=True)
@@ -223,6 +230,11 @@ class NodeEpochRecord:
         return float(np.mean(list(self.job_speedups.values())))
 
 
+def _trail_count(*kinds: str) -> property:
+    """A :class:`ClusterResult` property counting its fleet events of ``kinds``."""
+    return property(lambda self: sum(1 for e in self.fleet_events if e.kind in kinds))
+
+
 @dataclass(frozen=True)
 class ClusterResult:
     """A full cluster run: every node-epoch record plus event counts.
@@ -232,6 +244,9 @@ class ClusterResult:
     fairness story is long-term: a job briefly squeezed during one
     epoch but compensated later should not drag the fleet's fairness
     the way a persistently starved job does.
+
+    The fleet counts (``node_downs`` through ``jobs_lost``) are read
+    off ``fleet_events``, the run's one fleet ledger.
     """
 
     n_nodes: int
@@ -243,16 +258,6 @@ class ClusterResult:
     migrations: int = 0
     broker: str = "none"
     budget_transfers: int = 0
-    #: Jobs dropped by fleet disruption: drained with recovery disabled,
-    #: or displaced past ``max_queue_epochs``. Distinct from
-    #: ``rejected_jobs`` (admission control), which never entered.
-    jobs_lost: Tuple[int, ...] = ()
-    replacements: int = 0
-    resurrections: int = 0
-    node_downs: int = 0
-    node_rejoins: int = 0
-    quarantines: int = 0
-    node_epoch_failures: int = 0
     #: Total epochs displaced jobs spent waiting in the re-placement
     #: queue (0 when every drained job was re-placed the same epoch).
     displaced_job_epochs: int = 0
@@ -261,6 +266,20 @@ class ClusterResult:
     #: passed to the simulator and the trace carried qos jobs);
     #: ``None`` otherwise — existing runs are untouched.
     slo: Optional[SLOSummary] = None
+
+    #: Nodes taken down, by fleet weather or by the circuit breaker.
+    node_downs = _trail_count(EVT_NODE_DOWN, EVT_NODE_QUARANTINED)
+    node_rejoins = _trail_count(EVT_NODE_REJOINED)
+    replacements = _trail_count(EVT_JOB_REPLACED)
+    resurrections = _trail_count(EVT_SESSION_RESURRECTED)
+    quarantines = _trail_count(EVT_NODE_QUARANTINED)
+    node_epoch_failures = _trail_count(EVT_NODE_EPOCH_FAILED)
+    #: Jobs dropped by fleet disruption: drained with recovery disabled,
+    #: or displaced past ``max_queue_epochs``. Distinct from
+    #: ``rejected_jobs`` (admission control), which never entered.
+    jobs_lost = property(
+        lambda self: tuple(e.job_id for e in self.fleet_events if e.kind == EVT_JOB_LOST)
+    )
 
     def epoch_fairness(self) -> Dict[int, float]:
         """Per-epoch Jain index over every resident job's speedup.
@@ -397,50 +416,6 @@ class ClusterResult:
         return rows
 
 
-@dataclass
-class _Displaced:
-    """One drained job waiting in the re-placement queue."""
-
-    arrival: JobArrival  # base-named workload, ready for add_job
-    source: int          # node it was drained from
-    since_epoch: int     # epoch it was drained at
-
-
-@dataclass(frozen=True)
-class _Checkpoint:
-    """One node's last completed-epoch policy snapshot."""
-
-    epoch: int
-    membership: Tuple[int, ...]
-    catalog: ResourceCatalog  # effective catalog the state was learned under
-    state: PolicyState
-
-
-#: Monitoring-fault rates a flaky-telemetry node injects at intensity 1.
-_FLAKY_RATES = {
-    "sample_drop_rate": 0.25,
-    "sample_nan_rate": 0.2,
-    "sample_stuck_rate": 0.1,
-    "sample_outlier_rate": 0.25,
-}
-
-
-def _flaky_overlay(base: Optional[FaultPlan], intensity: float) -> FaultPlan:
-    """A node's fault plan with flaky-telemetry corruption folded in.
-
-    Scales the canonical monitoring-fault rates by ``intensity`` and
-    takes the max against any base plan's rates (a flaky episode never
-    *reduces* an already-faulty node's corruption). The overlay covers
-    the whole epoch — fleet weather is epoch-granular.
-    """
-    rates = {name: rate * intensity for name, rate in _FLAKY_RATES.items()}
-    if base is None:
-        return FaultPlan(**rates)
-    return dataclasses.replace(
-        base, **{name: max(getattr(base, name), rate) for name, rate in rates.items()}
-    )
-
-
 class ClusterSimulator:
     """N partitioned servers sharing one job arrival trace.
 
@@ -453,9 +428,8 @@ class ClusterSimulator:
             ``"contention_aware"``).
         policy: partitioning-policy factory id each node runs
             (``"SATORI"``, ``"EqualPartition"``, ...).
-        catalog: per-node resource catalog (homogeneous fleet); pass
-            ``catalogs`` for a heterogeneous one.
-        catalogs: explicit per-node catalogs (overrides ``catalog``).
+        catalog: every node's resource catalog; pass ``node_budgets``
+            for a heterogeneous fleet.
         epoch_config: methodology knobs for one node-epoch;
             ``duration_s`` is the epoch length. ``phase_offset_s`` is
             overwritten per epoch to keep workload phases continuous
@@ -499,17 +473,15 @@ class ClusterSimulator:
             ``None`` disables brokering entirely; budgets then never
             move and records are bit-identical to a ``"static"``
             broker's.
-        broker_kwargs: kwargs for the broker factory when ``broker``
-            is a registry id.
         engine: execution engine that runs each epoch's node-epoch
             specs as one batch; defaults to a fresh serial engine.
-        warm_start: re-inject each node's prior-epoch policy snapshot
-            whenever its job membership and effective catalog did not
-            change across the epoch boundary, so membership-stable
-            controllers keep their learned state instead of
-            re-learning from scratch. Membership or budget *changes*
-            still cold-start (the controller's model of the old mix or
-            resources is stale by construction). Off by
+        warm_start: re-inject each node's held policy snapshot whenever
+            the node still runs the job membership and effective
+            catalog the snapshot was learned under, so
+            membership-stable controllers keep their learned state
+            instead of re-learning from scratch. Membership or budget
+            *changes* still cold-start (the controller's model of the
+            old mix or resources is stale by construction). Off by
             default: warm-started node-epoch specs carry the previous
             epoch's state in their content address, which chains
             digests across epochs and reduces cache sharing between
@@ -534,7 +506,6 @@ class ClusterSimulator:
         placement: Union[str, PlacementPolicy] = "round_robin",
         policy: str = "SATORI",
         catalog: Optional[ResourceCatalog] = None,
-        catalogs: Optional[Sequence[ResourceCatalog]] = None,
         epoch_config: Optional[RunConfig] = None,
         policy_kwargs: Optional[dict] = None,
         goals: Tuple[str, str] = ("sum_ips", "jain"),
@@ -546,19 +517,13 @@ class ClusterSimulator:
         node_capacity: Optional[int] = None,
         node_budgets: Optional[Sequence[BudgetLike]] = None,
         broker: Union[str, "GlobalBroker", None] = None,  # noqa: F821
-        broker_kwargs: Optional[dict] = None,
         engine: Optional[ExecutionEngine] = None,
         warm_start: bool = False,
         qos_slo: Optional[SLOSpec] = None,
     ):
         if n_nodes < 1:
             raise ClusterError(f"a cluster needs at least one node, got {n_nodes}")
-        if catalogs is not None and len(catalogs) != n_nodes:
-            raise ClusterError(
-                f"got {len(catalogs)} catalogs for {n_nodes} nodes"
-            )
-        if catalogs is None:
-            catalogs = [catalog or experiment_catalog()] * n_nodes
+        catalog = catalog or experiment_catalog()
         self._trace = trace
         self._placement = (
             make_placement(placement) if isinstance(placement, str) else placement
@@ -587,25 +552,6 @@ class ClusterSimulator:
                     f"[{plan.start_s}, {plan.end_s}) outlives the {epoch_s}s "
                     f"node-epoch; shrink the window or lengthen the epoch"
                 )
-        self._fleet_plans = dict(fleet_plans or {})
-        unknown = set(self._fleet_plans) - set(range(n_nodes))
-        if unknown:
-            raise ClusterError(
-                f"fleet fault plans reference unknown node ids {sorted(unknown)}"
-            )
-        # Fleet weather is realized here, once, from node-keyed seeds:
-        # identical across every sweep arm sharing (trace, seed).
-        self._fleet_schedules: Dict[int, NodeFaultSchedule] = {}
-        for node_id in sorted(self._fleet_plans):
-            try:
-                self._fleet_schedules[node_id] = NodeFaultSchedule.generate(
-                    self._fleet_plans[node_id],
-                    trace.n_epochs,
-                    seed=derive_seed(self._seed, "fleet", node_id),
-                )
-            except ExperimentError as error:
-                raise ClusterError(f"node {node_id}: {error}") from error
-        self._recovery = recovery
         self._migration = migration
         self._engine = engine or ExecutionEngine()
         if node_budgets is not None and len(node_budgets) != n_nodes:
@@ -615,10 +561,10 @@ class ClusterSimulator:
         self._nodes = [
             ServerNode(
                 node_id,
-                catalogs[node_id],
+                catalog,
                 capacity=node_capacity,
                 budget=(
-                    coerce_budget(node_budgets[node_id], catalogs[node_id])
+                    coerce_budget(node_budgets[node_id], catalog)
                     if node_budgets is not None
                     else None
                 ),
@@ -629,51 +575,24 @@ class ClusterSimulator:
         # Fixed at construction; every broker decision is checked
         # against it.
         self._pool = pool_totals(node.budget for node in self._nodes)
+        self._supervisor = FleetSupervisor(
+            self._nodes, dict(fleet_plans or {}), trace.n_epochs, self._seed, recovery
+        )
         if isinstance(broker, str):
             # Lazy import: repro.broker imports repro.cluster.budget at
             # module load, so the simulator must not import it back at
             # module level.
             from repro.broker import make_broker
 
-            broker = make_broker(broker, **(broker_kwargs or {}))
-        elif broker_kwargs:
-            raise ClusterError(
-                "broker_kwargs only apply when broker is a registry id"
-            )
+            broker = make_broker(broker)
         self._broker = broker
         self._budget_transfers = 0
         self._warm_start = bool(warm_start)
-        # Previous-epoch observations per node (the placement policy's
-        # information set) and consecutive-unfair counters for migration.
-        self._observed: Dict[int, Tuple[float, float]] = {}
+        # Consecutive-unfair counters for migration, and the warm-up
+        # penalty intervals owed by jobs that moved node at the current
+        # epoch boundary (migrated or re-placed).
         self._unfair_streak: Dict[int, int] = {node.node_id: 0 for node in self._nodes}
-        # Warm-start bookkeeping: each node's previous-epoch membership
-        # and final policy snapshot (with the effective catalog it was
-        # learned under), and the jobs that migrated in at the current
-        # epoch boundary (warm-up penalty targets).
-        self._prev_membership: Dict[int, Tuple[int, ...]] = {}
-        self._node_states: Dict[int, Tuple[ResourceCatalog, PolicyState]] = {}
-        self._migrated_in: Dict[int, set] = {}
-        # Fleet fault-tolerance state: which nodes are down (and until
-        # when), their parked budgets, the re-placement queue, policy
-        # checkpoints awaiting resurrection, and the audit trail.
-        self._down_until: Dict[int, Optional[int]] = {}
-        self._parked: Dict[int, ResourceBudget] = {}
-        self._queue: List[_Displaced] = []
-        self._lost: List[int] = []
-        self._checkpoints: Dict[int, _Checkpoint] = {}
-        self._adoptable: List[_Checkpoint] = []
-        self._pending_restore: Dict[int, PolicyState] = {}
-        self._replaced_in: Dict[int, set] = {}
-        self._fail_streak: Dict[int, int] = {node.node_id: 0 for node in self._nodes}
-        self._fleet_events: List[FleetEvent] = []
-        self._node_downs = 0
-        self._node_rejoins = 0
-        self._replacements = 0
-        self._resurrections = 0
-        self._quarantines = 0
-        self._node_epoch_failures = 0
-        self._displaced_epochs = 0
+        self._warmup: Dict[int, int] = {}
         # Incremental stepping state: :meth:`run` is a loop over
         # :meth:`step_epoch`, and external callers may interleave
         # epochs with their own work. ``_previous`` holds the last
@@ -684,8 +603,7 @@ class ClusterSimulator:
         self._migrations = 0
         self._previous: Dict[int, NodeEpochRecord] = {}
         # SLO enforcement: one tracker for the whole run, scoring each
-        # node-epoch's qos jobs against the spec. Inert when no spec.
-        self._qos_slo = qos_slo
+        # node-epoch's qos jobs against the spec. Absent when no spec.
         self._slo_tracker = SLOTracker(qos_slo) if qos_slo is not None else None
 
     @property
@@ -709,17 +627,17 @@ class ClusterSimulator:
     @property
     def recovery(self) -> Optional[RecoveryConfig]:
         """The supervised-recovery policy (``None`` = ablation)."""
-        return self._recovery
+        return self._supervisor.recovery
 
     @property
     def fleet_schedules(self) -> Dict[int, NodeFaultSchedule]:
         """Realized fleet weather per node (empty without fleet plans)."""
-        return dict(self._fleet_schedules)
+        return self._supervisor.schedules
 
     @property
     def down_nodes(self) -> Tuple[int, ...]:
         """Nodes currently down (crashed, blacked out, or quarantined)."""
-        return tuple(sorted(self._down_until))
+        return self._supervisor.down_nodes
 
     # -- views ------------------------------------------------------------
 
@@ -729,26 +647,36 @@ class ClusterSimulator:
         ``exclude`` presents one node as full — used to force a
         migrating job *off* its source node. Down nodes are presented
         as full too, so no placement policy can route onto them while
-        keeping every policy's view indexing stable.
+        keeping every policy's view indexing stable; they report the
+        neutral (1.0, 1.0) telemetry of a node with no record.
         """
+        down = self._supervisor.down_nodes
         views = []
         for node in self._nodes:
-            mean_speedup, fairness = self._observed.get(node.node_id, (1.0, 1.0))
+            record = None if node.node_id in down else self._previous.get(node.node_id)
             n_jobs = node.n_jobs
-            if node.node_id == exclude or node.node_id in self._down_until:
+            if node.node_id == exclude or node.node_id in down:
                 n_jobs = node.capacity
             views.append(
                 NodeView(
                     node_id=node.node_id,
                     n_jobs=n_jobs,
                     capacity=node.capacity,
-                    mean_speedup=mean_speedup,
-                    fairness=fairness,
+                    mean_speedup=record.mean_speedup if record else 1.0,
+                    fairness=record.fairness if record else 1.0,
                     budget_units=node.budget.total_units,
                     qos_jobs=node.qos_jobs,
                 )
             )
         return views
+
+    def _place(self, exclude: Optional[int] = None) -> Optional[int]:
+        """The placement policy's node over the current views, or
+        ``None`` when it finds no open node."""
+        try:
+            return self._placement.place(self._views(exclude))
+        except ClusterError:
+            return None
 
     def _node_policy_kwargs(self, node: ServerNode) -> dict:
         """Per-node policy kwargs, with qos context injected when due.
@@ -761,7 +689,7 @@ class ClusterSimulator:
         kwargs object unchanged, so spec digests are bit-identical to
         a simulator without the feature.
         """
-        if self._qos_slo is None or not policy_is_qos_aware(self._policy):
+        if self._slo_tracker is None or not policy_is_qos_aware(self._policy):
             return self._policy_kwargs
         qos_slots = tuple(
             slot for slot, kind in enumerate(node.job_kinds) if kind == KIND_QOS
@@ -770,301 +698,24 @@ class ClusterSimulator:
             return self._policy_kwargs
         merged = dict(self._policy_kwargs)
         merged["qos_jobs"] = qos_slots
-        merged["qos_min_speedup"] = self._qos_slo.min_speedup
+        merged["qos_min_speedup"] = self._slo_tracker.spec.min_speedup
         return merged
-
-    # -- SLO scoring -------------------------------------------------------
-
-    def _score_slo_epoch(
-        self,
-        epoch: int,
-        node: ServerNode,
-        interval_speedups: Sequence[Sequence[float]],
-    ) -> Tuple[Tuple[int, float], ...]:
-        """Score one node-epoch's qos jobs; ``()`` when no SLO is active."""
-        if self._slo_tracker is None:
-            return ()
-        attained = self._slo_tracker.score_epoch(
-            epoch, node.node_id, node.job_ids, node.job_kinds, interval_speedups
-        )
-        return tuple(sorted(attained.items()))
-
-    def _score_slo_outage(
-        self, epoch: int, node: ServerNode
-    ) -> Tuple[Tuple[int, float], ...]:
-        """Score a failed node-epoch: its qos jobs attain nothing."""
-        if self._slo_tracker is None:
-            return ()
-        attained = self._slo_tracker.score_outage(
-            epoch, node.node_id, node.job_ids, node.job_kinds
-        )
-        return tuple(sorted(attained.items()))
 
     # -- epoch phases ------------------------------------------------------
 
     def _apply_departures(self, epoch: int) -> None:
-        departing = set()
         for arrival in self._trace.departures_at(epoch):
-            departing.add(arrival.job_id)
             for node in self._nodes:
                 if node.has_job(arrival.job_id):
                     node.remove_job(arrival.job_id)
                     break
-        if departing and self._queue:
-            # A displaced job whose residency ends departs from the
-            # queue — it is not lost, but its wait epochs still count.
-            kept: List[_Displaced] = []
-            for item in self._queue:
-                if item.arrival.job_id in departing:
-                    self._displaced_epochs += epoch - item.since_epoch
-                else:
-                    kept.append(item)
-            self._queue = kept
 
-    # -- fleet weather and recovery ---------------------------------------
-
-    def _fleet_event(self, event: FleetEvent) -> None:
-        self._fleet_events.append(event)
-
-    def _apply_fleet_weather(self, epoch: int) -> None:
-        """Start of epoch: process rejoins, then new down windows.
-
-        Rejoins run first so a node whose blackout just ended is
-        placeable this very epoch — its parked budget returns before
-        re-placement and arrivals look at the fleet.
-        """
-        for node_id in sorted(self._down_until):
-            rejoin = self._down_until[node_id]
-            if rejoin is not None and epoch >= rejoin:
-                self._rejoin(epoch, node_id)
-        for node_id in sorted(self._fleet_schedules):
-            if node_id in self._down_until:
-                continue
-            schedule = self._fleet_schedules[node_id]
-            if schedule.down_at(epoch):
-                self._take_down(
-                    epoch, node_id, until=schedule.down_end(epoch), cause="fault"
-                )
-
-    def _take_down(
-        self, epoch: int, node_id: int, until: Optional[int], cause: str
-    ) -> None:
-        """Drain a node and park its budget until it rejoins.
-
-        With recovery enabled, drained jobs enter the re-placement
-        queue and the node's last checkpoint becomes adoptable;
-        without it, they are simply lost — the ablation the chaos
-        sweep measures against. The budget is *parked*, not destroyed:
-        the conserved pool is live budgets + parked budgets at every
-        epoch, so crash/rejoin cycles are conservation-neutral by
-        construction.
-        """
-        obs = active_collector()
-        node = self._nodes[node_id]
-        self._down_until[node_id] = until
-        self._parked[node_id] = node.budget
-        self._node_downs += 1
-        checkpoint = self._checkpoints.pop(node_id, None)
-        if self._recovery is not None and checkpoint is not None:
-            self._adoptable.append(checkpoint)
-        drained = node.job_ids
-        for job_id in drained:
-            workload = node.workload_of(job_id)
-            job_kind = node.kind_of(job_id)
-            node.remove_job(job_id)
-            # Strip the instance rename; the adopting node re-applies
-            # it. The kind travels too — a qos job drained by a crash
-            # must still be a qos job after recovery re-placement
-            # (the migration path already preserved it).
-            base_name = workload.name.rsplit("#", 1)[0]
-            arrival = JobArrival(
-                job_id=job_id,
-                workload=dataclasses.replace(workload, name=base_name),
-                arrival_epoch=0,
-                kind=job_kind,
-            )
-            if self._recovery is None:
-                self._lost.append(job_id)
-                obs.event("job_lost", "cluster", job_id=job_id, node=node_id, epoch=epoch)
-                obs.metrics.counter("cluster.jobs_lost").inc()
-                self._fleet_event(
-                    FleetEvent(epoch, EVT_JOB_LOST, node_id, job_id, detail=cause)
-                )
-            else:
-                self._queue.append(_Displaced(arrival, node_id, epoch))
-        kind = "node_quarantined" if cause == "quarantine" else "node_down"
-        obs.event(
-            kind, "cluster",
-            node=node_id, epoch=epoch, until=until, jobs=len(drained), cause=cause,
-        )
-        obs.metrics.counter(f"cluster.{kind}s").inc()
-        self._fleet_event(
-            FleetEvent(
-                epoch,
-                EVT_NODE_QUARANTINED if cause == "quarantine" else EVT_NODE_DOWN,
-                node_id,
-                detail=f"until={until} jobs={len(drained)} cause={cause}",
-            )
-        )
-        # The node's telemetry, learned state, and failure streak died
-        # with it.
-        self._observed.pop(node_id, None)
-        self._node_states.pop(node_id, None)
-        self._prev_membership.pop(node_id, None)
-        self._pending_restore.pop(node_id, None)
-        self._unfair_streak[node_id] = 0
-        self._fail_streak[node_id] = 0
-
-    def _rejoin(self, epoch: int, node_id: int) -> None:
-        """Return a down node to service with its parked budget."""
-        obs = active_collector()
-        del self._down_until[node_id]
-        budget = self._parked.pop(node_id)
-        node = self._nodes[node_id]
-        if node.budget != budget:
-            node.set_budget(budget)
-        self._node_rejoins += 1
-        obs.event("node_rejoined", "cluster", node=node_id, epoch=epoch)
-        obs.metrics.counter("cluster.node_rejoins").inc()
-        self._fleet_event(FleetEvent(epoch, EVT_NODE_REJOINED, node_id))
-
-    def _replace_queued(self, epoch: int) -> None:
-        """Re-place displaced jobs ahead of this epoch's arrivals."""
-        if not self._queue:
-            return
-        obs = active_collector()
-        still: List[_Displaced] = []
-        for item in self._queue:
-            job_id = item.arrival.job_id
-            waited = epoch - item.since_epoch
-            try:
-                target = self._placement.place(self._views())
-            except ClusterError:
-                target = None
-            if target is None or not self._nodes[target].has_capacity:
-                if (
-                    self._recovery is not None
-                    and self._recovery.max_queue_epochs is not None
-                    and waited >= self._recovery.max_queue_epochs
-                ):
-                    self._lost.append(job_id)
-                    self._displaced_epochs += waited
-                    obs.event(
-                        "job_lost", "cluster",
-                        job_id=job_id, node=item.source, epoch=epoch,
-                    )
-                    obs.metrics.counter("cluster.jobs_lost").inc()
-                    self._fleet_event(
-                        FleetEvent(
-                            epoch, EVT_JOB_LOST, item.source, job_id,
-                            detail=f"queued {waited} epoch(s), gave up",
-                        )
-                    )
-                else:
-                    still.append(item)
-                continue
-            self._nodes[target].add_job(item.arrival)
-            self._replacements += 1
-            self._displaced_epochs += waited
-            self._replaced_in.setdefault(target, set()).add(job_id)
-            obs.event(
-                "job_replaced", "cluster",
-                job_id=job_id, source=item.source, target=target,
-                epoch=epoch, waited=waited,
-            )
-            obs.metrics.counter("cluster.replacements").inc()
-            self._fleet_event(
-                FleetEvent(
-                    epoch, EVT_JOB_REPLACED, item.source, job_id,
-                    detail=f"target={target} waited={waited}",
-                )
-            )
-        self._queue = still
-
-    def _match_resurrections(self, epoch: int) -> None:
-        """Restore crashed controllers whose job group reassembled.
-
-        Runs after re-placement *and* arrivals, when epoch membership
-        is final: an adoptable checkpoint is resurrected onto a live
-        node holding exactly the checkpoint's job group under the same
-        effective catalog (a different catalog means the learned
-        partitionings no longer describe the hardware). Groups that
-        scattered stay adoptable — they may yet reassemble — but cold
-        membership simply cold-starts, which is the checkpoint-lag
-        contract: resurrection is an optimization, never a correctness
-        requirement.
-        """
-        if not self._adoptable:
-            return
-        obs = active_collector()
-        for checkpoint in list(self._adoptable):
-            for node in self._nodes:
-                if node.node_id in self._down_until:
-                    continue
-                if node.node_id in self._pending_restore:
-                    continue
-                if node.job_ids != checkpoint.membership:
-                    continue
-                if node.effective_catalog != checkpoint.catalog:
-                    continue
-                self._pending_restore[node.node_id] = checkpoint.state
-                self._adoptable.remove(checkpoint)
-                self._resurrections += 1
-                obs.event(
-                    "session_resurrected", "cluster",
-                    node=node.node_id, epoch=epoch,
-                    snapshot_epoch=checkpoint.epoch,
-                    lag_epochs=epoch - checkpoint.epoch,
-                )
-                obs.metrics.counter("cluster.resurrections").inc()
-                self._fleet_event(
-                    FleetEvent(
-                        epoch, EVT_SESSION_RESURRECTED, node.node_id,
-                        detail=f"snapshot_epoch={checkpoint.epoch}",
-                    )
-                )
-                break
-
-    def _maybe_quarantine(self, epoch: int) -> None:
-        """Circuit breaker: drain nodes with too many consecutive failures."""
-        if self._recovery is None:
-            return
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
-            if self._fail_streak[node.node_id] < self._recovery.failure_threshold:
-                continue
-            self._quarantines += 1
-            self._take_down(
-                epoch,
-                node.node_id,
-                until=epoch + 1 + self._recovery.quarantine_epochs,
-                cause="quarantine",
-            )
-
-    def _audit_pool(self, epoch: int) -> None:
-        """Assert bit-exact budget conservation: live + parked == pool."""
-        totals = pool_totals(
-            node.budget
-            for node in self._nodes
-            if node.node_id not in self._down_until
-        )
-        for budget in self._parked.values():
-            for name in budget.names:
-                totals[name] = totals.get(name, 0) + budget.get(name)
-        if totals != self._pool:
-            raise ClusterError(
-                f"budget leak at epoch {epoch}: live + parked totals {totals} "
-                f"!= pool {self._pool}"
-            )
-
-    def _maybe_migrate(self, records_by_node: Dict[int, NodeEpochRecord]) -> int:
+    def _maybe_migrate(self) -> None:
         """Evict the worst-treated job from persistently unfair nodes."""
         if self._migration is None:
-            return 0
-        moved = 0
+            return
         for node in self._nodes:
-            record = records_by_node.get(node.node_id)
+            record = self._previous.get(node.node_id)
             if record is None or record.synthesized:
                 self._unfair_streak[node.node_id] = 0
                 continue
@@ -1080,45 +731,27 @@ class ClusterSimulator:
             victim = min(record.job_speedups, key=record.job_speedups.get)
             if not node.has_job(victim):  # departed in the meantime
                 continue
-            try:
-                target = self._placement.place(self._views(exclude=node.node_id))
-            except ClusterError:
+            target = self._place(exclude=node.node_id)
+            if target is None or target == node.node_id:
                 continue  # nowhere to go; stay put
-            if target == node.node_id or not self._nodes[target].has_capacity:
+            if not self._nodes[target].has_capacity:
                 continue
-            workload = node.workload_of(victim)
-            kind = node.kind_of(victim)
             active_collector().event(
                 "migration", "cluster",
                 job_id=victim, source=node.node_id, target=target,
             )
             active_collector().metrics.counter("cluster.migrations").inc()
-            node.remove_job(victim)
-            # Re-add under the original (pre-instance-rename) name; the
-            # destination node re-renames it identically since the job
-            # id is stable.
-            base_name = workload.name.rsplit("#", 1)[0]
-            self._nodes[target].add_job(
-                JobArrival(
-                    job_id=victim,
-                    workload=dataclasses.replace(workload, name=base_name),
-                    arrival_epoch=0,
-                    kind=kind,
-                )
-            )
-            self._migrated_in.setdefault(target, set()).add(victim)
+            self._nodes[target].add_job(node.evict(victim))
+            self._warmup[victim] = self._migration.warmup_penalty_intervals
             self._unfair_streak[node.node_id] = 0
-            moved += 1
-        return moved
+            self._migrations += 1
 
-    def _place_arrivals(self, epoch: int) -> List[int]:
+    def _place_arrivals(self, epoch: int) -> None:
         obs = active_collector()
-        rejected = []
         for arrival in self._trace.arrivals_at(epoch):
-            try:
-                node_id = self._placement.place(self._views())
-            except ClusterError:
-                rejected.append(arrival.job_id)
+            node_id = self._place()
+            if node_id is None:
+                self._rejected.append(arrival.job_id)
                 obs.event(
                     "job_rejected", "cluster", job_id=arrival.job_id, epoch=epoch
                 )
@@ -1129,100 +762,91 @@ class ClusterSimulator:
                 "placement", "cluster",
                 job_id=arrival.job_id, node=node_id, epoch=epoch,
             )
-        return rejected
+
+    def _record(
+        self,
+        epoch: int,
+        node: ServerNode,
+        throughput: float,
+        fairness: float,
+        job_speedups: Dict[int, float],
+        series: Sequence[Sequence[float]] = (),
+        synthesized: bool = False,
+        failed: bool = False,
+        **fields,
+    ) -> NodeEpochRecord:
+        """One node-epoch record: ``node``'s membership, budget and
+        capacity as they stand, the epoch's scores, and any other
+        record ``fields``. The SLO tracker, when present, scores the
+        qos jobs from their per-slot interval speedup ``series`` — a
+        failed epoch as an outage, in which they attain nothing."""
+        tracker = self._slo_tracker
+        attained: Mapping[int, float] = {}
+        if tracker is not None:
+            ids, kinds = node.job_ids, node.job_kinds
+            attained = (
+                tracker.score_outage(epoch, node.node_id, ids, kinds) if failed
+                else tracker.score_epoch(epoch, node.node_id, ids, kinds, series)
+            )
+        return NodeEpochRecord(
+            epoch=epoch,
+            node_id=node.node_id,
+            job_ids=node.job_ids,
+            synthesized=synthesized,
+            throughput=throughput,
+            fairness=fairness,
+            job_speedups=job_speedups,
+            budget=node.budget,
+            capacity=node.capacity,
+            failed=failed,
+            job_kinds=node.job_kinds,
+            slo_attained=tuple(sorted(attained.items())),
+            **fields,
+        )
+
+    def _failed_record(
+        self, epoch: int, node: ServerNode, slowdown: float, why: str
+    ) -> NodeEpochRecord:
+        """A node-epoch that produced no useful work; it counts toward
+        the circuit breaker."""
+        self._supervisor.failed(epoch, node.node_id, why)
+        return self._record(
+            epoch, node, 0.0, 0.0, dict.fromkeys(node.job_ids, 0.0),
+            failed=True, slowdown=slowdown,
+        )
 
     def _epoch_records(self, epoch: int) -> List[NodeEpochRecord]:
         """Run (or synthesize) every live node's epoch and score it."""
         obs = active_collector()
-        # Membership is final for this epoch — now crashed controllers
-        # whose job groups reassembled can be matched for resurrection.
-        self._match_resurrections(epoch)
-        config = RunConfig(
-            duration_s=self._epoch_config.duration_s,
-            interval_s=self._epoch_config.interval_s,
-            baseline_reset_s=self._epoch_config.baseline_reset_s,
-            noise_sigma=self._epoch_config.noise_sigma,
-            phase_offset_s=epoch * self._epoch_config.duration_s,
-            warmup_fraction=self._epoch_config.warmup_fraction,
-            actuation_retries=self._epoch_config.actuation_retries,
+        supervisor = self._supervisor
+        config = dataclasses.replace(
+            self._epoch_config, phase_offset_s=epoch * self._epoch_config.duration_s
         )
         specs: List[RunSpec] = []
-        spec_nodes: List[ServerNode] = []
-        spec_slowdowns: List[float] = []
-        warm_nodes: set = set()
+        # (node, slowdown, warm-started) per spec.
+        runs: List[Tuple[ServerNode, float, bool]] = []
+        idle: List[ServerNode] = []
         records: List[NodeEpochRecord] = []
-
-        def _failed_record(node: ServerNode, slowdown: float, why: str) -> None:
-            self._fail_streak[node.node_id] += 1
-            self._node_epoch_failures += 1
-            obs.event(
-                "node_epoch_failed", "cluster",
-                node=node.node_id, epoch=epoch,
-                streak=self._fail_streak[node.node_id], why=why,
-            )
-            obs.metrics.counter("cluster.node_epoch_failures").inc()
-            self._fleet_event(
-                FleetEvent(epoch, EVT_NODE_EPOCH_FAILED, node.node_id, detail=why)
-            )
-            records.append(
-                NodeEpochRecord(
-                    epoch=epoch,
-                    node_id=node.node_id,
-                    job_ids=node.job_ids,
-                    synthesized=False,
-                    throughput=0.0,
-                    fairness=0.0,
-                    job_speedups={job_id: 0.0 for job_id in node.job_ids},
-                    budget=node.budget,
-                    capacity=node.capacity,
-                    failed=True,
-                    slowdown=slowdown,
-                    job_kinds=node.job_kinds,
-                    slo_attained=self._score_slo_outage(epoch, node),
-                )
-            )
-
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
-            schedule = self._fleet_schedules.get(node.node_id)
-            slowdown = schedule.slowdown_at(epoch) if schedule else 1.0
-            flaky = schedule.flaky_at(epoch) if schedule else 0.0
+        for node in supervisor.live():
             if node.n_jobs < 2:
+                idle.append(node)
                 continue
-            initial_state = self._pending_restore.pop(node.node_id, None)
-            if (
-                self._recovery is not None
-                and slowdown >= self._recovery.straggler_deadline_factor
-            ):
+            slowdown, missed, fault_plan = supervisor.node_weather(
+                node.node_id, epoch, self._fault_plans.get(node.node_id)
+            )
+            initial_state, warm = supervisor.initial_state(node, self._warm_start)
+            if missed:
                 # The straggler misses its deadline outright: the
-                # node-epoch fails with zero useful work (a consumed
-                # resurrection is wasted — the controller never ran).
-                _failed_record(
-                    node, slowdown,
+                # node-epoch fails with zero useful work, and its
+                # controller never runs.
+                records.append(self._failed_record(
+                    epoch, node, slowdown,
                     f"straggler slowdown {slowdown:.2f}x missed deadline",
-                )
+                ))
                 continue
-            held = self._node_states.get(node.node_id)
-            if initial_state is None and (
-                self._warm_start
-                and held is not None
-                and self._prev_membership.get(node.node_id) == node.job_ids
-                and held[0] == node.effective_catalog
-            ):
-                # Membership and catalog unchanged across the epoch
-                # boundary: the controller's learned model still
-                # describes this mix on this hardware, so hand the
-                # prior epoch's snapshot back to it. (A broker transfer
-                # changes the catalog; the old partitionings then lie
-                # outside the new space.)
-                initial_state = held[1]
-                warm_nodes.add(node.node_id)
+            if warm:
                 obs.event("warm_start", "cluster", node=node.node_id, epoch=epoch)
                 obs.metrics.counter("cluster.warm_starts").inc()
-            fault_plan = self._fault_plans.get(node.node_id)
-            if flaky > 0.0:
-                fault_plan = _flaky_overlay(fault_plan, flaky)
             specs.append(
                 node.epoch_spec(
                     policy=self._policy,
@@ -1234,55 +858,39 @@ class ClusterSimulator:
                     initial_state=initial_state,
                 )
             )
-            spec_nodes.append(node)
-            spec_slowdowns.append(slowdown)
+            runs.append((node, slowdown, warm))
 
-        on_error = "record" if self._recovery is not None else "raise"
+        on_error = "record" if supervisor.recovery is not None else "raise"
         results = self._engine.run(specs, on_error=on_error) if specs else []
 
-        penalty = (
-            self._migration.warmup_penalty_intervals if self._migration is not None else 0
-        )
-        replace_penalty = (
-            self._recovery.warmup_penalty_intervals if self._recovery is not None else 0
-        )
-        simulated = {node.node_id for node in spec_nodes}
-        for spec, node, result, slowdown in zip(specs, spec_nodes, results, spec_slowdowns):
+        for spec, (node, slowdown, warm), result in zip(specs, runs, results):
             if isinstance(result, RunError):
-                _failed_record(node, slowdown, f"engine: {result.error}")
-                self._node_states.pop(node.node_id, None)
+                records.append(
+                    self._failed_record(epoch, node, slowdown, f"engine: {result.error}")
+                )
+                supervisor.forget(node.node_id)
                 continue
             assert isinstance(result, RunResult)
-            self._fail_streak[node.node_id] = 0
+            # A job that just moved here loses its warm-up intervals of
+            # useful work this epoch (pro-rata).
+            penalty_scale = {
+                job_id: max(0.0, 1.0 - self._warmup[job_id] / config.n_steps)
+                for job_id in node.job_ids
+                if self._warmup.get(job_id)
+            }
             speedups = result.scored.mean_job_speedups()
             job_speedups = {
-                job_id: float(speedup) / slowdown
+                job_id: float(speedup) / slowdown * penalty_scale.get(job_id, 1.0)
                 for job_id, speedup in zip(node.job_ids, speedups)
             }
-            penalty_scale: Dict[int, float] = {}
-            for intervals, arrived in (
-                (penalty, self._migrated_in.get(node.node_id, ())),
-                (replace_penalty, self._replaced_in.get(node.node_id, ())),
-            ):
-                if not intervals:
-                    continue
-                # Jobs that just moved here lose `intervals` control
-                # intervals of useful work this epoch (pro-rata).
-                scale = max(0.0, 1.0 - intervals / config.n_steps)
-                for job_id in arrived:
-                    if job_id in job_speedups:
-                        job_speedups[job_id] *= scale
-                        penalty_scale[job_id] = (
-                            penalty_scale.get(job_id, 1.0) * scale
-                        )
-            slo_attained: Tuple[Tuple[int, float], ...] = ()
+            series: List[Tuple[float, ...]] = []
             if self._slo_tracker is not None:
                 # Per-interval speedups (straggler slowdown and warm-up
                 # penalties folded in, matching the epoch scores) feed
                 # the windowed SLO attainment; only qos slots need a
                 # series.
                 kinds = node.job_kinds
-                interval_speedups = [
+                series = [
                     tuple(
                         float(rec.speedups[slot])
                         / slowdown
@@ -1293,114 +901,70 @@ class ClusterSimulator:
                     else ()
                     for slot, job_id in enumerate(node.job_ids)
                 ]
-                slo_attained = self._score_slo_epoch(
-                    epoch, node, interval_speedups
-                )
             records.append(
-                NodeEpochRecord(
-                    epoch=epoch,
-                    node_id=node.node_id,
-                    job_ids=node.job_ids,
-                    synthesized=False,
-                    throughput=result.throughput / slowdown,
-                    fairness=result.fairness,
-                    job_speedups=job_speedups,
-                    warm_started=node.node_id in warm_nodes,
+                self._record(
+                    epoch, node, result.throughput / slowdown, result.fairness,
+                    job_speedups, series,
+                    warm_started=warm,
                     fairness_series=tuple(
                         float(v) for v in result.telemetry.series("fairness")
                     ),
-                    budget=node.budget,
-                    capacity=node.capacity,
                     slowdown=slowdown,
-                    job_kinds=node.job_kinds,
-                    slo_attained=slo_attained,
                 )
             )
-            if result.final_state is not None:
-                self._node_states[node.node_id] = (spec.catalog, result.final_state)
-            else:
-                self._node_states.pop(node.node_id, None)
-        failed = {record.node_id for record in records if record.failed}
-        for node in self._nodes:
-            if node.node_id in simulated or node.node_id in failed:
-                continue
-            if node.node_id in self._down_until:
-                continue
+            supervisor.completed(epoch, node, spec.catalog, result.final_state)
+        for node in idle:
             # 0/1-job nodes: an uncontended job retains its isolation
-            # performance by construction — nothing to simulate. No
-            # controller ran this epoch, so any held snapshot is stale;
-            # drop it.
-            self._node_states.pop(node.node_id, None)
-            records.append(
-                NodeEpochRecord(
-                    epoch=epoch,
-                    node_id=node.node_id,
-                    job_ids=node.job_ids,
-                    synthesized=True,
-                    throughput=1.0,
-                    fairness=1.0,
-                    job_speedups={job_id: 1.0 for job_id in node.job_ids},
-                    budget=node.budget,
-                    capacity=node.capacity,
-                    job_kinds=node.job_kinds,
-                    # An uncontended qos job runs at isolation speed:
-                    # full attainment by construction.
-                    slo_attained=self._score_slo_epoch(
-                        epoch, node, [() for _ in node.job_ids]
-                    ),
-                )
-            )
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
-            self._prev_membership[node.node_id] = node.job_ids
-        self._migrated_in.clear()
-        self._replaced_in.clear()
-        if (
-            self._recovery is not None
-            and (epoch + 1) % self._recovery.snapshot_cadence_epochs == 0
-        ):
-            # Checkpoint cadence: snapshot every live controller's
-            # state as of this completed epoch. A crash before the
-            # next checkpoint resurrects from *this* one (checkpoint
-            # lag).
-            for node in self._nodes:
-                if node.node_id in self._down_until:
-                    continue
-                held = self._node_states.get(node.node_id)
-                if held is None:
-                    continue
-                catalog, state = held
-                self._checkpoints[node.node_id] = _Checkpoint(
-                    epoch=epoch,
-                    membership=node.job_ids,
-                    catalog=catalog,
-                    state=state,
-                )
-        if self._slo_tracker is not None:
+            # performance by construction — nothing to simulate, and an
+            # uncontended qos job attains its SLO fully. No controller
+            # ran this epoch, so any held snapshot is stale.
+            supervisor.forget(node.node_id)
+            records.append(self._record(
+                epoch, node, 1.0, 1.0, dict.fromkeys(node.job_ids, 1.0),
+                synthesized=True,
+            ))
+        self._warmup.clear()
+        tracker = self._slo_tracker
+        if tracker is not None:
             # Displaced qos jobs still waiting in the re-placement
             # queue received no service this epoch: that outage is part
             # of their SLO story (it is what the slo_aware placement +
             # recovery interplay is judged on).
-            for item in self._queue:
-                if item.arrival.kind == KIND_QOS:
-                    self._slo_tracker.score_outage(
-                        epoch, item.source, (item.arrival.job_id,), (KIND_QOS,)
+            for source, arrival in supervisor.queued():
+                if arrival.kind == KIND_QOS:
+                    tracker.score_outage(
+                        epoch, source, (arrival.job_id,), (KIND_QOS,)
                     )
         records.sort(key=lambda r: r.node_id)
         return records
 
     # -- brokering ---------------------------------------------------------
 
-    def _broker_step(self, epoch: int, records: Sequence[NodeEpochRecord]) -> None:
-        """Let the broker reassign budgets from the epoch's outcomes."""
+    def _broker_step(
+        self,
+        epoch: int,
+        records: Sequence[NodeEpochRecord],
+        live_pool: Mapping[str, int],
+    ) -> None:
+        """Let the broker reassign budgets from the epoch's outcomes,
+        then validate its decision, emit its transfers, and adopt it.
+
+        The broker only sees (and may only reassign) *live* nodes; a
+        down node's budget is parked, so a decision must conserve
+        ``live_pool`` — the pool minus every parked budget.
+
+        Raises:
+            ClusterError: on an incomplete mapping, a conservation
+                violation (per-resource totals drifted from the pool),
+                or a floor violation (a node left unable to host its
+                resident jobs). Broker bugs fail loudly — a silent leak
+                of capacity would invalidate every downstream metric.
+        """
         if self._broker is None:
             return
         from repro.broker import BrokerView  # lazy: see __init__
 
-        live = [
-            node for node in self._nodes if node.node_id not in self._down_until
-        ]
+        live = self._supervisor.live()
         if not live:
             return
         obs = active_collector()
@@ -1424,58 +988,27 @@ class ClusterSimulator:
             "broker.decide", "broker", epoch=epoch, scheme=self._broker.name
         ):
             decision = self._broker.decide(epoch, views)
-        self._apply_budgets(epoch, decision, views)
-
-    def _apply_budgets(
-        self,
-        epoch: int,
-        decision: Mapping[int, ResourceBudget],
-        views: Sequence["BrokerView"],  # noqa: F821
-    ) -> None:
-        """Validate a broker decision, emit its transfers, and adopt it.
-
-        The broker only sees (and may only reassign) *live* nodes; a
-        down node's budget is parked and its units are subtracted from
-        the conservation target until it rejoins.
-
-        Raises:
-            ClusterError: on an incomplete mapping, a conservation
-                violation (per-resource totals drifted from the pool),
-                or a floor violation (a node left unable to host its
-                resident jobs). Broker bugs fail loudly — a silent leak
-                of capacity would invalidate every downstream metric.
-        """
-        live = [
-            node for node in self._nodes if node.node_id not in self._down_until
-        ]
         missing = {node.node_id for node in live} - set(decision)
         if missing:
             raise ClusterError(
                 f"broker {self._broker.name!r} omitted node(s) {sorted(missing)} "
                 f"at epoch {epoch}"
             )
-        expected = dict(self._pool)
-        for budget in self._parked.values():
-            for name in budget.names:
-                expected[name] -= budget.get(name)
         totals = pool_totals(decision[node.node_id] for node in live)
-        if totals != expected:
+        if totals != live_pool:
             raise ClusterError(
                 f"broker {self._broker.name!r} broke conservation at epoch "
-                f"{epoch}: live pool {expected} became {totals}"
+                f"{epoch}: live pool {live_pool} became {totals}"
             )
-        floors = {view.node_id: view.floor for view in views}
-        for node in live:
-            new = decision[node.node_id]
-            floor = floors[node.node_id]
-            for name in floor.names:
-                if new.get(name) < floor.get(name):
+        for view in views:
+            new = decision[view.node_id]
+            for name in view.floor.names:
+                if new.get(name) < view.floor.get(name):
                     raise ClusterError(
                         f"broker {self._broker.name!r} pushed node "
-                        f"{node.node_id} below its floor at epoch {epoch}: "
-                        f"{name}={new.get(name)} < {floor.get(name)}"
+                        f"{view.node_id} below its floor at epoch {epoch}: "
+                        f"{name}={new.get(name)} < {view.floor.get(name)}"
                     )
-        obs = active_collector()
         for resource, source, target, units in _transfer_ledger(
             {node.node_id: node.budget for node in live}, decision
         ):
@@ -1489,6 +1022,15 @@ class ClusterSimulator:
         for node in live:
             if decision[node.node_id] != node.budget:
                 node.set_budget(decision[node.node_id])
+
+    def _audit_pool(self, epoch: int, live_pool: Mapping[str, int]) -> None:
+        """Assert bit-exact budget conservation: live + parked == pool."""
+        totals = pool_totals(node.budget for node in self._supervisor.live())
+        if any(totals.get(name, 0) != units for name, units in live_pool.items()):
+            raise ClusterError(
+                f"budget leak at epoch {epoch}: live totals {totals} != pool "
+                f"{self._pool} minus parked budgets"
+            )
 
     # -- the run -----------------------------------------------------------
 
@@ -1520,9 +1062,10 @@ class ClusterSimulator:
         The epoch runs as explicit sub-steps, in order: fleet weather
         (down/rejoin + budget parking), trace departures, optional
         fairness-driven migration, re-placement of drained jobs, new
-        arrivals, node-epoch spec execution through the engine,
-        scoring (per-node series + the placement policy's view),
-        quarantine, brokering, and the conservation audit.
+        arrivals, resurrection matching, node-epoch spec execution
+        through the engine, checkpointing, scoring (per-node series),
+        quarantine, brokering, and the conservation audit; the records
+        then become the placement policy's view.
 
         Callers may interleave their own work between epochs — inspect
         :attr:`nodes`, read the accumulated records, or snapshot
@@ -1539,29 +1082,34 @@ class ClusterSimulator:
                 f"trace exhausted: all {self._trace.n_epochs} epochs already stepped"
             )
         epoch = self._epoch
+        supervisor = self._supervisor
         obs = active_collector()
         with obs.span("epoch", "cluster", epoch=epoch):
-            self._apply_fleet_weather(epoch)
+            supervisor.apply_weather(epoch)
             self._apply_departures(epoch)
-            self._migrations += self._maybe_migrate(self._previous)
-            self._replace_queued(epoch)
-            self._rejected.extend(self._place_arrivals(epoch))
+            self._maybe_migrate()
+            self._warmup.update(supervisor.replace_queued(epoch, self._place))
+            self._place_arrivals(epoch)
+            # Membership is final for this epoch — now crashed
+            # controllers whose job groups reassembled can be matched.
+            supervisor.match_resurrections(epoch)
             records = self._epoch_records(epoch)
+            supervisor.checkpoint(epoch)
         self._score_epoch(records)
-        self._maybe_quarantine(epoch)
-        self._broker_step(epoch, records)
-        self._audit_pool(epoch)
+        supervisor.quarantine(epoch)
+        live_pool = supervisor.live_pool(self._pool)
+        self._broker_step(epoch, records, live_pool)
+        self._audit_pool(epoch, live_pool)
         self._previous = {record.node_id: record for record in records}
         self._all_records.extend(records)
         self._epoch += 1
         return records
 
     def _score_epoch(self, records: Sequence[NodeEpochRecord]) -> None:
-        """Fold an epoch's records into observed views and metric series."""
+        """Fold an epoch's records into the per-node metric series."""
         obs = active_collector()
         series_prefix = self._series_prefix
         for record in records:
-            self._observed[record.node_id] = (record.mean_speedup, record.fairness)
             node_prefix = f"{series_prefix}.node{record.node_id}"
             obs.metrics.series(f"{node_prefix}.throughput").append(record.throughput)
             obs.metrics.series(f"{node_prefix}.fairness").append(record.fairness)
@@ -1578,13 +1126,14 @@ class ClusterSimulator:
                 misses = sum(
                     1
                     for value in values
-                    if value < self._qos_slo.attain_target
+                    if value < self._slo_tracker.spec.attain_target
                 )
                 if misses:
                     obs.metrics.counter("cluster.slo_misses").inc(misses)
 
     def result(self) -> ClusterResult:
         """The cluster-level result over the epochs stepped so far."""
+        tracker = self._slo_tracker
         return ClusterResult(
             n_nodes=len(self._nodes),
             policy=self._policy,
@@ -1595,23 +1144,16 @@ class ClusterSimulator:
             migrations=self._migrations,
             broker=self._broker.name if self._broker is not None else "none",
             budget_transfers=self._budget_transfers,
-            jobs_lost=tuple(self._lost),
-            replacements=self._replacements,
-            resurrections=self._resurrections,
-            node_downs=self._node_downs,
-            node_rejoins=self._node_rejoins,
-            quarantines=self._quarantines,
-            node_epoch_failures=self._node_epoch_failures,
-            displaced_job_epochs=self._displaced_epochs,
-            fleet_events=tuple(self._fleet_events),
+            displaced_job_epochs=self._supervisor.displaced_epochs,
+            fleet_events=self._supervisor.events,
             slo=(
                 SLOSummary(
-                    attainment=self._slo_tracker.attainment(),
-                    miss_rate=self._slo_tracker.miss_rate(),
-                    qos_jobs=len(self._slo_tracker.job_attainment()),
-                    misses=self._slo_tracker.misses,
+                    attainment=tracker.attainment(),
+                    miss_rate=tracker.miss_rate(),
+                    qos_jobs=len(tracker.job_attainment()),
+                    misses=tracker.misses,
                 )
-                if self._slo_tracker is not None
+                if tracker is not None
                 else None
             ),
         )

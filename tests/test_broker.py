@@ -492,13 +492,6 @@ class TestSimulatorIntegration:
         with pytest.raises(ClusterError, match="floor"):
             sim.run()
 
-    def test_broker_kwargs_require_registry_id(self, catalog4):
-        with pytest.raises(ClusterError):
-            ClusterSimulator(
-                tiny_trace(), n_nodes=2, catalog=catalog4,
-                broker=StaticBroker(), broker_kwargs={"x": 1},
-            )
-
     def test_slo_attainment(self, catalog4):
         result = ClusterSimulator(
             tiny_trace(), n_nodes=2, catalog=catalog4, epoch_config=TINY,

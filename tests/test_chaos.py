@@ -20,6 +20,7 @@ from repro.cluster import (
     EVT_JOB_LOST,
     EVT_JOB_REPLACED,
     EVT_NODE_DOWN,
+    EVT_NODE_EPOCH_FAILED,
     EVT_NODE_QUARANTINED,
     EVT_NODE_REJOINED,
     EVT_SESSION_RESURRECTED,
@@ -246,6 +247,63 @@ class TestSessionResurrection:
         result = simulate(trace, plans, placement=PackPlacement()).run()
         assert result.resurrections == 0
         assert result.jobs_lost == ()
+
+
+class TestStragglerKeepsSnapshotMembership:
+    """A straggler-failed node-epoch runs no controller, so the node's
+    held snapshot still describes the mix it was learned under. Jobs
+    that arrive during that epoch must not pair it with the new mix on
+    the next warm start or resurrection: the controller cannot load
+    another mix's snapshot, and the engine fails the node-epoch."""
+
+    #: A straggler past the deadline factor in epoch 1 only.
+    STRAGGLER = dict(
+        straggler_rate=0.99, straggler_slowdown=3.5, start_epoch=1, end_epoch=2
+    )
+
+    @staticmethod
+    def trace():
+        registry = default_registry()
+        return ArrivalTrace(n_epochs=4, jobs=(
+            JobArrival(0, registry.get("canneal"), 0),
+            JobArrival(1, registry.get("streamcluster"), 0),
+            JobArrival(2, registry.get("vips"), 1),
+        ))
+
+    @staticmethod
+    def engine_failures(result):
+        return [
+            e for e in result.fleet_events
+            if e.kind == EVT_NODE_EPOCH_FAILED and e.detail.startswith("engine:")
+        ]
+
+    def test_warm_start_after_membership_change_runs_cold(self):
+        result = simulate(
+            self.trace(), {0: NodeFaultPlan(**self.STRAGGLER)},
+            n_nodes=1, node_capacity=3, policy="SATORI", warm_start=True,
+        ).run()
+        assert self.engine_failures(result) == []
+        records = result.node_records(0)
+        assert [r.failed for r in records] == [False, True, False, False]
+        # Epoch 2 is the first run of the three-job mix: cold. Epoch 3
+        # inherits epoch 2's snapshot.
+        assert [r.warm_started for r in records] == [False, False, False, True]
+
+    def test_resurrection_after_membership_change_runs_cold(self):
+        # The epoch-1 checkpoint holds the two-job state learned at
+        # epoch 0; when node 0 crashes at epoch 2 and its three jobs
+        # reassemble on node 1, that state must not resurrect there.
+        plans = {0: NodeFaultPlan(crash_epoch=2, **self.STRAGGLER)}
+        result = simulate(
+            self.trace(), plans,
+            placement=PackPlacement(), node_capacity=3, policy="SATORI",
+        ).run()
+        assert self.engine_failures(result) == []
+        assert result.resurrections == 0
+        assert events_of(result, EVT_SESSION_RESURRECTED) == []
+        epoch2 = next(r for r in result.node_records(1) if r.epoch == 2)
+        assert epoch2.job_ids == (0, 1, 2)
+        assert not epoch2.failed
 
 
 class TestQuarantine:

@@ -416,10 +416,6 @@ class TestClusterSimulator:
     def test_bad_configs_rejected(self):
         with pytest.raises(ClusterError, match="at least one node"):
             ClusterSimulator(tiny_trace(), n_nodes=0)
-        with pytest.raises(ClusterError, match="catalogs for"):
-            ClusterSimulator(
-                tiny_trace(), n_nodes=2, catalogs=[experiment_catalog(4)]
-            )
         with pytest.raises(ClusterError):
             MigrationConfig(fairness_threshold=0.0)
         with pytest.raises(ClusterError):
