@@ -11,12 +11,17 @@ full space: uniform samples for global exploration, the one-unit-move
 neighbors of the current best for local refinement, and the previously
 sampled points themselves (the paper explicitly allows re-evaluation
 of sampled configurations so phase changes are tracked, Sec. III-C).
+
+The pool is one ``(n, dimensions)`` int array in the space's row form
+(``repro.resources.space``), deduplicated and encoded as a block; only
+the winning row becomes a :class:`Configuration`, the type every
+boundary (suggestions, probes, snapshots) carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,15 +122,12 @@ class BayesianOptimizer:
 
         # On small spaces the acquisition is maximized exactly over the
         # whole space (Algorithm 1's "optimize a(x)"); on large spaces
-        # a sampled candidate pool approximates it.
-        self._full_space: Optional[List[Configuration]] = None
-        self._full_space_encoded: Optional[np.ndarray] = None
+        # a sampled candidate pool approximates it. The enumeration and
+        # its encoding never change, so they are built once.
+        self._full_space: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if space.size() <= _EXACT_ACQUISITION_LIMIT:
-            self._full_space = list(space.enumerate())
-            # Encoding the enumeration dominates suggest() on small
-            # spaces if redone per interval; it never changes, so do
-            # it once.
-            self._full_space_encoded = space.encode_batch(self._full_space)
+            rows = space.enumerate_rows()
+            self._full_space = (rows, space.encode_rows(rows))
 
     @property
     def space(self) -> ConfigurationSpace:
@@ -213,18 +215,14 @@ class BayesianOptimizer:
             with obs.span("acquisition", "bo"):
                 proxy_change = self._track_proxy_change(gp)
 
-                candidates = self._candidate_pool(records, weights)
-                if candidates is self._full_space:
-                    encoded = self._full_space_encoded
-                else:
-                    encoded = self._space.encode_batch(candidates)
+                rows, encoded = self._candidate_pool(records, weights)
                 mean, std = gp.predict(encoded)
                 scores = self._acquisition(mean, std, incumbent)
                 best = int(np.argmax(scores))
 
             self._iteration += 1
             return Suggestion(
-                config=candidates[best],
+                config=self._space.from_row(rows[best]),
                 acquisition_value=float(scores[best]),
                 predicted_mean=float(mean[best]),
                 predicted_std=float(std[best]),
@@ -234,30 +232,34 @@ class BayesianOptimizer:
 
     def _candidate_pool(
         self, records: GoalRecords, weights: Sequence[float]
-    ) -> List[Configuration]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Random + local-neighbor + already-sampled candidates.
 
-        Small spaces return the full enumeration instead — the
-        acquisition is then maximized exactly.
+        Returns the pool as rows and its encoding. Small spaces return
+        the full enumeration instead — the acquisition is then
+        maximized exactly.
         """
         if self._full_space is not None:
             return self._full_space
-        pool = self._space.sample_batch(self._pool_size, self._rng)
+        space = self._space
+        blocks = [space.sample_rows(self._pool_size, self._rng)]
         if self._include_neighbors:
             best_config, _ = records.best(weights)
-            pool.extend(self._space.neighbors(best_config))
-            pool.append(best_config)
+            best = space.to_rows([best_config])
+            blocks += [space.neighbor_rows(best[0]), best]
         # Previously sampled configurations stay eligible (re-evaluation
         # keeps the model honest across phase changes).
-        pool.extend(s.config for s in records.samples[-8:])
+        blocks.append(space.to_rows([s.config for s in records.samples[-8:]]))
 
-        seen = set()
-        unique = []
-        for config in pool:
-            if config not in seen:
-                seen.add(config)
-                unique.append(config)
-        return unique
+        # Keep first occurrences in pool order: argmax breaks ties by
+        # position, so the order is part of the result. Each row is
+        # viewed as one opaque bytes item, which np.unique sorts several
+        # times faster than it sorts rows with axis=0 (same indices).
+        pool = np.concatenate(blocks)
+        items = pool.view(np.dtype((np.void, pool.itemsize * pool.shape[1]))).ravel()
+        _, first = np.unique(items, return_index=True)
+        pool = pool[np.sort(first)]
+        return pool, space.encode_rows(pool)
 
     def _track_proxy_change(self, gp: GaussianProcess) -> float:
         """Mean absolute change of proxy estimates on the probe set.

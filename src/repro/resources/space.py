@@ -7,6 +7,13 @@ enumeration (used by the brute-force Oracle), uniform sampling (used by
 Random search and by BO candidate pools), elementary neighbor moves,
 and the normalized encoding that the Gaussian-process proxy model
 consumes.
+
+Sampling, neighbor moves, enumeration and encoding all work on the
+*row form*: a configuration as one int row of length ``dimensions``
+(catalog resource order, jobs-major within a resource — the column
+layout of :meth:`ConfigurationSpace.encode`). A block of rows is an
+``(n, dimensions)`` int array. The :class:`Configuration`-returning
+methods are thin wrappers that convert rows at the end.
 """
 
 from __future__ import annotations
@@ -111,11 +118,11 @@ class ConfigurationSpace:
                 )
         self._catalog = catalog
         self._n_jobs = n_jobs
-        # Column layout of the random-key block behind sample() /
-        # sample_batch(): per resource, one key per stars-and-bars slot
-        # (resources in catalog order). A configuration always consumes
-        # exactly one row of keys, so a loop of scalar sample() calls
-        # reads the identical RNG stream as one batched draw.
+        # Column layout of the random-key block behind sample_rows():
+        # per resource, one key per stars-and-bars slot (resources in
+        # catalog order). A configuration always consumes exactly one
+        # row of keys, so a loop of scalar sample() calls reads the
+        # identical RNG stream as one batched draw.
         self._key_columns: List[Tuple[int, int, int]] = []
         start = 0
         for resource in catalog:
@@ -125,6 +132,20 @@ class ConfigurationSpace:
             self._key_columns.append((slots, start, start + slots))
             start += slots
         self._total_key_columns = start
+        # Row-form layout: resource r owns columns [r * n_jobs, (r + 1) * n_jobs).
+        self._names = catalog.names
+        self._column_units = np.repeat([r.units for r in catalog], n_jobs)
+        self._column_floors = np.repeat([r.min_units for r in catalog], n_jobs)
+        # One delta row per unit move, in neighbors() order: resource,
+        # then donor, then receiver. A move is legal when its donor
+        # column stays at or above the resource's min_units.
+        donor, receiver = np.nonzero(~np.eye(n_jobs, dtype=bool))
+        offsets = np.repeat(np.arange(len(catalog)) * n_jobs, donor.size)
+        self._move_donors = offsets + np.tile(donor, len(catalog))
+        moves = np.arange(self._move_donors.size)
+        self._move_deltas = np.zeros((moves.size, self.dimensions), dtype=np.int64)
+        self._move_deltas[moves, self._move_donors] = -1
+        self._move_deltas[moves, offsets + np.tile(receiver, len(catalog))] = 1
 
     @property
     def catalog(self) -> ResourceCatalog:
@@ -136,7 +157,7 @@ class ConfigurationSpace:
 
     @property
     def resource_names(self) -> Tuple[str, ...]:
-        return self._catalog.names
+        return self._names
 
     @property
     def dimensions(self) -> int:
@@ -210,6 +231,13 @@ class ConfigurationSpace:
     def sample_batch(self, n: int, rng: SeedLike = None) -> List[Configuration]:
         """Draw ``n`` configurations uniformly (duplicates possible).
 
+        Thin wrapper over :meth:`sample_rows`.
+        """
+        return [self.from_row(row) for row in self.sample_rows(n, rng)]
+
+    def sample_rows(self, n: int, rng: SeedLike = None) -> np.ndarray:
+        """Draw ``n`` configurations uniformly as an ``(n, dimensions)`` block.
+
         One vectorized pass: a single ``(n, total_slots)`` block of
         uniform keys, one row per configuration, then a batched
         stars-and-bars decode per resource. Choosing the ``parts - 1``
@@ -222,7 +250,7 @@ class ConfigurationSpace:
         """
         rng = make_rng(rng)
         if n <= 0:
-            return []
+            return np.empty((0, self.dimensions), dtype=np.int64)
         keys = rng.random((n, self._total_key_columns))
         shares: List[np.ndarray] = []
         for resource, (slots, start, stop) in zip(self._catalog, self._key_columns):
@@ -241,16 +269,7 @@ class ConfigurationSpace:
                 axis=1,
             )
             shares.append(np.diff(bounds, axis=1) - 1 + resource.min_units)
-        names = self.resource_names
-        return [
-            Configuration(
-                {
-                    name: tuple(int(u) for u in share[i])
-                    for name, share in zip(names, shares)
-                }
-            )
-            for i in range(n)
-        ]
+        return np.concatenate(shares, axis=1)
 
     def contains(self, config: Configuration) -> bool:
         """Whether ``config`` is a valid member of this space."""
@@ -266,27 +285,61 @@ class ConfigurationSpace:
                 return False
         return True
 
+    # -- row form ----------------------------------------------------------
+
+    def to_rows(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """Member configurations as an ``(n, dimensions)`` int block.
+
+        Raises:
+            SpaceError: if any configuration is not a member of this
+                space.
+        """
+        names = set(self._names)
+        for config in configs:
+            if config.n_jobs != self._n_jobs or set(config.resource_names) != names:
+                raise SpaceError(f"{config!r} is not a member of {self!r}")
+        rows = np.asarray(
+            [[u for name in self._names for u in config.units(name)] for config in configs],
+            dtype=np.int64,
+        ).reshape(len(configs), self.dimensions)
+        sums = rows.reshape(len(configs), len(self._names), self._n_jobs).sum(axis=2)
+        bad = (sums != self._column_units[:: self._n_jobs]).any(axis=1) | (
+            rows < self._column_floors
+        ).any(axis=1)
+        if bad.any():
+            raise SpaceError(f"{configs[int(np.argmax(bad))]!r} is not a member of {self!r}")
+        return rows
+
+    def from_row(self, row: np.ndarray) -> Configuration:
+        """The configuration one row of the row form describes."""
+        j = self._n_jobs
+        return Configuration(
+            {name: row[r * j : (r + 1) * j] for r, name in enumerate(self._names)}
+        )
+
+    def enumerate_rows(self) -> np.ndarray:
+        """The whole space as rows, in :meth:`enumerate` order."""
+        matrices = self.per_resource_matrices()
+        grid = np.indices([len(m) for m in matrices]).reshape(len(matrices), -1)
+        return np.concatenate([m[index] for m, index in zip(matrices, grid)], axis=1)
+
     # -- local moves -------------------------------------------------------
 
     def neighbors(self, config: Configuration) -> List[Configuration]:
         """All configurations one unit-move away from ``config``.
 
         A unit move transfers one unit of one resource from one job to
-        another, respecting the resource's ``min_units``. These are the
-        steps taken by the FSM and gradient-descent baselines, and the
-        local refinement pool of SATORI's BO engine.
+        another, respecting the resource's ``min_units``. These moves are
+        the local-refinement part of SATORI's BO candidate pool, which
+        ``core/bo.py`` builds from :meth:`neighbor_rows`; this method is
+        a thin wrapper over it.
         """
-        result = []
-        for resource in self._catalog:
-            units = config.units(resource.name)
-            for donor in range(self._n_jobs):
-                if units[donor] - 1 < resource.min_units:
-                    continue
-                for receiver in range(self._n_jobs):
-                    if receiver == donor:
-                        continue
-                    result.append(config.move_unit(resource.name, donor, receiver))
-        return result
+        return [self.from_row(row) for row in self.neighbor_rows(self.to_rows([config])[0])]
+
+    def neighbor_rows(self, row: np.ndarray) -> np.ndarray:
+        """Every legal unit move of ``row``, in :meth:`neighbors` order."""
+        legal = row[self._move_donors] > self._column_floors[self._move_donors]
+        return row + self._move_deltas[legal]
 
     # -- encoding for the proxy model ---------------------------------------
 
@@ -309,28 +362,12 @@ class ConfigurationSpace:
     def encode_batch(self, configs: Sequence[Configuration]) -> np.ndarray:
         """Encode many configurations as an ``(n, dimensions)`` array.
 
-        Validation and the share division are batched per resource;
-        rows are bit-identical to :meth:`encode` (same per-element
+        Thin wrapper over :meth:`to_rows` and :meth:`encode_rows`; rows
+        are bit-identical to :meth:`encode` (same per-element
         ``units / total`` division, same column order).
         """
-        if not configs:
-            return np.empty((0, self.dimensions), dtype=float)
-        names = set(self.resource_names)
-        for config in configs:
-            if config.n_jobs != self._n_jobs or set(config.resource_names) != names:
-                raise SpaceError(f"{config!r} is not a member of {self!r}")
-        columns = []
-        for resource in self._catalog:
-            block = np.asarray(
-                [config.units(resource.name) for config in configs], dtype=np.int64
-            )
-            if (block.sum(axis=1) != resource.units).any() or (
-                block < resource.min_units
-            ).any():
-                bad = np.flatnonzero(
-                    (block.sum(axis=1) != resource.units)
-                    | (block < resource.min_units).any(axis=1)
-                )[0]
-                raise SpaceError(f"{configs[bad]!r} is not a member of {self!r}")
-            columns.append(block / resource.units)
-        return np.concatenate(columns, axis=1)
+        return self.encode_rows(self.to_rows(configs))
+
+    def encode_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Encode a block of rows: each entry divided by its resource's units."""
+        return rows / self._column_units

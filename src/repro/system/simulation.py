@@ -43,9 +43,9 @@ from repro.system.contention import (
     effective_allocations,
     evaluate_system,
     evaluate_system_batch,
-    isolation_ips,
 )
 from repro.workloads.mixes import JobMix
+from repro.workloads.model import Phase, Workload
 
 #: The paper's control/sampling interval: SATORI updates its resource
 #: allocation every 0.1 seconds.
@@ -193,6 +193,11 @@ class CoLocationSimulator:
             )
         self._mix = mix
         self._catalog = catalog
+        # Isolation IPS per distinct phase seen. Workload.isolation_ips
+        # reads time only through phase_at(t) and the catalog never
+        # changes, so this is exact, and it is bounded by the phases of
+        # every workload this server has hosted.
+        self._isolation: Dict[Phase, float] = {}
         self._interval = control_interval_s
         self._rng = make_rng(seed)
         self._monitor = PqosMonitor(
@@ -487,11 +492,19 @@ class CoLocationSimulator:
         call this at those points. ``noisy=True`` passes the values
         through the pqos noise model, as a real re-measurement would.
         """
-        iso = isolation_ips(self._mix, self._catalog, self._time_s)
+        t = self._time_s
+        iso = np.array([self._isolation_of(w, t) for w in self._mix], dtype=float)
         if not noisy:
             return iso
         samples = self._monitor.observe(iso, self._interval)
         return np.array([s.ips for s in samples])
+
+    def _isolation_of(self, workload: Workload, t: float) -> float:
+        phase = workload.phase_at(t)
+        value = self._isolation.get(phase)
+        if value is None:
+            value = self._isolation[phase] = workload.isolation_ips(self._catalog, t)
+        return value
 
     def true_ips(self, config: Optional[Configuration] = None, at_time: float = None) -> np.ndarray:
         """Noise-free IPS under ``config`` (defaults: active config, now).

@@ -15,12 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.bo as bo_module
+from repro.core.bo import BayesianOptimizer
+from repro.core.objective import GoalRecords
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
+from repro.experiments.extensions import power_catalog
 from repro.experiments.runner import experiment_catalog
 from repro.policies.oracle import OracleSearch
+from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
-from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
+from repro.resources.types import (
+    CORES,
+    LLC_WAYS,
+    MEMORY_BANDWIDTH,
+    Resource,
+    ResourceCatalog,
+    default_catalog,
+)
+from repro.rng import rng_from_state, rng_state
 from repro.system.contention import evaluate_system, evaluate_system_batch
 from repro.system.simulation import CoLocationSimulator
 from repro.workloads.mixes import mix_from_names
@@ -104,6 +117,181 @@ class TestSpacePairing:
         bad = other.sample_batch(1, np.random.default_rng(1))[0]
         with pytest.raises(SpaceError):
             SPACE.encode_batch(configs + [bad])
+
+
+# -- BO candidate pool (row form) -----------------------------------------
+#
+# The reference is the Configuration-list pool the row form replaced:
+# sampled configurations, the incumbent's one-unit moves, the incumbent
+# and the last 8 samples, deduplicated to first occurrences, then
+# encoded resource by resource.
+
+
+def reference_sample_batch(space, n, rng):
+    """Uniform configurations, decoded from one row of keys each."""
+    j = space.n_jobs
+    slots = [r.units - j * r.min_units + j - 1 if j > 1 else 0 for r in space.catalog]
+    keys = rng.random((n, sum(slots)))
+    shares, start = [], 0
+    for resource, width in zip(space.catalog, slots):
+        if j == 1:
+            shares.append(np.full((n, 1), resource.units, dtype=np.int64))
+            continue
+        order = np.argsort(keys[:, start : start + width], axis=1, kind="stable")
+        cuts = np.sort(order[:, : j - 1], axis=1)
+        bounds = np.concatenate(
+            [np.full((n, 1), -1), cuts, np.full((n, 1), width)], axis=1
+        )
+        shares.append(np.diff(bounds, axis=1) - 1 + resource.min_units)
+        start += width
+    return [
+        Configuration(
+            {r.name: tuple(int(u) for u in share[i]) for r, share in zip(space.catalog, shares)}
+        )
+        for i in range(n)
+    ]
+
+
+def reference_neighbors(space, config):
+    result = []
+    for resource in space.catalog:
+        units = config.units(resource.name)
+        for donor in range(space.n_jobs):
+            if units[donor] - 1 < resource.min_units:
+                continue
+            for receiver in range(space.n_jobs):
+                if receiver != donor:
+                    result.append(config.move_unit(resource.name, donor, receiver))
+    return result
+
+
+def reference_encode_batch(space, configs):
+    return np.concatenate(
+        [
+            np.asarray([c.units(r.name) for c in configs], dtype=np.int64).reshape(
+                len(configs), space.n_jobs
+            )
+            / r.units
+            for r in space.catalog
+        ],
+        axis=1,
+    )
+
+
+def reference_pool(space, rng, pool_size, records, weights):
+    pool = reference_sample_batch(space, pool_size, rng)
+    best, _ = records.best(weights)
+    pool.extend(reference_neighbors(space, best))
+    pool.append(best)
+    pool.extend(s.config for s in records.samples[-8:])
+    seen, unique = set(), []
+    for config in pool:
+        if config not in seen:
+            seen.add(config)
+            unique.append(config)
+    return unique
+
+
+def as_rows(space, configs):
+    return np.asarray(
+        [[u for r in space.catalog for u in c.units(r.name)] for c in configs],
+        dtype=np.int64,
+    ).reshape(len(configs), space.dimensions)
+
+
+def _min_units_2():
+    # Unequal unit counts, so a share divided by the wrong resource's
+    # units shows in the encoding.
+    return ResourceCatalog(
+        Resource(r.kind, r.units, min_units=2, unit_capacity=r.unit_capacity)
+        for r in default_catalog(cores=10, llc_ways=11, bandwidth_units=12)
+    )
+
+
+def _broker_meta_space():
+    """The BO broker's space for 12 nodes: pooled units, nodes as jobs."""
+    pooled = ResourceCatalog(
+        Resource(r.kind, 12 * r.units, min_units=1, unit_capacity=r.unit_capacity)
+        for r in default_catalog()
+    )
+    return ConfigurationSpace(pooled, 12)
+
+
+POOL_SPACES = {
+    "default-3": lambda: ConfigurationSpace(default_catalog(), 3),
+    "default-4": lambda: ConfigurationSpace(default_catalog(), 4),
+    "default-5": lambda: ConfigurationSpace(default_catalog(), 5),
+    "min-units-2": lambda: ConfigurationSpace(_min_units_2(), 3),
+    "one-job": lambda: ConfigurationSpace(default_catalog(), 1),
+    "power": lambda: ConfigurationSpace(power_catalog(units=8, power_units=6), 4),
+    "broker-12": _broker_meta_space,
+}
+
+
+def _records(space, seed, n=20):
+    rng = np.random.default_rng(seed + 7)
+    records = GoalRecords()
+    for config in reference_sample_batch(space, n, rng):
+        records.add(config, space.encode(config), (rng.random(), rng.random()))
+    return records
+
+
+class TestCandidatePoolPairing:
+    @pytest.mark.parametrize("name", sorted(POOL_SPACES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_pool_matches_configuration_pool(self, name, seed, monkeypatch):
+        """Same rows in the same order, same encoding, same RNG stream."""
+        # Force the sampled pool even where the space is small enough
+        # for exact maximization (the one-job space has one member).
+        monkeypatch.setattr(bo_module, "_EXACT_ACQUISITION_LIMIT", 0)
+        space = POOL_SPACES[name]()
+        records = _records(space, seed)
+        weights = (0.3 + 0.1 * seed, 0.7 - 0.1 * seed)
+        generator = np.random.default_rng(seed)
+        bo = BayesianOptimizer(space, candidate_pool_size=64, rng=generator)
+        for step in range(3):
+            twin = rng_from_state(rng_state(generator))
+            expected = reference_pool(space, twin, 64, records, weights)
+            rows, encoded = bo._candidate_pool(records, weights)
+            assert np.array_equal(rows, as_rows(space, expected))
+            assert np.array_equal(encoded, reference_encode_batch(space, expected))
+            assert generator.bit_generator.state == twin.bit_generator.state
+            # Grow the records with pool members so the incumbent and
+            # the recent window move between draws.
+            for config in expected[step :: 17]:
+                records.add(config, space.encode(config), (step / 3.0, 0.9))
+
+    @pytest.mark.parametrize("name", sorted(POOL_SPACES))
+    def test_row_sampler_reads_the_sample_batch_stream(self, name):
+        space = POOL_SPACES[name]()
+        for seed in range(3):
+            a, b, c = (np.random.default_rng(seed) for _ in range(3))
+            rows = space.sample_rows(50, a)
+            assert np.array_equal(rows, as_rows(space, reference_sample_batch(space, 50, b)))
+            assert np.array_equal(rows, as_rows(space, space.sample_batch(50, c)))
+            assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    def test_exact_path_is_the_enumeration(self):
+        """Spaces of at most 2048 members score every row, in enumerate() order."""
+        space = ConfigurationSpace(experiment_catalog(units=6), 3)
+        assert space.size() <= 2048
+        configs = list(space.enumerate())
+        records = _records(space, 0)
+        bo = BayesianOptimizer(space, rng=0)
+        rows, encoded = bo._candidate_pool(records, (0.5, 0.5))
+        assert np.array_equal(rows, as_rows(space, configs))
+        assert np.array_equal(space.enumerate_rows(), rows)
+        assert np.array_equal(encoded, reference_encode_batch(space, configs))
+
+    @pytest.mark.parametrize("name", sorted(POOL_SPACES))
+    def test_neighbor_rows_match_unit_moves(self, name):
+        space = POOL_SPACES[name]()
+        for config in reference_sample_batch(space, 5, np.random.default_rng(3)):
+            expected = reference_neighbors(space, config)
+            assert np.array_equal(
+                space.neighbor_rows(as_rows(space, [config])[0]), as_rows(space, expected)
+            )
+            assert space.neighbors(config) == expected
 
 
 # -- workload models ------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.hardware.msr import IA32_L3_QOS_MASK_BASE
 from repro.resources.allocation import Configuration
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
+from repro.system.contention import isolation_ips
 from repro.system.simulation import RECONFIGURATION_PENALTY, CoLocationSimulator
 from repro.workloads.mixes import mix_from_names
 
@@ -220,3 +221,61 @@ class TestBaselines:
         a = CoLocationSimulator(parsec_mix3, catalog6, seed=1, phase_offset_s=0.0)
         b = CoLocationSimulator(parsec_mix3, catalog6, seed=1, phase_offset_s=1.7)
         assert not np.allclose(a.measure_isolation(), b.measure_isolation())
+
+
+class TestIsolationMap:
+    """measure_isolation() serves from a per-phase map; the reference is
+    ``contention.isolation_ips``, which evaluates every job's model at t."""
+
+    @staticmethod
+    def _run_and_compare(sim, n_steps, seen):
+        for _ in range(n_steps):
+            obs = sim.step(sim.equal_partition())
+            reference = isolation_ips(sim.mix, sim.catalog, sim.time_s)
+            assert np.array_equal(sim.measure_isolation(), reference)
+            assert obs.isolation_ips == tuple(reference)
+            seen.update(w.phase_at(sim.time_s) for w in sim.mix)
+            assert len(sim._isolation) <= len(seen)
+
+    @staticmethod
+    def _steps_for_two_periods(sim):
+        period = max(w.schedule.period for w in sim.mix)
+        return int(np.ceil(2 * period / sim.control_interval_s)) + 1
+
+    def test_matches_reference_over_two_periods(self, make_simulator):
+        sim = make_simulator(phase_offset_s=0.37)
+        seen = {w.phase_at(0.0) for w in sim.mix}
+        assert np.array_equal(sim.measure_isolation(), isolation_ips(sim.mix, sim.catalog, 0.0))
+        self._run_and_compare(sim, self._steps_for_two_periods(sim), seen)
+        # Every phase boundary was crossed, yet each phase was
+        # evaluated once: one entry per distinct phase.
+        assert len(sim._isolation) == len(seen)
+
+    def test_matches_reference_after_rotated_swap(self, make_simulator):
+        from repro.workloads.registry import get_workload
+
+        sim = make_simulator()
+        seen = set()
+        self._run_and_compare(sim, 7, seen)
+        # 0.7 s is not a multiple of the newcomer's period, so the
+        # swap rotates its schedule with with_offset().
+        vips = get_workload("vips")
+        sim.replace_workload(1, vips)
+        assert sim.mix[1] != vips
+        assert sim.mix[1].phase_at(sim.time_s) == vips.phase_at(0.0)
+        self._run_and_compare(sim, self._steps_for_two_periods(sim), seen)
+
+    def test_map_stays_bounded_under_churn(self, make_simulator):
+        from repro.workloads.registry import get_workload
+
+        sim = make_simulator()
+        names = ["vips", "canneal", "streamcluster", "fluidanimate"]
+        hosted = {w.name: w for w in sim.mix}
+        for round_ in range(12):
+            for _ in range(9):
+                sim.step(sim.equal_partition())
+            newcomer = get_workload(names[round_ % len(names)])
+            hosted[newcomer.name] = newcomer
+            sim.replace_workload(round_ % sim.n_jobs, newcomer)
+        phases = {phase for w in hosted.values() for _, phase in w.schedule.segments}
+        assert len(sim._isolation) <= len(phases)
