@@ -184,10 +184,10 @@ def rebalancing_opportunity(
     deltas: Dict[float, List[Tuple[float, float]]] = {}
     for t in times:
         pairs = []
-        scored = [search.evaluate(c, t) for c in configs]
-        for i in range(0, len(scored) - 1, 2):
-            (t1, f1), (t2, f2) = scored[i], scored[i + 1]
-            pairs.append((t2 - t1, f2 - f1))
+        throughput, fairness = search.evaluate_batch(configs, t)
+        throughput, fairness = throughput.tolist(), fairness.tolist()
+        for i in range(0, len(configs) - 1, 2):
+            pairs.append((throughput[i + 1] - throughput[i], fairness[i + 1] - fairness[i]))
         deltas[t] = pairs
 
     best: Optional[RebalancingExample] = None

@@ -25,12 +25,11 @@ reproduction exactly as the paper measures (CoPart > dCAT, Sec. V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.resources.allocation import Configuration
 from repro.resources.types import (
     CORES,
@@ -71,53 +70,13 @@ _LATENCY_PENALTY_SCALE = 0.55
 class SystemState:
     """True (noise-free) per-job state for one interval.
 
-    Arrays are ``(n_jobs,)`` for a scalar evaluation and
-    ``(n_configs, n_jobs)`` for a batched one.
+    Arrays are ``(n_jobs,)`` from :func:`evaluate_system` and
+    ``(n_configs, n_jobs)`` from :func:`evaluate_system_batch`.
     """
 
     ips: np.ndarray
     llc_occupancy_bytes: np.ndarray
     memory_bandwidth_bytes_s: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConfigBatch:
-    """A stack of configurations with a common partition signature.
-
-    The batched-evaluation protocol's allocation side: per partitioned
-    resource, a ``(n_configs, n_jobs)`` float array of unit counts.
-    All configurations in a batch must partition the *same* resources
-    (the contention model branches on which resources are shared, so a
-    mixed batch has no single vectorizable shape); callers with mixed
-    signatures group via :func:`evaluate_system_batch`.
-    """
-
-    partitioned: Tuple[str, ...]
-    units: Dict[str, np.ndarray] = field(compare=False)
-    size: int = 0
-
-    @classmethod
-    def from_configs(cls, configs: Sequence[Optional[Configuration]]) -> "ConfigBatch":
-        """Stack configurations; raises on mixed partition signatures."""
-        if not configs:
-            raise ConfigurationError("a configuration batch needs at least one entry")
-        signature = partition_signature(configs[0])
-        for config in configs[1:]:
-            if partition_signature(config) != signature:
-                raise ConfigurationError(
-                    "configurations in a batch must partition the same resources; "
-                    f"got {signature} and {partition_signature(config)}"
-                )
-        units = {
-            name: np.array([config.units(name) for config in configs], dtype=float)
-            for name in signature
-        }
-        return cls(partitioned=signature, units=units, size=len(configs))
-
-
-def partition_signature(config: Optional[Configuration]) -> Tuple[str, ...]:
-    """The sorted resource names a configuration partitions (``None`` → none)."""
-    return () if config is None else config.resource_names
 
 
 def effective_allocations(
@@ -145,39 +104,19 @@ def effective_allocations(
       work-conserving fixed point in :func:`evaluate_system` is what
       actually arbitrates a shared bus.
     """
-    batch = ConfigBatch.from_configs([config])
-    stacked = _batch_allocations(mix, catalog, batch, t)
-    return {name: np.array(values[0], dtype=float) for name, values in stacked.items()}
-
-
-def _batch_allocations(
-    mix: JobMix,
-    catalog: ResourceCatalog,
-    batch: ConfigBatch,
-    t: float,
-) -> Dict[str, np.ndarray]:
-    """Stacked ``(n_configs, n_jobs)`` allocations per resource name.
-
-    Shared-resource rows are identical across the batch (sharing does
-    not depend on the candidate configuration), so they broadcast from
-    one computed row.
-    """
     n = len(mix)
-    size = batch.size
     allocations = {}
     for resource in catalog:
-        if resource.name in batch.units:
-            allocations[resource.name] = batch.units[resource.name]
+        if config is not None and config.partitions(resource.name):
+            allocations[resource.name] = np.array(config.units(resource.name), dtype=float)
         elif resource.name == LLC_WAYS and n > 1:
-            shares = _llc_pressure_shares(mix, t)
-            allocations[resource.name] = np.broadcast_to(resource.units * shares, (size, n))
+            allocations[resource.name] = resource.units * _llc_pressure_shares(mix, t)
         elif resource.name == CORES and n > 1:
-            shares = _runnable_thread_shares(mix, t, resource.units)
-            allocations[resource.name] = np.broadcast_to(resource.units * shares, (size, n))
-        else:
-            allocations[resource.name] = np.broadcast_to(
-                np.full(n, resource.units / n, dtype=float), (size, n)
+            allocations[resource.name] = resource.units * _runnable_thread_shares(
+                mix, t, resource.units
             )
+        else:
+            allocations[resource.name] = np.full(n, resource.units / n, dtype=float)
     return allocations
 
 
@@ -223,19 +162,12 @@ def interference_factors(
     config: Optional[Configuration],
 ) -> np.ndarray:
     """Per-job IPS multipliers from sharing unpartitioned resources."""
-    return _interference_for(mix, catalog, partition_signature(config))
-
-
-def _interference_for(
-    mix: JobMix, catalog: ResourceCatalog, partitioned: Sequence[str]
-) -> np.ndarray:
-    """Interference factors given the set of partitioned resource names."""
     n = len(mix)
     factors = np.ones(n, dtype=float)
     if n <= 1:
         return factors
     for resource in catalog:
-        if resource.name in partitioned:
+        if config is not None and config.partitions(resource.name):
             continue
         weight = INTERFERENCE_WEIGHT.get(resource.name, 0.5)
         for j, workload in enumerate(mix):
@@ -252,9 +184,9 @@ def evaluate_system(
 ) -> SystemState:
     """True per-job IPS (and memory telemetry) at time ``t``.
 
-    Thin scalar wrapper over :func:`evaluate_config_batch` (a batch of
-    one); the paired tests in ``tests/test_batched_eval.py`` assert the
-    two paths are bit-identical.
+    The contention solve: the simulator calls it once per control
+    interval. Every array is ``(n_jobs,)``; the per-job roofline runs
+    as one :class:`PhaseVector` evaluation.
 
     Args:
         mix: the co-located workloads.
@@ -265,66 +197,37 @@ def evaluate_system(
             partitioning").
         t: elapsed wall time, which selects each workload's phase.
     """
-    state = evaluate_config_batch(mix, catalog, ConfigBatch.from_configs([config]), t)
-    return SystemState(
-        ips=state.ips[0],
-        llc_occupancy_bytes=state.llc_occupancy_bytes[0],
-        memory_bandwidth_bytes_s=state.memory_bandwidth_bytes_s[0],
-    )
-
-
-def evaluate_config_batch(
-    mix: JobMix,
-    catalog: ResourceCatalog,
-    batch: ConfigBatch,
-    t: float,
-) -> SystemState:
-    """True per-job state for a whole configuration batch in one pass.
-
-    Every formula matches :func:`evaluate_system`'s scalar path
-    elementwise — the vectorization only widens the leading axis — so
-    batched results are bit-identical to a loop of scalar calls.
-
-    Returns a :class:`SystemState` whose arrays are shaped
-    ``(batch.size, n_jobs)``.
-    """
     n = len(mix)
-    allocations = _batch_allocations(mix, catalog, batch, t)
-    cores = allocations[CORES]
-    way_bytes = catalog.get(LLC_WAYS).unit_capacity
-    bw_unit = catalog.get(MEMORY_BANDWIDTH).unit_capacity
-    cache_bytes = allocations[LLC_WAYS] * way_bytes
-    bandwidth_bytes = allocations[MEMORY_BANDWIDTH] * bw_unit
+    allocations = effective_allocations(mix, catalog, config, t)
+    bus = catalog.get(MEMORY_BANDWIDTH)
+    cache_bytes = allocations[LLC_WAYS] * catalog.get(LLC_WAYS).unit_capacity
+    bandwidth_bytes = allocations[MEMORY_BANDWIDTH] * bus.unit_capacity
 
     phases = PhaseVector.from_phases([workload.phase_at(t) for workload in mix])
 
     # A shared bus is work-conserving: any job may burst to full
     # capacity, and the fixed point below resolves oversubscription.
-    bandwidth_shared = MEMORY_BANDWIDTH not in batch.units
+    bandwidth_shared = config is None or not config.partitions(MEMORY_BANDWIDTH)
     if bandwidth_shared:
-        bandwidth_bytes = np.full((batch.size, n), catalog.get(MEMORY_BANDWIDTH).capacity)
+        bandwidth_bytes = np.full(n, bus.capacity)
 
-    frequency = np.ones((batch.size, n))
+    frequency = np.ones(n)
     if POWER in catalog:
-        power = allocations[POWER]
         total_power = catalog.get(POWER).units
-        frequency = (power / total_power) ** phases.power_exponent
+        frequency = (allocations[POWER] / total_power) ** phases.power_exponent
 
-    ips = phases.ips(cores, cache_bytes, bandwidth_bytes, frequency)
-    bytes_per_instr = np.asarray(phases.bytes_per_instruction(cache_bytes), dtype=float)
+    ips = phases.ips(allocations[CORES], cache_bytes, bandwidth_bytes, frequency)
+    bytes_per_instr = phases.bytes_per_instruction(cache_bytes)
 
     if bandwidth_shared and n > 1:
-        capacity = catalog.get(MEMORY_BANDWIDTH).capacity
-        ips = _work_conserving_bandwidth(ips, bytes_per_instr, capacity)
+        ips = _work_conserving_bandwidth(ips, bytes_per_instr, bus.capacity)
         # Loaded-latency penalty of an unpartitioned bus: pointer-
         # chasing jobs stall on every queued miss; streamers hide it.
-        utilization = np.minimum(1.0, np.sum(ips * bytes_per_instr, axis=-1) / capacity)
-        latency_factors = (
-            1.0 - _LATENCY_PENALTY_SCALE * phases.latency_sensitivity * utilization[..., None]
-        )
+        utilization = np.minimum(1.0, np.sum(ips * bytes_per_instr) / bus.capacity)
+        latency_factors = 1.0 - _LATENCY_PENALTY_SCALE * phases.latency_sensitivity * utilization
         ips = ips * np.maximum(latency_factors, MIN_INTERFERENCE_FACTOR)
 
-    ips = ips * _interference_for(mix, catalog, batch.partitioned)
+    ips = ips * interference_factors(mix, catalog, config)
 
     return SystemState(
         ips=ips,
@@ -339,28 +242,18 @@ def evaluate_system_batch(
     configs: Sequence[Optional[Configuration]],
     t: float,
 ) -> SystemState:
-    """Batched :func:`evaluate_system` over arbitrary configurations.
+    """:func:`evaluate_system` for each configuration, stacked row-wise.
 
-    Configurations sharing a partition signature are evaluated in one
-    vectorized pass; mixed batches are grouped by signature and the
-    rows scattered back in input order.
+    Returns a :class:`SystemState` whose arrays are shaped
+    ``(len(configs), n_jobs)``.
     """
-    groups: Dict[Tuple[str, ...], List[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(partition_signature(config), []).append(index)
-    if len(groups) == 1:
-        return evaluate_config_batch(mix, catalog, ConfigBatch.from_configs(configs), t)
-
-    n = len(mix)
-    ips = np.zeros((len(configs), n))
-    occupancy = np.zeros((len(configs), n))
-    bandwidth = np.zeros((len(configs), n))
-    for indices in groups.values():
-        batch = ConfigBatch.from_configs([configs[i] for i in indices])
-        state = evaluate_config_batch(mix, catalog, batch, t)
-        ips[indices] = state.ips
-        occupancy[indices] = state.llc_occupancy_bytes
-        bandwidth[indices] = state.memory_bandwidth_bytes_s
+    shape = (len(configs), len(mix))
+    ips, occupancy, bandwidth = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for i, config in enumerate(configs):
+        state = evaluate_system(mix, catalog, config, t)
+        ips[i] = state.ips
+        occupancy[i] = state.llc_occupancy_bytes
+        bandwidth[i] = state.memory_bandwidth_bytes_s
     return SystemState(
         ips=ips, llc_occupancy_bytes=occupancy, memory_bandwidth_bytes_s=bandwidth
     )
@@ -380,18 +273,11 @@ def _work_conserving_bandwidth(
     capacity slows everyone by the same factor, which lowers demand,
     until demand fits. A handful of iterations converges because the
     map is monotone.
-
-    Vectorized over a leading batch axis (jobs on the trailing axis).
-    Rows whose demand already fits multiply by exactly 1.0 — the IEEE
-    identity — so a batched run stays bit-identical to per-row scalar
-    runs that broke out of the loop early.
     """
-    rates = ips.copy()
+    rates = ips
     for _ in range(_BANDWIDTH_FIXED_POINT_ITERS):
-        demand = np.sum(rates * bytes_per_instr, axis=-1, keepdims=True)
-        over = demand > capacity_bytes_s
-        if not np.any(over):
+        demand = np.sum(rates * bytes_per_instr)
+        if demand <= capacity_bytes_s:
             break
-        scale = np.where(over, capacity_bytes_s / np.where(over, demand, 1.0), 1.0)
-        rates = rates * scale
+        rates = rates * (capacity_bytes_s / demand)
     return np.minimum(rates, ips)

@@ -519,14 +519,13 @@ class CoLocationSimulator:
     def true_ips_batch(
         self, configs: Sequence[Optional[Configuration]], at_time: float = None
     ) -> np.ndarray:
-        """Noise-free IPS for many configurations in one vectorized pass.
+        """Noise-free IPS for many configurations, one row each.
 
-        Returns a ``(len(configs), n_jobs)`` array, bit-identical to
-        stacking :meth:`true_ips` per configuration — including the
-        ``None`` convention: a ``None`` entry means the currently
-        installed configuration, exactly as in :meth:`true_ips` (which
-        may itself be ``None``, the unmanaged server, before any
-        :meth:`apply`).
+        Returns a ``(len(configs), n_jobs)`` array: :meth:`true_ips`
+        per configuration, stacked — including the ``None``
+        convention: a ``None`` entry means the currently installed
+        configuration, exactly as in :meth:`true_ips` (which may itself
+        be ``None``, the unmanaged server, before any :meth:`apply`).
         """
         t = self._time_s if at_time is None else at_time
         resolved = [self._config if c is None else c for c in configs]

@@ -65,14 +65,91 @@ def smoothmin(a: ArrayLike, b: ArrayLike, power: float = SMOOTHMIN_POWER) -> Arr
     # rounds differently (by 1 ulp) from the array ufunc, and 0-d
     # operations return scalars — without the asarray, scalar and
     # batched evaluations of the same allocation could disagree.
-    out = np.asarray(a ** -power + b ** -power) ** (-1.0 / power)
+    return _float_if_0d(np.asarray(a ** -power + b ** -power) ** (-1.0 / power))
+
+
+def _float_if_0d(out: np.ndarray) -> ArrayLike:
+    """A 0-d result as a Python ``float``; any other array unchanged."""
     if out.ndim == 0:
         return float(out)
     return out
 
 
+class Roofline:
+    """The roofline formulas, written once for :class:`Phase` and
+    :class:`PhaseVector`.
+
+    Subclasses supply the parameters as attributes: Python floats on a
+    :class:`Phase` (0-d results come back as ``float``), ``(n_jobs,)``
+    arrays on a :class:`PhaseVector` (results broadcast against
+    allocations shaped ``(..., n_jobs)``). Each formula is elementwise,
+    so a :class:`PhaseVector` result is bit-identical to a loop of
+    :class:`Phase` calls.
+    """
+
+    ips_per_core: ArrayLike
+    parallel_fraction: ArrayLike
+    working_set_bytes: ArrayLike
+    miss_peak: ArrayLike
+    miss_floor: ArrayLike
+    stream_bytes_per_instr: ArrayLike
+
+    def amdahl_speedup(self, cores: ArrayLike) -> ArrayLike:
+        """Amdahl's-law speedup of ``cores`` over one core."""
+        cores = np.asarray(cores, dtype=float)
+        serial = 1.0 - self.parallel_fraction
+        return _float_if_0d(1.0 / (serial + self.parallel_fraction / np.maximum(cores, 1e-9)))
+
+    def compute_rate(self, cores: ArrayLike, frequency_factor: ArrayLike = 1.0) -> ArrayLike:
+        """IPS when compute-bound on ``cores`` cores."""
+        return self.ips_per_core * np.asarray(frequency_factor, dtype=float) * np.asarray(
+            self.amdahl_speedup(cores)
+        )
+
+    def miss_rate(self, cache_bytes: ArrayLike) -> ArrayLike:
+        """LLC misses per instruction given ``cache_bytes`` of LLC.
+
+        The curve is a logistic *cliff* centred below the working-set
+        size: allocating cache yields little until the hot set fits,
+        then misses collapse toward the floor. Measured LLC
+        miss-ratio curves have exactly this knee shape, and the
+        resulting all-or-nothing utility is what creates local maxima
+        in the partitioning landscape (one more way is worthless; three
+        more ways are decisive) — the non-convexity that defeats
+        one-dimension-at-a-time searches (Sec. I, Sec. V scalability).
+        """
+        cache_bytes = np.asarray(cache_bytes, dtype=float)
+        midpoint = 0.6 * self.working_set_bytes
+        width = self.working_set_bytes / 8.0
+        exponent = np.clip((midpoint - cache_bytes) / width, -60.0, 60.0)
+        cliff = 1.0 / (1.0 + np.exp(-exponent))
+        return _float_if_0d(self.miss_floor + (self.miss_peak - self.miss_floor) * cliff)
+
+    def bytes_per_instruction(self, cache_bytes: ArrayLike) -> ArrayLike:
+        """Memory traffic per instruction under ``cache_bytes`` of LLC."""
+        return np.asarray(self.miss_rate(cache_bytes)) * CACHE_LINE_BYTES + self.stream_bytes_per_instr
+
+    def memory_rate(self, cache_bytes: ArrayLike, bandwidth_bytes: ArrayLike) -> ArrayLike:
+        """IPS sustainable by the memory system."""
+        bpi = np.asarray(self.bytes_per_instruction(cache_bytes), dtype=float)
+        return _float_if_0d(np.asarray(bandwidth_bytes, dtype=float) / np.maximum(bpi, 1e-12))
+
+    def ips(
+        self,
+        cores: ArrayLike,
+        cache_bytes: ArrayLike,
+        bandwidth_bytes: ArrayLike,
+        frequency_factor: ArrayLike = 1.0,
+    ) -> ArrayLike:
+        """Model IPS under an allocation (the roofline smooth-min)."""
+        return smoothmin(
+            self.compute_rate(cores, frequency_factor),
+            self.memory_rate(cache_bytes, bandwidth_bytes),
+        )
+
+
 @dataclass(frozen=True)
-class Phase:
+class Phase(Roofline):
     """Performance parameters during one program phase.
 
     Attributes:
@@ -130,70 +207,6 @@ class Phase:
                 f"latency_sensitivity must be in [0, 1], got {self.latency_sensitivity}"
             )
 
-    # -- model components -------------------------------------------------
-
-    def amdahl_speedup(self, cores: ArrayLike) -> ArrayLike:
-        """Amdahl's-law speedup of ``cores`` over one core."""
-        cores = np.asarray(cores, dtype=float)
-        serial = 1.0 - self.parallel_fraction
-        out = 1.0 / (serial + self.parallel_fraction / np.maximum(cores, 1e-9))
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def compute_rate(self, cores: ArrayLike, frequency_factor: ArrayLike = 1.0) -> ArrayLike:
-        """IPS when compute-bound on ``cores`` cores."""
-        return self.ips_per_core * np.asarray(frequency_factor, dtype=float) * np.asarray(
-            self.amdahl_speedup(cores)
-        )
-
-    def miss_rate(self, cache_bytes: ArrayLike) -> ArrayLike:
-        """LLC misses per instruction given ``cache_bytes`` of LLC.
-
-        The curve is a logistic *cliff* centred below the working-set
-        size: allocating cache yields little until the hot set fits,
-        then misses collapse toward the floor. Measured LLC
-        miss-ratio curves have exactly this knee shape, and the
-        resulting all-or-nothing utility is what creates local maxima
-        in the partitioning landscape (one more way is worthless; three
-        more ways are decisive) — the non-convexity that defeats
-        one-dimension-at-a-time searches (Sec. I, Sec. V scalability).
-        """
-        cache_bytes = np.asarray(cache_bytes, dtype=float)
-        midpoint = 0.6 * self.working_set_bytes
-        width = self.working_set_bytes / 8.0
-        exponent = np.clip((midpoint - cache_bytes) / width, -60.0, 60.0)
-        cliff = 1.0 / (1.0 + np.exp(-exponent))
-        out = self.miss_floor + (self.miss_peak - self.miss_floor) * cliff
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def bytes_per_instruction(self, cache_bytes: ArrayLike) -> ArrayLike:
-        """Memory traffic per instruction under ``cache_bytes`` of LLC."""
-        return np.asarray(self.miss_rate(cache_bytes)) * CACHE_LINE_BYTES + self.stream_bytes_per_instr
-
-    def memory_rate(self, cache_bytes: ArrayLike, bandwidth_bytes: ArrayLike) -> ArrayLike:
-        """IPS sustainable by the memory system."""
-        bpi = np.asarray(self.bytes_per_instruction(cache_bytes), dtype=float)
-        out = np.asarray(bandwidth_bytes, dtype=float) / np.maximum(bpi, 1e-12)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def ips(
-        self,
-        cores: ArrayLike,
-        cache_bytes: ArrayLike,
-        bandwidth_bytes: ArrayLike,
-        frequency_factor: ArrayLike = 1.0,
-    ) -> ArrayLike:
-        """Model IPS under an allocation (the roofline smooth-min)."""
-        return smoothmin(
-            self.compute_rate(cores, frequency_factor),
-            self.memory_rate(cache_bytes, bandwidth_bytes),
-        )
-
     def scaled(self, **multipliers: float) -> "Phase":
         """Return a copy with named parameters multiplied.
 
@@ -214,19 +227,13 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class PhaseVector:
+class PhaseVector(Roofline):
     """A stack of per-job :class:`Phase` parameters as numpy columns.
 
-    The batched-evaluation protocol: every roofline formula below is
-    the *same expression* as its :class:`Phase` counterpart, evaluated
-    elementwise over arrays whose trailing axis indexes jobs. Because
-    IEEE arithmetic is elementwise, evaluating a ``(n_configs, n_jobs)``
-    allocation batch through a :class:`PhaseVector` is bit-identical to
-    looping the scalar :meth:`Phase.ips` over every entry — the paired
-    tests in ``tests/test_batched_eval.py`` hold that invariant.
-
-    Parameter arrays have shape ``(n_jobs,)`` and broadcast against
-    allocation arrays shaped ``(..., n_jobs)``.
+    Parameter arrays have shape ``(n_jobs,)``; the :class:`Roofline`
+    formulas evaluate every job in one pass, bit-identical to a loop
+    of the per-job :class:`Phase` calls (``tests/test_batched_eval.py``
+    holds that pairing).
     """
 
     ips_per_core: np.ndarray
@@ -253,49 +260,6 @@ class PhaseVector:
             stream_bytes_per_instr=column("stream_bytes_per_instr"),
             power_exponent=column("power_exponent"),
             latency_sensitivity=column("latency_sensitivity"),
-        )
-
-    @property
-    def n_jobs(self) -> int:
-        return int(self.ips_per_core.shape[0])
-
-    def amdahl_speedup(self, cores: ArrayLike) -> np.ndarray:
-        serial = 1.0 - self.parallel_fraction
-        return 1.0 / (serial + self.parallel_fraction / np.maximum(cores, 1e-9))
-
-    def compute_rate(self, cores: ArrayLike, frequency_factor: ArrayLike = 1.0) -> np.ndarray:
-        return self.ips_per_core * np.asarray(frequency_factor, dtype=float) * np.asarray(
-            self.amdahl_speedup(cores)
-        )
-
-    def miss_rate(self, cache_bytes: ArrayLike) -> np.ndarray:
-        cache_bytes = np.asarray(cache_bytes, dtype=float)
-        midpoint = 0.6 * self.working_set_bytes
-        width = self.working_set_bytes / 8.0
-        exponent = np.clip((midpoint - cache_bytes) / width, -60.0, 60.0)
-        cliff = 1.0 / (1.0 + np.exp(-exponent))
-        return self.miss_floor + (self.miss_peak - self.miss_floor) * cliff
-
-    def bytes_per_instruction(self, cache_bytes: ArrayLike) -> np.ndarray:
-        return np.asarray(self.miss_rate(cache_bytes)) * CACHE_LINE_BYTES + self.stream_bytes_per_instr
-
-    def memory_rate(self, cache_bytes: ArrayLike, bandwidth_bytes: ArrayLike) -> np.ndarray:
-        bpi = np.asarray(self.bytes_per_instruction(cache_bytes), dtype=float)
-        return np.asarray(bandwidth_bytes, dtype=float) / np.maximum(bpi, 1e-12)
-
-    def ips(
-        self,
-        cores: ArrayLike,
-        cache_bytes: ArrayLike,
-        bandwidth_bytes: ArrayLike,
-        frequency_factor: ArrayLike = 1.0,
-    ) -> np.ndarray:
-        """Roofline IPS of every (allocation row, job) pair."""
-        return np.asarray(
-            smoothmin(
-                self.compute_rate(cores, frequency_factor),
-                self.memory_rate(cache_bytes, bandwidth_bytes),
-            )
         )
 
 

@@ -1,11 +1,14 @@
 """Paired bit-identity tests for the batched evaluation core.
 
 The batched data path (DESIGN.md "Batched evaluation core") promises
-that every vectorized entry point — :class:`PhaseVector`,
-:func:`evaluate_system_batch`, :meth:`CoLocationSimulator.true_ips_batch`,
-:meth:`OracleSearch.evaluate_batch` — is *bit-identical* to a loop of
-the scalar calls it replaced. These tests pin each pairing with exact
-(``==`` / ``np.array_equal``) comparisons, not tolerances.
+that every batched entry point — the BO row pool, :class:`PhaseVector`,
+:meth:`OracleSearch.evaluate_batch`, the stacked
+:func:`evaluate_system_batch` and
+:meth:`CoLocationSimulator.true_ips_batch` — is *bit-identical* to the
+reference it stands for, and that :func:`evaluate_system`, the one
+contention solve per interval, equals the batch-of-one solve it
+replaced. These tests pin each pairing with exact (``==`` /
+``np.array_equal``) comparisons, not tolerances.
 """
 
 from __future__ import annotations
@@ -29,15 +32,24 @@ from repro.resources.types import (
     CORES,
     LLC_WAYS,
     MEMORY_BANDWIDTH,
+    POWER,
     Resource,
     ResourceCatalog,
     default_catalog,
 )
 from repro.rng import rng_from_state, rng_state
-from repro.system.contention import evaluate_system, evaluate_system_batch
+from repro.system import contention
+from repro.system.contention import (
+    SystemState,
+    effective_allocations,
+    evaluate_system,
+    evaluate_system_batch,
+    interference_factors,
+)
 from repro.system.simulation import CoLocationSimulator
-from repro.workloads.mixes import mix_from_names
+from repro.workloads.mixes import mix_from_names, suite_mixes
 from repro.workloads.model import Phase, PhaseVector
+from repro.workloads.registry import default_registry
 
 MIX = mix_from_names(["canneal", "fluidanimate", "streamcluster"])
 CATALOG = experiment_catalog(units=6)
@@ -362,6 +374,175 @@ class TestSystemBatchPairing:
     def test_empty_batch(self):
         batch = evaluate_system_batch(MIX, CATALOG, [], 0.0)
         assert batch.ips.shape == (0, len(MIX))
+
+
+# -- contention model: the batch-of-one reference -------------------------
+#
+# The reference is the solve evaluate_system replaced: the configuration
+# stacked as a batch of one (``(1, n_jobs)`` unit arrays), shared rows
+# broadcast to the batch, the bandwidth fixed point vectorized over the
+# leading axis, and row 0 read back.
+
+
+def reference_allocations(mix, catalog, config, t):
+    """The stacked ``(1, n_jobs)`` allocations per resource name."""
+    n = len(mix)
+    units = {} if config is None else {
+        name: np.array([config.units(name)], dtype=float) for name in config.resource_names
+    }
+    allocations = {}
+    for resource in catalog:
+        if resource.name in units:
+            allocations[resource.name] = units[resource.name]
+        elif resource.name == LLC_WAYS and n > 1:
+            shares = contention._llc_pressure_shares(mix, t)
+            allocations[resource.name] = np.broadcast_to(resource.units * shares, (1, n))
+        elif resource.name == CORES and n > 1:
+            shares = contention._runnable_thread_shares(mix, t, resource.units)
+            allocations[resource.name] = np.broadcast_to(resource.units * shares, (1, n))
+        else:
+            allocations[resource.name] = np.broadcast_to(
+                np.full(n, resource.units / n, dtype=float), (1, n)
+            )
+    return allocations
+
+
+def reference_interference(mix, catalog, partitioned):
+    n = len(mix)
+    factors = np.ones(n, dtype=float)
+    if n <= 1:
+        return factors
+    for resource in catalog:
+        if resource.name in partitioned:
+            continue
+        weight = contention.INTERFERENCE_WEIGHT.get(resource.name, 0.5)
+        for j, workload in enumerate(mix):
+            penalty = weight * workload.contention_sensitivity * (n - 1)
+            factors[j] *= max(1.0 - penalty, contention.MIN_INTERFERENCE_FACTOR)
+    return np.maximum(factors, contention.MIN_INTERFERENCE_FACTOR)
+
+
+def reference_work_conserving(ips, bytes_per_instr, capacity):
+    rates = ips.copy()
+    for _ in range(contention._BANDWIDTH_FIXED_POINT_ITERS):
+        demand = np.sum(rates * bytes_per_instr, axis=-1, keepdims=True)
+        over = demand > capacity
+        if not np.any(over):
+            break
+        scale = np.where(over, capacity / np.where(over, demand, 1.0), 1.0)
+        rates = rates * scale
+    return np.minimum(rates, ips)
+
+
+def reference_evaluate(mix, catalog, config, t):
+    """Row 0 of the batch-of-one solve: (state, allocations, interference)."""
+    partitioned = () if config is None else config.resource_names
+    n = len(mix)
+    allocations = reference_allocations(mix, catalog, config, t)
+    cache_bytes = allocations[LLC_WAYS] * catalog.get(LLC_WAYS).unit_capacity
+    bandwidth_bytes = allocations[MEMORY_BANDWIDTH] * catalog.get(MEMORY_BANDWIDTH).unit_capacity
+    phases = PhaseVector.from_phases([workload.phase_at(t) for workload in mix])
+    bandwidth_shared = MEMORY_BANDWIDTH not in partitioned
+    if bandwidth_shared:
+        bandwidth_bytes = np.full((1, n), catalog.get(MEMORY_BANDWIDTH).capacity)
+    frequency = np.ones((1, n))
+    if POWER in catalog:
+        frequency = (allocations[POWER] / catalog.get(POWER).units) ** phases.power_exponent
+    ips = phases.ips(allocations[CORES], cache_bytes, bandwidth_bytes, frequency)
+    bytes_per_instr = np.asarray(phases.bytes_per_instruction(cache_bytes), dtype=float)
+    if bandwidth_shared and n > 1:
+        capacity = catalog.get(MEMORY_BANDWIDTH).capacity
+        ips = reference_work_conserving(ips, bytes_per_instr, capacity)
+        utilization = np.minimum(1.0, np.sum(ips * bytes_per_instr, axis=-1) / capacity)
+        latency_factors = (
+            1.0
+            - contention._LATENCY_PENALTY_SCALE
+            * phases.latency_sensitivity
+            * utilization[..., None]
+        )
+        ips = ips * np.maximum(latency_factors, contention.MIN_INTERFERENCE_FACTOR)
+    factors = reference_interference(mix, catalog, partitioned)
+    ips = ips * factors
+    state = SystemState(
+        ips=ips[0],
+        llc_occupancy_bytes=np.minimum(cache_bytes, phases.working_set_bytes)[0],
+        memory_bandwidth_bytes_s=(ips * bytes_per_instr)[0],
+    )
+    return state, {name: np.array(rows[0]) for name, rows in allocations.items()}, factors
+
+
+REFERENCE_MIXES = {
+    "parsec-1": ["canneal"],
+    "ecp-2": list(suite_mixes("ecp")[0].names),
+    "cloudsuite-3": list(suite_mixes("cloudsuite")[0].names),
+    "parsec-4": ["canneal", "fluidanimate", "streamcluster", "vips"],
+    "parsec-5": list(suite_mixes("parsec")[0].names),
+    "mixed-5": ["streamcluster", "data_analytics", "amg", "web_search", "xsbench"],
+}
+
+REFERENCE_CATALOGS = {
+    "units-8": lambda: experiment_catalog(8),
+    "units-10": lambda: experiment_catalog(10),
+    "power": lambda: power_catalog(units=8, power_units=6),
+}
+
+#: What each policy family partitions (None: the unmanaged server).
+PARTITIONED = {
+    "everything": "all",
+    "dcat": (LLC_WAYS,),
+    "copart": (LLC_WAYS, MEMORY_BANDWIDTH),
+    "cores": (CORES,),
+    "power": (POWER,),
+    "unmanaged": None,
+}
+
+#: Phase durations run 2-5 s, so these times straddle several phase
+#: boundaries of every mix (asserted per mix below).
+REFERENCE_TIMES = (0.0, 2.45, 2.5, 2.55, 3.0, 4.5, 7.05, 11.5, 19.95, 31.3)
+
+
+def reference_configs(catalog, n_jobs, seed):
+    """Sampled configurations restricted to each policy family's resources."""
+    space = ConfigurationSpace(catalog, n_jobs)
+    configs = []
+    for names in PARTITIONED.values():
+        if names is None:
+            configs.append(None)
+            continue
+        names = catalog.names if names == "all" else names
+        if not all(name in catalog for name in names):
+            continue
+        for full in space.sample_batch(3, np.random.default_rng(seed)):
+            configs.append(Configuration({name: full.units(name) for name in names}))
+    return configs
+
+
+class TestContentionReference:
+    @pytest.mark.parametrize("catalog_name", sorted(REFERENCE_CATALOGS))
+    @pytest.mark.parametrize("mix_name", sorted(REFERENCE_MIXES))
+    def test_matches_batch_of_one(self, mix_name, catalog_name):
+        """evaluate_system == the batch-of-one solve, bit for bit."""
+        names = REFERENCE_MIXES[mix_name]
+        # JobMix needs two jobs; the contention model only iterates
+        # the mix, so one job goes in as a plain tuple.
+        mix = mix_from_names(names) if len(names) > 1 else (default_registry().get(names[0]),)
+        catalog = REFERENCE_CATALOGS[catalog_name]()
+        phase_keys = {tuple(w.phase_index_at(t) for w in mix) for t in REFERENCE_TIMES}
+        assert len(phase_keys) > 2
+        for config in reference_configs(catalog, len(mix), seed=len(mix_name)):
+            for t in REFERENCE_TIMES:
+                expected, allocations, factors = reference_evaluate(mix, catalog, config, t)
+                state = evaluate_system(mix, catalog, config, t)
+                assert np.array_equal(state.ips, expected.ips)
+                assert np.array_equal(state.llc_occupancy_bytes, expected.llc_occupancy_bytes)
+                assert np.array_equal(
+                    state.memory_bandwidth_bytes_s, expected.memory_bandwidth_bytes_s
+                )
+                actual = effective_allocations(mix, catalog, config, t)
+                assert list(actual) == list(allocations)
+                for name, values in allocations.items():
+                    assert np.array_equal(actual[name], values)
+                assert np.array_equal(interference_factors(mix, catalog, config), factors)
 
 
 # -- simulator ------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Stacked-Cholesky primitives: bit-identity with the scalar GP path.
+"""Stacked-Cholesky primitive: bit-identity with per-matrix factoring.
 
-:mod:`repro.core.stacked` promises that batching B same-shape kernel
-factorizations into one gufunc call never changes a result bit — the
-stacked factors equal per-matrix ``np.linalg.cholesky`` calls exactly,
-:class:`StackedGP` posteriors equal a loop of
-:class:`~repro.core.gp.GaussianProcess` fits exactly, and the BO
-length-scale grid search picks the identical winner. These tests pin
-each of those pairings.
+:func:`repro.core.gp.stacked_cholesky` promises that batching B
+same-shape kernel factorizations into one gufunc call never changes a
+result bit — the stacked factors equal per-matrix
+``np.linalg.cholesky`` calls exactly, and the BO length-scale grid
+search built on it picks the identical winner. These tests pin both
+pairings.
 """
 
 from __future__ import annotations
@@ -16,9 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gp import _JITTER, _LENGTHSCALE_GRID, GaussianProcess, _cho_solve
-from repro.core.kernels import Matern52, RBF
-from repro.core.stacked import StackedGP, stacked_cholesky
+from repro.core.gp import (
+    _JITTER,
+    _LENGTHSCALE_GRID,
+    GaussianProcess,
+    _cho_solve,
+    stacked_cholesky,
+)
 from repro.errors import ModelError
 from repro.obs import TraceCollector, use_collector
 
@@ -69,69 +72,6 @@ class TestStackedCholesky:
         hist = collector.metrics.histogram("gp.stacked_cholesky_batch")
         assert hist.count == 1
         assert hist.sum == 5.0
-
-
-def random_tasks(rng, n_tasks, n, d):
-    """Same-shape per-task training sets with distinct scales."""
-    xs = [rng.uniform(0.0, 1.0, size=(n, d)) for _ in range(n_tasks)]
-    ys = [rng.uniform(0.0, 10.0 * (t + 1), size=n) for t in range(n_tasks)]
-    return xs, ys
-
-
-class TestStackedGPPairing:
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_posterior_matches_gp_loop(self, seed):
-        """StackedGP row t == a GaussianProcess fit on task t, exactly."""
-        rng = np.random.default_rng(seed)
-        n_tasks = int(rng.integers(1, 6))
-        n = int(rng.integers(2, 10))
-        d = int(rng.integers(1, 4))
-        xs, ys = random_tasks(rng, n_tasks, n, d)
-        query = rng.uniform(0.0, 1.0, size=(7, d))
-
-        stacked = StackedGP().fit(xs, ys)
-        mean, std = stacked.predict(query)
-        assert mean.shape == std.shape == (n_tasks, 7)
-        for t in range(n_tasks):
-            gp = GaussianProcess().fit(xs[t], ys[t])
-            mean_t, std_t = gp.predict(query)
-            assert np.array_equal(mean[t], mean_t)
-            assert np.array_equal(std[t], std_t)
-
-    def test_kernel_choice_respected(self):
-        rng = np.random.default_rng(3)
-        xs, ys = random_tasks(rng, 2, 6, 2)
-        query = rng.uniform(0.0, 1.0, size=(4, 2))
-        kernel = RBF(lengthscale=0.7)
-        mean, _ = StackedGP(kernel=kernel).fit(xs, ys).predict(query)
-        gp_mean, _ = GaussianProcess(kernel=kernel).fit(xs[0], ys[0]).predict(query)
-        assert np.array_equal(mean[0], gp_mean)
-
-    def test_shape_validation(self):
-        rng = np.random.default_rng(4)
-        xs, ys = random_tasks(rng, 2, 5, 2)
-        with pytest.raises(ModelError):
-            StackedGP().fit([], [])
-        with pytest.raises(ModelError):
-            StackedGP().fit([xs[0], xs[1][:3]], ys)
-        with pytest.raises(ModelError):
-            StackedGP().fit(xs, [ys[0], ys[1][:3]])
-        with pytest.raises(ModelError):
-            StackedGP(noise=-1.0)
-
-    def test_indefinite_task_reported_by_index(self, monkeypatch):
-        """A non-PD task fails loudly, naming the offending task."""
-        import repro.core.stacked as stacked_module
-
-        def failing(stack):
-            return np.zeros_like(stack), np.array([False, True])
-
-        monkeypatch.setattr(stacked_module, "stacked_cholesky", failing)
-        rng = np.random.default_rng(5)
-        xs, ys = random_tasks(rng, 2, 4, 2)
-        with pytest.raises(ModelError, match=r"tasks \[0\]"):
-            StackedGP(kernel=Matern52()).fit(xs, ys)
 
 
 class TestLengthscaleGridPairing:

@@ -279,3 +279,33 @@ class TestIsolationMap:
             sim.replace_workload(round_ % sim.n_jobs, newcomer)
         phases = {phase for w in hosted.values() for _, phase in w.schedule.segments}
         assert len(sim._isolation) <= len(phases)
+
+
+class TestContentionEntryPoints:
+    """``perfbench/layers.py`` counts contention solves by rebinding
+    ``evaluate_system`` and ``evaluate_system_batch`` on
+    ``repro.system.simulation``; the simulator must keep resolving the
+    solve through that module global."""
+
+    def test_module_exposes_the_solves(self):
+        from repro.system import contention, simulation
+
+        assert simulation.evaluate_system is contention.evaluate_system
+        assert simulation.evaluate_system_batch is contention.evaluate_system_batch
+
+    def test_step_solves_through_the_module_global(self, make_simulator, monkeypatch):
+        from repro.system import simulation
+
+        calls = []
+        solve = simulation.evaluate_system
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "evaluate_system", counting)
+        sim = make_simulator()
+        sim.step(sim.equal_partition())
+        for _ in range(4):
+            sim.step()
+        assert len(calls) == 5
