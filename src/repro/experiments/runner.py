@@ -169,7 +169,8 @@ def run_policy(
     """Run ``policy`` on ``mix`` for one experiment and score it.
 
     Args:
-        policy: a fresh (or reset) policy instance.
+        policy: a fresh policy instance (possibly restored from a
+            snapshot).
         mix: the co-located workloads.
         catalog: server resources (defaults to the experiment catalog).
         run_config: methodology knobs; defaults per Sec. IV.

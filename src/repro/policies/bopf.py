@@ -154,10 +154,6 @@ class BoPFPolicy(PartitioningPolicy):
         self._boost_budget = int(boost_budget)
         self._boost_step = float(boost_step)
         self._inner = SatoriController(space, goals, rng=rng, **satori_kwargs)
-        self.reset()
-
-    def reset(self) -> None:
-        self._inner.reset()
         self._tick = 0
         self._level = 0
         self._cooldown = 0

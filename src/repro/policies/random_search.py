@@ -47,9 +47,6 @@ class RandomSearchPolicy(PartitioningPolicy):
         self._seen.add(config)
         return config
 
-    def reset(self) -> None:
-        self._seen.clear()
-
     def snapshot(self) -> PolicyState:
         """RNG position + the without-repetition history."""
         seen = sorted(

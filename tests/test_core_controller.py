@@ -54,13 +54,6 @@ class TestLifecycle:
         with pytest.raises(PolicyError):
             SatoriController(space, mode="greedy")
 
-    def test_reset_clears_state(self, space, make_simulator):
-        controller = SatoriController(space, rng=0)
-        drive(controller, make_simulator(), 15)
-        controller.reset()
-        assert len(controller.records) == 0
-        assert controller.decide(None) == space.equal_partition()
-
     def test_decisions_always_valid(self, space, make_simulator):
         controller = SatoriController(space, rng=3)
         sim = make_simulator()

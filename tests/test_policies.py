@@ -73,12 +73,6 @@ class TestRandomSearch:
         # Best-effort non-repetition: overwhelmingly unique on a big space.
         assert len(set(configs)) >= 45
 
-    def test_reset_clears_seen(self, space):
-        policy = RandomSearchPolicy(space, rng=0)
-        policy.decide(None)
-        policy.reset()
-        assert not policy._seen  # noqa: SLF001 - white-box check
-
 
 class TestDCat:
     def test_requires_llc_only_space(self, space):
