@@ -40,7 +40,6 @@ from repro.metrics.fairness import jain_index
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import Resource, ResourceCatalog
-from repro.state import BOState, GoalRecordsState
 
 
 @register_broker
@@ -221,8 +220,8 @@ class BudgetOptimizerBroker(GlobalBroker):
                     for r in self._space.catalog
                 ],
             }
-            payload["bo"] = self._bo.snapshot().to_dict()
-            payload["records"] = self._records.snapshot().to_dict()
+            payload["bo"] = self._bo.snapshot()
+            payload["records"] = self._records.snapshot()
         return payload
 
     def _restore_payload(self, payload: dict) -> None:
@@ -248,10 +247,10 @@ class BudgetOptimizerBroker(GlobalBroker):
             self._space = ConfigurationSpace(catalog, n_jobs=len(self._node_ids))
             self._bo = BayesianOptimizer(
                 self._space, candidate_pool_size=self._pool_size, rng=self._seed
-            ).restore(BOState.from_dict(payload["bo"]))
+            ).restore(payload["bo"])
             self._records = GoalRecords(
                 ("throughput", "fairness"), max_samples=self._max_samples
-            ).restore(GoalRecordsState.from_dict(payload["records"]))
+            ).restore(payload["records"])
 
 
 def _kind_ordered(names: Sequence[str]):

@@ -34,7 +34,7 @@ from repro.obs import active_collector
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state
-from repro.state import BOState
+from repro.state import STATE_VERSION, check_version
 
 
 #: Spaces up to this size get exact acquisition maximization.
@@ -139,48 +139,45 @@ class BayesianOptimizer:
 
     # -- snapshot / restore ----------------------------------------------
 
-    def snapshot(self) -> BOState:
-        """The optimizer's mutable state as a versioned value.
+    def snapshot(self) -> dict:
+        """The optimizer's mutable state as a versioned JSON dict.
 
-        Captures the GP posterior, the candidate-sampling RNG position,
-        the iteration counter, the proxy-change probe set (drawn from
-        the RNG at construction — a restored optimizer is built from a
-        different seed, so the probes must travel), and the previous
-        probe means. The precomputed full-space enumeration is *not*
-        state: it is a pure function of the space and is rebuilt by the
-        constructor.
+        Captures the GP posterior, the candidate-sampling RNG position
+        (the numpy bit-generator state), the iteration counter, the
+        proxy-change probe set (drawn from the RNG at construction — a
+        restored optimizer is built from a different seed, so the
+        probes must travel) and the previous probe means. The
+        precomputed full-space enumeration is *not* state: it is a pure
+        function of the space and is rebuilt by the constructor.
         """
-        return BOState(
-            gp=self._gp.snapshot(),
-            rng=rng_state(self._rng),
-            iteration=self._iteration,
-            probes=[config.to_dict() for config in self._probes],
-            last_probe_means=(
-                None
-                if self._last_probe_means is None
-                else tuple(self._last_probe_means.tolist())
-            ),
-        )
+        means = self._last_probe_means
+        return {
+            "gp": self._gp.snapshot(),
+            "rng": rng_state(self._rng),
+            "iteration": self._iteration,
+            "probes": [config.to_dict() for config in self._probes],
+            "last_probe_means": None if means is None else means.tolist(),
+            "version": STATE_VERSION,
+        }
 
-    def restore(self, state: BOState) -> "BayesianOptimizer":
+    def restore(self, state: dict) -> "BayesianOptimizer":
         """Resume from a :meth:`snapshot`; returns self for chaining.
 
-        Only reads ``state``: its data is shared with the snapshot.
+        Only reads ``state``: its data is shared with the snapshot. The
+        probe encodings are recomputed from the space.
         """
-        self._gp.restore(state.gp)
-        self._rng = rng_from_state(state.rng)
-        self._iteration = int(state.iteration)
-        probes = [Configuration.from_dict(d) for d in state.probes]
+        check_version("BO state", state.get("version", STATE_VERSION))
+        self._gp.restore(state["gp"])
+        self._rng = rng_from_state(state["rng"])
+        self._iteration = int(state["iteration"])
+        probes = [Configuration.from_dict(d) for d in state["probes"]]
         for probe in probes:
             if not self._space.contains(probe):
                 raise ModelError(f"probe {probe!r} is outside this optimizer's space")
         self._probes = probes
         self._probe_x = self._space.encode_batch(probes)
-        self._last_probe_means = (
-            None
-            if state.last_probe_means is None
-            else np.asarray(state.last_probe_means, dtype=float)
-        )
+        means = state.get("last_probe_means")
+        self._last_probe_means = None if means is None else np.asarray(means, dtype=float)
         return self
 
     def suggest(self, records: GoalRecords, weights: Sequence[float]) -> Suggestion:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.core.kernels import RBF, Kernel, Matern52
 from repro.obs import active_collector
-from repro.state import GPState
+from repro.state import STATE_VERSION, check_version
 
 #: Kernel classes by snapshot name (lowercase class name).
 _KERNELS = {"matern52": Matern52, "rbf": RBF}
@@ -151,31 +151,36 @@ class GaussianProcess:
 
     # -- snapshot / restore ----------------------------------------------
 
-    def snapshot(self) -> GPState:
-        """The full posterior as a versioned, JSON-codable value.
+    def snapshot(self) -> dict:
+        """The full posterior as a versioned JSON dict :meth:`restore` reads.
 
-        The Cholesky factor is captured verbatim rather than recomputed
-        on restore: a from-scratch factorization matches an
-        incrementally extended one only to floating-point error, and
-        the snapshot protocol promises bit-identical resume.
+        The Cholesky factor and dual weights are captured verbatim
+        rather than recomputed on restore: a from-scratch factorization
+        matches an incrementally extended one only to floating-point
+        error, and the snapshot protocol promises bit-identical resume.
+        ``fits_since_search`` is the length-scale refit counter; it
+        keeps the grid-search cadence aligned with an uninterrupted
+        run. The kernel travels by name and hyperparameters.
         """
         kernel_name = type(self.kernel).__name__.lower()
         if kernel_name not in _KERNELS:
             raise ModelError(f"kernel {type(self.kernel).__name__} has no snapshot name")
-        return GPState(
-            kernel=kernel_name,
-            lengthscale=self.kernel.lengthscale,
-            variance=self.kernel.variance,
-            noise=self.noise,
-            y_mean=self._y_mean,
-            y_std=self._y_std,
-            fits_since_search=self._fits_since_search,
-            x=None if self._x is None else tuple(map(tuple, self._x.tolist())),
-            chol=None if self._chol is None else tuple(map(tuple, self._chol.tolist())),
-            alpha=None if self._alpha is None else tuple(self._alpha.tolist()),
-        )
+        fitted = self._x is not None
+        return {
+            "kernel": kernel_name,
+            "lengthscale": self.kernel.lengthscale,
+            "variance": self.kernel.variance,
+            "noise": self.noise,
+            "y_mean": self._y_mean,
+            "y_std": self._y_std,
+            "fits_since_search": self._fits_since_search,
+            "x": self._x.tolist() if fitted else None,
+            "chol": self._chol.tolist() if fitted else None,
+            "alpha": self._alpha.tolist() if fitted else None,
+            "version": STATE_VERSION,
+        }
 
-    def restore(self, state: GPState) -> "GaussianProcess":
+    def restore(self, state: dict) -> "GaussianProcess":
         """Resume from a :meth:`snapshot`; returns self for chaining.
 
         ``_fit_key`` is recomputed from the restored kernel (it holds a
@@ -183,26 +188,26 @@ class GaussianProcess:
         call therefore extends the restored factor incrementally,
         exactly as an uninterrupted run would.
         """
+        check_version("GP state", state.get("version", STATE_VERSION))
         try:
-            kernel_cls = _KERNELS[state.kernel]
+            kernel_cls = _KERNELS[state["kernel"]]
         except KeyError:
-            raise ModelError(f"unknown kernel name {state.kernel!r} in GP state") from None
-        self.kernel = kernel_cls(lengthscale=state.lengthscale, variance=state.variance)
-        self.noise = float(state.noise)
-        self._y_mean = float(state.y_mean)
-        self._y_std = float(state.y_std)
-        self._fits_since_search = (
-            None if state.fits_since_search is None else int(state.fits_since_search)
-        )
-        if state.x is None:
+            raise ModelError(f"unknown kernel name {state['kernel']!r} in GP state") from None
+        self.kernel = kernel_cls(lengthscale=state["lengthscale"], variance=state["variance"])
+        self.noise = float(state["noise"])
+        self._y_mean = float(state["y_mean"])
+        self._y_std = float(state["y_std"])
+        fits = state.get("fits_since_search")
+        self._fits_since_search = None if fits is None else int(fits)
+        if state.get("x") is None:
             self._x = self._chol = self._alpha = None
             self._fit_key = None
         else:
-            if state.chol is None or state.alpha is None:
+            if state.get("chol") is None or state.get("alpha") is None:
                 raise ModelError("GP state has inputs but no factorization")
-            self._x = np.asarray(state.x, dtype=float)
-            self._chol = np.asarray(state.chol, dtype=float)
-            self._alpha = np.asarray(state.alpha, dtype=float)
+            self._x = np.asarray(state["x"], dtype=float)
+            self._chol = np.asarray(state["chol"], dtype=float)
+            self._alpha = np.asarray(state["alpha"], dtype=float)
             self._fit_key = self._kernel_key()
         return self
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.resources.allocation import Configuration
-from repro.state import GoalRecordsState
+from repro.state import STATE_VERSION, check_version
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,17 @@ class GoalRecords:
                 changed += 1
         return changed
 
-    def snapshot(self) -> GoalRecordsState:
-        """The sample book as a versioned, JSON-codable value."""
-        return GoalRecordsState(
-            goal_names=self._goal_names,
-            max_samples=self._max_samples,
-            samples=[
+    def snapshot(self) -> dict:
+        """The sample book as a versioned JSON dict :meth:`restore` reads.
+
+        Each sample is ``{"config": ..., "encoded": [...], "scores":
+        [...]}`` plus ``"ips"``/``"isolation_ips"`` when the sample
+        kept its raw telemetry (absent, not null, otherwise).
+        """
+        return {
+            "goal_names": list(self._goal_names),
+            "max_samples": self._max_samples,
+            "samples": [
                 {
                     "config": s.config.to_dict(),
                     "encoded": list(s.encoded),
@@ -161,19 +166,21 @@ class GoalRecords:
                 }
                 for s in self._samples
             ],
-        )
+            "version": STATE_VERSION,
+        }
 
-    def restore(self, state: GoalRecordsState) -> "GoalRecords":
+    def restore(self, state: dict) -> "GoalRecords":
         """Replace the sample book with a :meth:`snapshot`'s contents.
 
         Only reads ``state``: its data is shared with the snapshot.
         """
-        if tuple(state.goal_names) != self._goal_names:
+        check_version("goal records state", state.get("version", STATE_VERSION))
+        goal_names = tuple(str(name) for name in state["goal_names"])
+        if goal_names != self._goal_names:
             raise ModelError(
-                f"goal mismatch: records track {self._goal_names}, "
-                f"state has {tuple(state.goal_names)}"
+                f"goal mismatch: records track {self._goal_names}, state has {goal_names}"
             )
-        self._max_samples = int(state.max_samples)
+        self._max_samples = int(state["max_samples"])
         self._samples = [
             GoalSample(
                 config=Configuration.from_dict(sample["config"]),
@@ -190,7 +197,7 @@ class GoalRecords:
                     else tuple(float(v) for v in sample["isolation_ips"])
                 ),
             )
-            for sample in state.samples
+            for sample in state.get("samples", ())
         ]
         return self
 

@@ -109,18 +109,3 @@ def mapping_to_dict(allocations: Mapping[str, Any]) -> Dict[str, list]:
     """``{name: sequence}`` rendered with JSON-native lists as values."""
     return {name: list(values) for name, values in allocations.items()}
 
-
-def vector_codec() -> FieldCodec:
-    """Codec for a tuple-of-floats field (JSON list of numbers)."""
-    return FieldCodec(
-        encode=lambda value: [float(v) for v in value],
-        decode=lambda data: tuple(float(v) for v in data),
-    )
-
-
-def matrix_codec() -> FieldCodec:
-    """Codec for a tuple-of-tuples-of-floats field (JSON nested lists)."""
-    return FieldCodec(
-        encode=lambda value: [[float(v) for v in row] for row in value],
-        decode=lambda data: tuple(tuple(float(v) for v in row) for row in data),
-    )

@@ -1,4 +1,4 @@
-"""First-class policy state: the snapshot/restore value types.
+"""First-class policy state: the snapshot/restore envelope.
 
 SATORI's long-term gains come from accumulated state — the GP
 posterior, the per-goal sample records, and the dynamic-weight
@@ -11,10 +11,11 @@ scratch.
 This module makes controller state a serializable first-class object.
 :class:`PolicyState` is the uniform envelope every
 :class:`~repro.policies.base.PartitioningPolicy` speaks through its
-``snapshot()``/``restore()`` protocol; the component dataclasses
-(:class:`GPState`, :class:`BOState`, :class:`GoalRecordsState`,
-:class:`WeightSchedulerState`) are the versioned, JSON-codable forms
-of each stateful core component.
+``snapshot()``/``restore()`` protocol. Inside it, each stateful core
+component (the GP, the optimizer, the goal records, the weight
+scheduler) snapshots straight to a JSON dict with a nested
+``"version"``, which its ``restore()`` reads back and checks with
+:func:`check_version`.
 
 Design constraints the representation answers to:
 
@@ -41,19 +42,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro import serialize
 from repro.errors import ExperimentError, PolicyError
 
 #: Version of the snapshot envelope; bump on incompatible layout changes.
 STATE_VERSION = 1
 
 
-def _check_version(cls_name: str, version: int, known: int = STATE_VERSION) -> None:
-    if version > known:
+def check_version(what: str, version: int) -> None:
+    """Reject state written by a newer layout than this code knows."""
+    if version > STATE_VERSION:
         raise PolicyError(
-            f"{cls_name} version {version} is newer than this code understands ({known})"
+            f"{what} version {version} is newer than this code understands ({STATE_VERSION})"
         )
 
 
@@ -124,151 +125,5 @@ class PolicyState:
             payload=data.get("payload", ()),
             version=int(data.get("version", STATE_VERSION)),
         )
-        _check_version("PolicyState", state.version)
-        return state
-
-
-@dataclass(frozen=True)
-class GPState:
-    """Serialized :class:`~repro.core.gp.GaussianProcess` posterior.
-
-    The Cholesky factor and dual weights are stored verbatim (not
-    recomputed on restore): the controller's steady state extends the
-    factor incrementally, and a from-scratch refactorization agrees
-    only to floating-point error — which would break bit-identical
-    resume. ``fits_since_search`` is the hyperparameter-refit counter;
-    carrying it keeps the grid-search cadence aligned with an
-    uninterrupted run. The kernel is stored by name + hyperparameters
-    (``fit_key`` is recomputed on restore — it contains a type object
-    and cannot ride through JSON).
-    """
-
-    kernel: str
-    lengthscale: float
-    variance: float
-    noise: float
-    y_mean: float
-    y_std: float
-    fits_since_search: Optional[int] = None
-    x: Optional[Tuple[Tuple[float, ...], ...]] = None
-    chol: Optional[Tuple[Tuple[float, ...], ...]] = None
-    alpha: Optional[Tuple[float, ...]] = None
-    version: int = STATE_VERSION
-
-    _CODECS = {
-        "x": serialize.optional(serialize.matrix_codec()),
-        "chol": serialize.optional(serialize.matrix_codec()),
-        "alpha": serialize.optional(serialize.vector_codec()),
-    }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return serialize.dataclass_to_dict(self, codecs=self._CODECS)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GPState":
-        state = serialize.dataclass_from_dict(cls, data, codecs=cls._CODECS)
-        _check_version("GPState", state.version)
-        return state
-
-
-@dataclass(frozen=True)
-class BOState:
-    """Serialized :class:`~repro.core.bo.BayesianOptimizer` state.
-
-    ``rng`` is the numpy bit-generator state dict; ``probes`` are the
-    fixed proxy-change probe configurations (``to_dict`` forms), which
-    are drawn from the optimizer's RNG *at construction* — a restored
-    optimizer was constructed from a different seed, so the probe set
-    must travel with the snapshot (their encodings are recomputed from
-    the space on restore). Both are plain JSON data held as given and
-    read-only; the enclosing :class:`PolicyState` checks them.
-    """
-
-    gp: GPState
-    rng: Any
-    iteration: int
-    probes: Any
-    last_probe_means: Optional[Tuple[float, ...]] = None
-    version: int = STATE_VERSION
-
-    _CODECS = {
-        "gp": serialize.object_codec(GPState),
-        "last_probe_means": serialize.optional(serialize.vector_codec()),
-    }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return serialize.dataclass_to_dict(self, codecs=self._CODECS)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BOState":
-        state = serialize.dataclass_from_dict(cls, data, codecs=cls._CODECS)
-        _check_version("BOState", state.version)
-        return state
-
-
-@dataclass(frozen=True)
-class GoalRecordsState:
-    """Serialized :class:`~repro.core.objective.GoalRecords` sample book.
-
-    Each sample is ``{"config": ..., "encoded": [...], "scores": [...]}``
-    (the configuration in its ``to_dict`` form): plain JSON data held
-    as given and read-only; the enclosing :class:`PolicyState` checks
-    it.
-    """
-
-    goal_names: Tuple[str, ...]
-    max_samples: int
-    samples: Any = ()
-    version: int = STATE_VERSION
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "goal_names", tuple(str(n) for n in self.goal_names))
-
-    _CODECS = {"goal_names": serialize.FieldCodec(encode=list, decode=tuple)}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return serialize.dataclass_to_dict(self, codecs=self._CODECS)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GoalRecordsState":
-        state = serialize.dataclass_from_dict(cls, data, codecs=cls._CODECS)
-        _check_version("GoalRecordsState", state.version)
-        return state
-
-
-@dataclass(frozen=True)
-class WeightSchedulerState:
-    """Serialized :class:`~repro.core.weights.DynamicWeightScheduler` state.
-
-    Captures the scheduler's position inside the current equalization
-    period: the step counter, the accumulated weight sums (Eq. 3's
-    imbalance terms), the incumbent prioritization weights (Eq. 4),
-    and the score window the next prioritization boundary will
-    difference.
-    """
-
-    step_in_te: int
-    sum_w_t: float
-    sum_w_f: float
-    w_tp: float
-    w_fp: float
-    period_scores: Tuple[Tuple[float, float], ...] = ()
-    version: int = STATE_VERSION
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "period_scores",
-            tuple((float(t), float(f)) for t, f in self.period_scores),
-        )
-
-    _CODECS = {"period_scores": serialize.matrix_codec()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return serialize.dataclass_to_dict(self, codecs=self._CODECS)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WeightSchedulerState":
-        state = serialize.dataclass_from_dict(cls, data, codecs=cls._CODECS)
-        _check_version("WeightSchedulerState", state.version)
+        check_version("PolicyState", state.version)
         return state

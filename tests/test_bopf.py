@@ -252,4 +252,4 @@ class TestBaselineTilt:
         restored.restore(PolicyState.from_dict(
             json.loads(json.dumps(controller.snapshot().to_dict()))
         ))
-        assert restored._baseline_tilt == (1.4, 1.0, 1.0)
+        assert restored._loop.baseline_tilt == (1.4, 1.0, 1.0)

@@ -175,7 +175,7 @@ class TestSnapshotTelemetry:
         recs = GoalRecords()
         config = space.equal_partition()
         recs.add(config, space.encode(config), (0.4, 0.6))
-        sample = recs.snapshot().samples[0]
+        sample = recs.snapshot()["samples"][0]
         assert "ips" not in sample and "isolation_ips" not in sample
 
     def test_old_snapshot_without_keys_restores(self, space):

@@ -29,13 +29,7 @@ from repro.serialize import (
     object_codec,
     optional,
 )
-from repro.state import (
-    BOState,
-    GoalRecordsState,
-    GPState,
-    PolicyState,
-    WeightSchedulerState,
-)
+from repro.state import PolicyState
 
 # -- strategies ------------------------------------------------------------
 
@@ -97,96 +91,6 @@ json_payloads = st.recursive(
         st.dictionaries(names, children, max_size=3),
     ),
     max_leaves=12,
-)
-
-rng_states = st.fixed_dictionaries(
-    {
-        "bit_generator": st.just("PCG64"),
-        "state": st.fixed_dictionaries(
-            {
-                "state": st.integers(min_value=0, max_value=2**128),
-                "inc": st.integers(min_value=0, max_value=2**128),
-            }
-        ),
-        "has_uint32": st.integers(min_value=0, max_value=1),
-        "uinteger": st.integers(min_value=0, max_value=2**32 - 1),
-    }
-)
-
-
-@st.composite
-def gp_states(draw):
-    n = draw(st.integers(min_value=0, max_value=4))
-    d = draw(st.integers(min_value=1, max_value=3))
-
-    def matrix(rows, cols):
-        return tuple(
-            tuple(draw(safe_floats) for _ in range(cols)) for _ in range(rows)
-        )
-
-    return GPState(
-        kernel=draw(st.sampled_from(["matern52", "rbf"])),
-        lengthscale=draw(st.floats(min_value=0.01, max_value=10.0)),
-        variance=draw(st.floats(min_value=0.01, max_value=10.0)),
-        noise=draw(st.floats(min_value=1e-6, max_value=1.0)),
-        y_mean=draw(safe_floats),
-        y_std=draw(st.floats(min_value=1e-3, max_value=10.0)),
-        fits_since_search=draw(st.none() | st.integers(min_value=0, max_value=50)),
-        x=matrix(n, d) if n else None,
-        chol=matrix(n, n) if n else None,
-        alpha=tuple(draw(safe_floats) for _ in range(n)) if n else None,
-    )
-
-
-probe_configs = st.lists(
-    st.dictionaries(
-        names,
-        st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=4),
-        min_size=1,
-        max_size=2,
-    ),
-    max_size=3,
-)
-
-bo_states = st.builds(
-    BOState,
-    gp=gp_states(),
-    rng=rng_states,
-    iteration=st.integers(min_value=0, max_value=500),
-    probes=probe_configs,
-    last_probe_means=st.none() | st.lists(safe_floats, max_size=3).map(tuple),
-)
-
-goal_records_states = st.builds(
-    GoalRecordsState,
-    goal_names=st.lists(names, min_size=1, max_size=3, unique=True).map(tuple),
-    max_samples=st.integers(min_value=1, max_value=100),
-    samples=st.lists(
-        st.fixed_dictionaries(
-            {
-                "config": st.dictionaries(
-                    names,
-                    st.lists(st.integers(min_value=0, max_value=8), max_size=3),
-                    max_size=2,
-                ),
-                "encoded": st.lists(safe_floats, max_size=3),
-                "scores": st.lists(safe_floats, max_size=3),
-            }
-        ),
-        max_size=3,
-    ),
-)
-
-weight_scheduler_states = st.builds(
-    WeightSchedulerState,
-    step_in_te=st.integers(min_value=0, max_value=200),
-    sum_w_t=safe_floats,
-    sum_w_f=safe_floats,
-    w_tp=st.floats(min_value=0.0, max_value=1.0),
-    w_fp=st.floats(min_value=0.0, max_value=1.0),
-    period_scores=st.lists(
-        st.tuples(safe_floats, safe_floats), max_size=4
-    ).map(tuple),
 )
 
 policy_states = st.builds(
@@ -264,33 +168,14 @@ class TestRoundTrips:
 
 
 class TestPolicyStateRoundTrips:
-    """Every snapshot dataclass must survive JSON losslessly.
+    """The snapshot envelope must survive JSON losslessly.
 
-    These types carry controller state across process boundaries (the
-    engine worker pipe), into the on-disk run cache, and back into live
+    It carries controller state across process boundaries (the engine
+    worker pipe), into the on-disk run cache, and back into live
     controllers — a lossy field would silently break bit-identical
-    warm starts.
+    warm starts. The components' own JSON dicts are round-tripped by
+    ``tests/test_resume_fuzz.py`` on real controller state.
     """
-
-    @given(gp_states())
-    @settings(max_examples=50, deadline=None)
-    def test_gp_state(self, state):
-        assert GPState.from_dict(json_round(state.to_dict())) == state
-
-    @given(bo_states)
-    @settings(max_examples=50, deadline=None)
-    def test_bo_state(self, state):
-        assert BOState.from_dict(json_round(state.to_dict())) == state
-
-    @given(goal_records_states)
-    @settings(max_examples=50, deadline=None)
-    def test_goal_records_state(self, state):
-        assert GoalRecordsState.from_dict(json_round(state.to_dict())) == state
-
-    @given(weight_scheduler_states)
-    @settings(max_examples=50, deadline=None)
-    def test_weight_scheduler_state(self, state):
-        assert WeightSchedulerState.from_dict(json_round(state.to_dict())) == state
 
     @given(policy_states)
     @settings(max_examples=50, deadline=None)

@@ -234,6 +234,29 @@ class TestProtocol:
         with pytest.raises(PolicyError, match="mode"):
             receiver.restore(donor.snapshot())
 
+    @pytest.mark.parametrize("key", ["idle", "pending", "last_suggestion", "decision_count"])
+    def test_missing_loop_key_rejected(self, catalog, mix, space, key):
+        # ``repro serve`` resumes snapshots sent by clients: a truncated
+        # payload must fail as a PolicyError naming what is missing.
+        donor = SatoriController(space, rng=0)
+        drive(donor, CoLocationSimulator(mix, catalog=catalog, seed=1), 5)
+        payload = dict(donor.snapshot().payload_dict())
+        del payload[key]
+        receiver = SatoriController(space, rng=1)
+        with pytest.raises(PolicyError, match=key):
+            receiver.restore(PolicyState(policy="SATORI", payload=payload))
+
+    def test_snapshot_without_baseline_tilt_restores(self, catalog, mix, space):
+        # Snapshots taken before baseline tilts existed lack the key.
+        donor = SatoriController(space, rng=0)
+        drive(donor, CoLocationSimulator(mix, catalog=catalog, seed=1), 5)
+        state = donor.snapshot()
+        payload = dict(state.payload_dict())
+        del payload["baseline_tilt"]
+        receiver = SatoriController(space, rng=1)
+        receiver.restore(PolicyState(policy="SATORI", payload=payload))
+        assert receiver.snapshot() == state
+
     def test_future_version_rejected(self, space):
         controller = SatoriController(space, rng=0)
         state = PolicyState(policy="SATORI", payload={}, version=99)
