@@ -86,10 +86,9 @@ def workload_churn(
     rng = make_rng(seed)
     simulator = CoLocationSimulator(mix, catalog, seed=spawn_rng(rng))
     controller = SatoriController(full_space(catalog, len(mix)), goals, rng=spawn_rng(rng))
-    # The churn driver manages baselines itself (re-measured on the
-    # swap, never periodically), and historically recorded the SATORI
-    # weights only in telemetry ``extra`` — both preserved here.
-    session = ControlSession(controller, simulator, goals=goals, record_weights=False)
+    # The churn driver manages baselines itself: re-measured on the
+    # swap, never periodically.
+    session = ControlSession(controller, simulator, goals=goals)
     telemetry = session.telemetry
 
     searches = {

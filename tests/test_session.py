@@ -99,16 +99,6 @@ class TestStepSemantics:
         # computation; every later record must carry them.
         assert all(record.weights is not None for record in list(session.telemetry)[1:])
 
-    def test_record_weights_false_keeps_weights_unset(
-        self, make_simulator, catalog6, parsec_mix3, goals
-    ):
-        policy = make_policy("SATORI", parsec_mix3, catalog6, goals=goals, rng=3)
-        session = ControlSession(policy, make_simulator(), goals=goals, record_weights=False)
-        session.run(5)
-        assert all(record.weights is None for record in session.telemetry)
-        # ... though the diagnostics still expose them via ``extra``.
-        assert "weight_throughput" in session.telemetry[-1].extra
-
 
 class TestFaultTrail:
     def test_fault_trail_recorded_under_schedule(
