@@ -15,8 +15,8 @@ import pytest
 from hypothesis import settings
 
 #: ``--hypothesis-profile=deep``: ten times hypothesis's default example
-#: count, for the CI step that runs the cluster combination fuzzer
-#: deeper than tier-1 does.
+#: count, for the CI steps that run the cluster combination fuzzer and
+#: the resume fuzzer deeper than tier-1 does.
 settings.register_profile("deep", max_examples=1000)
 
 
