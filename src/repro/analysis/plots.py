@@ -8,22 +8,29 @@ use — time series (weights, objective traces), grouped bars
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ExperimentError
 
+if TYPE_CHECKING:
+    from repro.cluster.simulator import ClusterResult
+
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 _BAR_CHAR = "█"
 
-#: Series naming convention used by ``repro.cluster.ClusterSimulator``:
-#: one per-epoch series per (sweep cell, node, metric).
-_CLUSTER_SERIES = re.compile(
-    r"^cluster\.(?P<placement>[^.]+)\.(?P<policy>[^.]+)"
-    r"\.node(?P<node>\d+)\.(?P<metric>[^.]+)$"
-)
+#: Dashboard columns, left to right, each read off one node-epoch
+#: record; ``None`` (no budget, no qos job hosted) adds no point.
+_NODE_METRICS = {
+    "throughput": lambda r: r.throughput,
+    "fairness": lambda r: r.fairness,
+    "occupancy": lambda r: r.n_jobs,
+    "budget_units": lambda r: None if r.budget is None else r.budget.total_units,
+    "slo_attainment": lambda r: (
+        np.mean([value for _, value in r.slo_attained]) if r.slo_attained else None
+    ),
+}
 
 
 def sparkline(values: Sequence[float], lo: Optional[float] = None, hi: Optional[float] = None) -> str:
@@ -50,53 +57,42 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None, hi: Optional[
     return "".join(chars)
 
 
-def cluster_node_dashboard(
-    metrics,
-    metric_order: Sequence[str] = ("throughput", "fairness", "occupancy"),
-) -> str:
-    """Per-node sparkline dashboard from cluster-sweep metric series.
+def cluster_node_dashboard(results: Iterable["ClusterResult"]) -> str:
+    """Per-node sparkline dashboard over cluster runs.
 
-    Consumes the ``cluster.<placement>.<policy>.node<N>.<metric>``
-    series a :class:`~repro.cluster.simulator.ClusterSimulator` records
-    into the active collector's registry: one block per sweep cell, one
-    row per node, one sparkline per metric over the epochs. Within a
-    cell each metric shares its scale across nodes, so an unfair
-    placement shows up as visibly divergent rows.
-
-    Args:
-        metrics: a :class:`~repro.obs.MetricRegistry` (anything with
-            ``items()`` yielding ``(name, series)``) or a plain
-            ``{name: sequence}`` mapping.
-        metric_order: metric columns to render, left to right; metrics
-            absent from the data are skipped.
+    One block per run, labelled ``placement / policy`` (plus
+    ``@broker`` when a broker ran) and sorted by label; one row per
+    node; one sparkline per metric over the node's records in epoch
+    order (throughput, fairness, occupancy, budget units, mean qos
+    attainment). Within a block each metric shares its scale across
+    nodes, so an unfair placement shows up as visibly divergent rows.
+    A column no record of a node carries is drawn as ``-``.
 
     Raises:
-        ExperimentError: if no cluster series are present.
+        ExperimentError: if no run has a node-epoch record.
     """
-    pairs = metrics.items() if hasattr(metrics, "items") else metrics
-    cells: Dict[tuple, Dict[int, Dict[str, List[float]]]] = {}
-    seen_metrics = set()
-    for name, metric in pairs:
-        match = _CLUSTER_SERIES.match(name)
-        if not match:
-            continue
-        values = list(getattr(metric, "values", metric))
-        if not values:
-            continue
-        cell = (match.group("placement"), match.group("policy"))
-        node = int(match.group("node"))
-        cells.setdefault(cell, {}).setdefault(node, {})[match.group("metric")] = values
-        seen_metrics.add(match.group("metric"))
+    cells = []
+    for result in results:
+        nodes: Dict[int, Dict[str, List[float]]] = {}
+        for node_id in sorted({r.node_id for r in result.records}):
+            per_node = nodes[node_id] = {}
+            for record in result.node_records(node_id):
+                for metric_name, read in _NODE_METRICS.items():
+                    value = read(record)
+                    if value is not None:
+                        per_node.setdefault(metric_name, []).append(float(value))
+        if nodes:
+            policy = result.policy
+            if result.broker != "none":
+                policy += f"@{result.broker}"
+            cells.append(((result.placement, policy), nodes))
     if not cells:
-        raise ExperimentError(
-            "no cluster.<placement>.<policy>.node<N>.<metric> series to chart; "
-            "run the sweep under an active TraceCollector"
-        )
+        raise ExperimentError("no cluster node-epoch records to chart")
 
-    columns = [m for m in metric_order if m in seen_metrics]
-    columns += sorted(seen_metrics - set(columns))
+    seen_metrics = {m for _, nodes in cells for per_node in nodes.values() for m in per_node}
+    columns = [m for m in _NODE_METRICS if m in seen_metrics]
     blocks = []
-    for (placement, policy), nodes in sorted(cells.items()):
+    for (placement, policy), nodes in sorted(cells, key=lambda cell: cell[0]):
         # Shared per-metric scale across the cell's nodes.
         scales = {}
         for metric_name in columns:

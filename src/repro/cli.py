@@ -23,15 +23,17 @@ Commands map to the paper's experiments (see DESIGN.md):
 * ``loadgen``      — replay an arrival trace against a running ``serve``.
 * ``workloads``    — list the benchmark workload models (Tables I-III).
 
-Every command (except ``workloads``) accepts ``--trace-dir`` to export
-the run's trace/metrics artifacts uniformly.
+Each command registers only the common options it reads. Every
+experiment command (all but ``workloads``, ``serve`` and ``loadgen``)
+accepts ``--trace-dir``: :func:`main` records the run into one ambient
+collector and writes its trace/metrics artifacts there.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,18 +60,27 @@ from repro.workloads.mixes import suite_mixes
 from repro.workloads.registry import default_registry
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", default="parsec", choices=("parsec", "cloudsuite", "ecp"))
-    parser.add_argument("--mix", type=int, default=0, help="mix index within the suite")
+def _add_common(parser: argparse.ArgumentParser, groups: Sequence[str]) -> None:
+    """Register the experiment options: ``--duration``, ``--units`` and
+    ``--trace-dir`` always, plus the ``groups`` the command reads of
+    ``suite``, ``mix``, ``seed`` and ``engine`` (``--workers``,
+    ``--cache-dir``, ``--no-cache``)."""
+    if "suite" in groups:
+        parser.add_argument("--suite", default="parsec",
+                            choices=("parsec", "cloudsuite", "ecp"))
+    if "mix" in groups:
+        parser.add_argument("--mix", type=int, default=0, help="mix index within the suite")
     parser.add_argument("--duration", type=float, default=20.0, help="simulated seconds")
     parser.add_argument("--units", type=int, default=8, help="allocation units per resource")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for batched runs")
-    parser.add_argument("--cache-dir", default="",
-                        help="directory for the content-addressed run cache")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir and recompute everything")
+    if "seed" in groups:
+        parser.add_argument("--seed", type=int, default=0)
+    if "engine" in groups:
+        parser.add_argument("--workers", type=int, default=1,
+                            help="worker processes for batched runs")
+        parser.add_argument("--cache-dir", default="",
+                            help="directory for the content-addressed run cache")
+        parser.add_argument("--no-cache", action="store_true",
+                            help="ignore --cache-dir and recompute everything")
     parser.add_argument("--trace-dir", default="",
                         help="write trace.jsonl, trace.chrome.json and "
                              "metrics.prom to this directory")
@@ -81,34 +92,61 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
     return ExecutionEngine(workers=args.workers, cache=cache)
 
 
-def _export_trace(collector, trace_dir: str, process_name: str) -> None:
-    """Write the PR 5 trace artifacts for a collected run."""
-    import os
-
-    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
-
-    os.makedirs(trace_dir, exist_ok=True)
-    write_jsonl(collector.events, os.path.join(trace_dir, "trace.jsonl"))
-    write_chrome_trace(
-        collector.events,
-        os.path.join(trace_dir, "trace.chrome.json"),
-        process_name=process_name,
-    )
-    write_prometheus(collector.metrics, os.path.join(trace_dir, "metrics.prom"))
-    print(f"\ntrace artifacts written to {trace_dir}/ "
-          f"(trace.jsonl, trace.chrome.json, metrics.prom)")
-
-
-def _parse_node_budgets(raw: str) -> Optional[List[int]]:
+def _node_budgets(args: argparse.Namespace) -> Optional[List[int]]:
     """``--node-budgets 8,8,4,4`` -> per-node uniform unit counts."""
-    if not raw:
+    if not args.node_budgets:
         return None
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        budgets = [int(part) for part in args.node_budgets.split(",") if part.strip()]
     except ValueError:
         raise SystemExit(
-            f"--node-budgets wants comma-separated integers, got {raw!r}"
+            f"--node-budgets wants comma-separated integers, got {args.node_budgets!r}"
         ) from None
+    if len(budgets) != args.nodes:
+        raise SystemExit(
+            f"--node-budgets lists {len(budgets)} nodes, --nodes is {args.nodes}"
+        )
+    return budgets
+
+
+def _fleet_sweep(args: argparse.Namespace, qos_fraction: float = 0.0, **axes):
+    """The setup ``cluster`` and ``broker`` share: one trace sized to
+    the fleet, one engine, one cluster sweep over ``axes``."""
+    from repro.experiments.cluster import cluster_sweep, default_trace
+
+    node_budgets = _node_budgets(args)
+    catalog = experiment_catalog(args.units)
+    trace = default_trace(
+        n_epochs=args.epochs,
+        n_nodes=args.nodes,
+        arrival_rate=args.arrival_rate,
+        mean_residency=args.residency,
+        suite=args.suite,
+        seed=args.seed,
+        catalog=catalog,
+        qos_fraction=qos_fraction,
+    )
+    engine = _engine(args)
+    sweep = cluster_sweep(
+        trace,
+        n_nodes=args.nodes,
+        placements=tuple(args.placements),
+        catalog=catalog,
+        epoch_config=RunConfig(duration_s=args.duration),
+        seed=args.seed,
+        fault_intensity=args.fault_intensity,
+        node_budgets=node_budgets,
+        engine=engine,
+        **axes,
+    )
+    return sweep, engine
+
+
+def _print_node_trends(sweep) -> None:
+    from repro.analysis.plots import cluster_node_dashboard
+
+    print("\nper-node trends over epochs (shared scale within each cell):\n")
+    print(cluster_node_dashboard(cell.result for cell in sweep.cells))
 
 
 def _print_engine_stats(engine: ExecutionEngine) -> None:
@@ -238,14 +276,12 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 def cmd_obs(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from repro.experiments.obs import observed_overhead
-    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
 
     catalog = experiment_catalog(args.units)
     mix = _mixes(args)[args.mix]
-    report, collector = observed_overhead(
+    report, _ = observed_overhead(
         mix,
         catalog,
         RunConfig(duration_s=args.duration),
@@ -295,37 +331,21 @@ def cmd_obs(args: argparse.Namespace) -> int:
                 [[name, int(value)] for name, value in report.counters],
                 title="\ncounters:",
             ))
-
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        jsonl_path = os.path.join(args.trace_dir, "trace.jsonl")
-        chrome_path = os.path.join(args.trace_dir, "trace.chrome.json")
-        prom_path = os.path.join(args.trace_dir, "metrics.prom")
-        write_jsonl(collector.events, jsonl_path)
-        write_chrome_trace(collector.events, chrome_path, process_name="repro obs")
-        write_prometheus(collector.metrics, prom_path)
-        if args.json != "-":
-            print(f"\ntrace artifacts written to {args.trace_dir}/ "
-                  f"(trace.jsonl, trace.chrome.json, metrics.prom)")
     return 0
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.obs import TraceCollector, use_collector
-
     catalog = experiment_catalog(args.units)
     mix = _mixes(args)[args.mix]
     engine = _engine(args)
-    collector = TraceCollector()
-    with use_collector(collector):
-        result = resilience_sweep(
-            mix,
-            catalog,
-            RunConfig(duration_s=args.duration),
-            intensities=tuple(args.intensities),
-            seed=args.seed,
-            engine=engine,
-        )
+    result = resilience_sweep(
+        mix,
+        catalog,
+        RunConfig(duration_s=args.duration),
+        intensities=tuple(args.intensities),
+        seed=args.seed,
+        engine=engine,
+    )
     rows = []
     for outcome in result.outcomes:
         if outcome.failed:
@@ -349,56 +369,24 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             title=f"mix: {result.mix_label} (faults over the middle third of each run)",
         )
     )
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro resilience")
     _print_engine_stats(engine)
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.analysis.plots import cluster_node_dashboard
     from repro.cluster.simulator import MigrationConfig
-    from repro.experiments.cluster import cluster_sweep, default_trace
-    from repro.obs import TraceCollector, use_collector
 
-    catalog = experiment_catalog(args.units)
-    epoch_config = RunConfig(duration_s=args.duration)
-    trace = default_trace(
-        n_epochs=args.epochs,
-        n_nodes=args.nodes,
-        arrival_rate=args.arrival_rate,
-        mean_residency=args.residency,
-        suite=args.suite,
-        seed=args.seed,
-        catalog=catalog,
+    sweep, engine = _fleet_sweep(
+        args,
         qos_fraction=args.qos_fraction,
+        policies=tuple(args.policies),
+        migration=(
+            MigrationConfig(warmup_penalty_intervals=args.migration_penalty)
+            if args.migrate
+            else None
+        ),
+        warm_start=args.warm_start,
     )
-    engine = _engine(args)
-    node_budgets = _parse_node_budgets(args.node_budgets)
-    if node_budgets is not None and len(node_budgets) != args.nodes:
-        raise SystemExit(
-            f"--node-budgets lists {len(node_budgets)} nodes, --nodes is {args.nodes}"
-        )
-    collector = TraceCollector()
-    with use_collector(collector):
-        sweep = cluster_sweep(
-            trace,
-            n_nodes=args.nodes,
-            placements=tuple(args.placements),
-            policies=tuple(args.policies),
-            catalog=catalog,
-            epoch_config=epoch_config,
-            seed=args.seed,
-            fault_intensity=args.fault_intensity,
-            migration=(
-                MigrationConfig(warmup_penalty_intervals=args.migration_penalty)
-                if args.migrate
-                else None
-            ),
-            node_budgets=node_budgets,
-            engine=engine,
-            warm_start=args.warm_start,
-        )
     print(
         f"trace: {sweep.n_jobs} jobs over {sweep.n_epochs} epochs "
         f"({args.duration:g}s each), peak {sweep.peak_jobs} resident, "
@@ -443,8 +431,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             )
         )
 
-    print("\nper-node trends over epochs (shared scale within each cell):\n")
-    print(cluster_node_dashboard(collector.metrics))
+    _print_node_trends(sweep)
 
     # Placement-vs-placement paired deltas: each job is its own control,
     # so even a small fleet yields a meaningful CI on the speedup gain.
@@ -478,55 +465,16 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 title="paired per-job speedup deltas (same trace, same jobs):",
             )
         )
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro cluster")
     _print_engine_stats(engine)
     return 0
 
 
 def cmd_broker(args: argparse.Namespace) -> int:
-    from repro.analysis.plots import cluster_node_dashboard
-    from repro.experiments.broker import broker_sweep
-    from repro.experiments.cluster import default_trace
-    from repro.obs import TraceCollector, use_collector
-
-    catalog = experiment_catalog(args.units)
-    epoch_config = RunConfig(duration_s=args.duration)
-    trace = default_trace(
-        n_epochs=args.epochs,
-        n_nodes=args.nodes,
-        arrival_rate=args.arrival_rate,
-        mean_residency=args.residency,
-        suite=args.suite,
-        seed=args.seed,
-        catalog=catalog,
-    )
-    engine = _engine(args)
-    node_budgets = _parse_node_budgets(args.node_budgets)
-    if node_budgets is not None and len(node_budgets) != args.nodes:
-        raise SystemExit(
-            f"--node-budgets lists {len(node_budgets)} nodes, --nodes is {args.nodes}"
-        )
-    collector = TraceCollector()
-    with use_collector(collector):
-        sweep = broker_sweep(
-            trace,
-            n_nodes=args.nodes,
-            brokers=tuple(args.brokers),
-            placements=tuple(args.placements),
-            policy=args.policy,
-            catalog=catalog,
-            epoch_config=epoch_config,
-            seed=args.seed,
-            fault_intensity=args.fault_intensity,
-            node_budgets=node_budgets,
-            slo_threshold=args.slo,
-            engine=engine,
-        )
+    sweep, engine = _fleet_sweep(args, policies=(args.policy,), brokers=tuple(args.brokers))
     print(
         f"trace: {sweep.n_jobs} jobs over {sweep.n_epochs} epochs "
         f"({args.duration:g}s each), {args.nodes} nodes, "
-        f"local policy {sweep.policy}"
+        f"local policy {args.policy}"
     )
     rows = []
     for cell in sweep.cells:
@@ -549,7 +497,7 @@ def cmd_broker(args: argparse.Namespace) -> int:
             title="cluster-wide by broker scheme:",
         )
     )
-    deltas = sweep.deltas_vs_static()
+    deltas = sweep.deltas_vs_static(args.slo)
     if deltas:
         delta_rows = [
             [
@@ -572,33 +520,32 @@ def cmd_broker(args: argparse.Namespace) -> int:
                 title="paired deltas vs the static control (same trace, same jobs):",
             )
         )
-    print("\nper-node trends over epochs (shared scale within each cell):\n")
-    print(cluster_node_dashboard(collector.metrics))
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro broker")
+    _print_node_trends(sweep)
     _print_engine_stats(engine)
     return 0
 
 
 def cmd_warmstart(args: argparse.Namespace) -> int:
     from repro.experiments.warmstart import warmstart_experiment
-    from repro.obs import TraceCollector, use_collector
 
+    if args.mixes < 2:
+        raise SystemExit(
+            f"--mixes must be at least 2 (the recovery-gain confidence "
+            f"interval needs two mixes), got {args.mixes}"
+        )
     catalog = experiment_catalog(args.units)
     mixes = suite_mixes(args.suite, mix_size=3)[: args.mixes]
     engine = _engine(args)
-    collector = TraceCollector()
-    with use_collector(collector):
-        report = warmstart_experiment(
-            mixes,
-            catalog=catalog,
-            run_config=RunConfig(duration_s=args.duration,
-                                 baseline_reset_s=args.duration / 2),
-            n_nodes=args.nodes,
-            n_epochs=args.epochs,
-            seed=args.seed,
-            engine=engine,
-        )
+    report = warmstart_experiment(
+        mixes,
+        catalog=catalog,
+        run_config=RunConfig(duration_s=args.duration,
+                             baseline_reset_s=args.duration / 2),
+        n_nodes=args.nodes,
+        n_epochs=args.epochs,
+        seed=args.seed,
+        engine=engine,
+    )
 
     rows = []
     for cell in report.adaptation:
@@ -652,8 +599,6 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
         with open(args.json, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"\nJSON summary written to {args.json}")
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro warmstart")
     _print_engine_stats(engine)
     return 0
 
@@ -899,61 +844,72 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, extra in (
+    # The common options beyond --duration/--units/--trace-dir that
+    # each command reads (see _add_common); None registers none.
+    for name, func, common in (
         ("workloads", cmd_workloads, None),
-        ("quickstart", cmd_quickstart, None),
-        ("compare", cmd_compare, "compare"),
-        ("weights", cmd_weights, None),
-        ("sensitivity", cmd_sensitivity, None),
-        ("scalability", cmd_scalability, "scalability"),
-        ("overhead", cmd_overhead, None),
-        ("obs", cmd_obs, "obs"),
-        ("resilience", cmd_resilience, "resilience"),
-        ("cluster", cmd_cluster, "cluster"),
-        ("broker", cmd_broker, "broker"),
-        ("warmstart", cmd_warmstart, "warmstart"),
-        ("chaos", cmd_chaos, "chaos"),
-        ("qos", cmd_qos, "qos"),
-        ("serve", cmd_serve, "serve"),
-        ("loadgen", cmd_loadgen, "loadgen"),
-        ("report", cmd_report, "report"),
-        ("figure", cmd_figure, "figure"),
+        ("quickstart", cmd_quickstart, "suite mix seed"),
+        ("compare", cmd_compare, "suite mix seed engine"),
+        ("weights", cmd_weights, "suite mix seed"),
+        ("sensitivity", cmd_sensitivity, "suite mix seed engine"),
+        ("scalability", cmd_scalability, "seed engine"),
+        ("overhead", cmd_overhead, "suite mix seed"),
+        ("obs", cmd_obs, "suite mix seed"),
+        ("resilience", cmd_resilience, "suite mix seed engine"),
+        ("cluster", cmd_cluster, "suite seed engine"),
+        ("broker", cmd_broker, "suite seed engine"),
+        ("warmstart", cmd_warmstart, "suite seed engine"),
+        ("chaos", cmd_chaos, "suite seed engine"),
+        ("qos", cmd_qos, "engine"),
+        ("serve", cmd_serve, None),
+        ("loadgen", cmd_loadgen, None),
+        ("report", cmd_report, "suite seed engine"),
+        ("figure", cmd_figure, "seed engine"),
     ):
-        p = sub.add_parser(name, help=func.__doc__)
-        if name not in ("workloads", "serve", "loadgen"):
-            _add_common(p)
-        if extra == "compare":
+        # No abbreviations: an option a command does not take must not
+        # pass as a prefix of one it does (--mix for --mixes).
+        p = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
+        if common is not None:
+            _add_common(p, common.split())
+        if name == "compare":
             p.add_argument("--all-mixes", action="store_true", help="run every suite mix")
-        if extra == "scalability":
+        if name == "scalability":
             p.add_argument("--degrees", type=int, nargs="+", default=[3, 5, 7])
-        if extra == "obs":
+        if name == "obs":
             p.add_argument("--json", nargs="?", const="-", default=None,
                            help="emit the JSON report ('-' or no value for stdout, "
                                 "otherwise a file path)")
             p.add_argument("--idle", action="store_true",
                            help="enable idle detection during the measured run")
             # enough intervals for a stable per-interval budget
-            p.set_defaults(duration=15.0, handles_trace=True)
-        if extra == "resilience":
+            p.set_defaults(duration=15.0)
+        if name == "resilience":
             p.add_argument("--intensities", type=float, nargs="+",
                            default=[0.0, 0.25, 0.5, 1.0],
                            help="fault intensities in [0, 1] to sweep")
-            p.set_defaults(handles_trace=True)
-        if extra == "cluster":
+        if name in ("cluster", "broker"):
             p.add_argument("--nodes", type=int, default=4, help="fleet size")
-            p.add_argument("--epochs", type=int, default=4, help="placement epochs")
+            p.add_argument("--epochs", type=int, default=4 if name == "cluster" else 6,
+                           help="placement epochs")
             p.add_argument("--arrival-rate", type=float, default=1.5,
                            help="mean job arrivals per epoch (Poisson)")
             p.add_argument("--residency", type=float, default=3.0,
                            help="mean resident epochs per job (geometric)")
+            p.add_argument("--fault-intensity", type=float, default=0.0,
+                           help="fault intensity on even-numbered nodes")
+            p.add_argument("--node-budgets", default="",
+                           help="comma-separated per-node unit counts, e.g. "
+                                "'8,8,4,4' (uniform across resources); empty "
+                                "means every node owns its full catalog")
+            # for cluster and broker, --duration is the per-epoch length
+            p.set_defaults(duration=4.0)
+        if name == "cluster":
             p.add_argument("--placements", nargs="+",
                            default=["round_robin", "contention_aware"],
                            help="placement policies to compare")
             p.add_argument("--policies", nargs="+",
                            default=["SATORI", "EqualPartition"],
                            help="partitioning policies to compare")
-            p.add_argument("--fault-intensity", type=float, default=0.0,
-                           help="fault intensity on even-numbered nodes")
             p.add_argument("--migrate", action="store_true",
                            help="migrate jobs off persistently unfair nodes")
             p.add_argument("--migration-penalty", type=int, default=0,
@@ -961,22 +917,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--warm-start", action="store_true",
                            help="carry controller state across epochs when a "
                                 "node's job membership is unchanged")
-            p.add_argument("--node-budgets", default="",
-                           help="comma-separated per-node unit counts, e.g. "
-                                "'8,8,4,4' (uniform across resources); empty "
-                                "means every node owns its full catalog")
             p.add_argument("--qos-fraction", type=float, default=0.0,
                            help="fraction of arrivals tagged 'qos' (0 keeps "
                                 "the trace bit-identical to untyped runs)")
-            # for cluster, --duration is the per-epoch length
-            p.set_defaults(duration=4.0, handles_trace=True)
-        if extra == "broker":
-            p.add_argument("--nodes", type=int, default=4, help="fleet size")
-            p.add_argument("--epochs", type=int, default=6, help="placement epochs")
-            p.add_argument("--arrival-rate", type=float, default=1.5,
-                           help="mean job arrivals per epoch (Poisson)")
-            p.add_argument("--residency", type=float, default=3.0,
-                           help="mean resident epochs per job (geometric)")
+        if name == "broker":
             p.add_argument("--brokers", nargs="+",
                            default=["static", "harvest", "trade", "bo"],
                            help="broker schemes to compare")
@@ -984,19 +928,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="placement policies to cross with")
             p.add_argument("--policy", default="SATORI",
                            help="partitioning policy every node runs")
-            p.add_argument("--fault-intensity", type=float, default=0.0,
-                           help="fault intensity on even-numbered nodes")
-            p.add_argument("--node-budgets", default="",
-                           help="comma-separated per-node unit counts, e.g. "
-                                "'8,8,4,4' (uniform across resources); empty "
-                                "means every node owns its full catalog")
             p.add_argument("--slo", type=float, default=0.8,
                            help="per-job mean-speedup SLO threshold")
-            # for broker, --duration is the per-epoch length
-            p.set_defaults(duration=4.0, handles_trace=True)
-        if extra == "warmstart":
+        if name == "warmstart":
             p.add_argument("--mixes", type=int, default=4,
-                           help="number of suite mixes for the adaptation sweep")
+                           help="number of suite mixes for the adaptation sweep "
+                                "(at least 2)")
             p.add_argument("--nodes", type=int, default=2,
                            help="fleet size for the cluster replay")
             p.add_argument("--epochs", type=int, default=12,
@@ -1005,8 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", default="",
                            help="write the JSON report to this path")
             # warm-start value shows up over multi-epoch horizons
-            p.set_defaults(duration=8.0, handles_trace=True)
-        if extra == "chaos":
+            p.set_defaults(duration=8.0)
+        if name == "chaos":
             p.add_argument("--nodes", type=int, default=4, help="fleet size")
             p.add_argument("--epochs", type=int, default=6, help="placement epochs")
             p.add_argument("--arrival-rate", type=float, default=1.0,
@@ -1042,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the trace bit-identical to untyped runs)")
             # for chaos, --duration is the per-epoch length
             p.set_defaults(duration=3.0)
-        if extra == "qos":
+        if name == "qos":
             p.add_argument("--nodes", type=int, default=3, help="fleet size")
             p.add_argument("--epochs", type=int, default=8, help="placement epochs")
             p.add_argument("--shapes", nargs="+",
@@ -1074,14 +1011,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the JSON report to this path")
             # for qos, --duration is the per-epoch length
             p.set_defaults(duration=4.0)
-        if extra == "serve":
+        if name == "serve":
             p.add_argument("--host", default="127.0.0.1", help="bind address")
             p.add_argument("--port", type=int, default=7300,
                            help="bind port (0 picks a free one)")
             p.add_argument("--exit-after", type=float, default=None,
                            help="stop after this many seconds (smoke tests; "
                                 "default: serve forever)")
-        if extra == "loadgen":
+        if name == "loadgen":
             p.add_argument("--host", default="127.0.0.1", help="server address")
             p.add_argument("--port", type=int, default=7300, help="server port")
             p.add_argument("--self-host", action="store_true",
@@ -1110,10 +1047,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="snapshot each departing session before killing it")
             p.add_argument("--json", default="",
                            help="write the JSON load report to this path")
-        if extra == "report":
+        if name == "report":
             p.add_argument("--mixes", type=int, default=4, help="mixes to include")
             p.add_argument("--out", default="", help="write markdown to this path")
-        if extra == "figure":
+        if name == "figure":
             p.add_argument("name", nargs="?", default="", help="figure id (e.g. fig7)")
             p.add_argument("--list", action="store_true", help="list figure ids")
             p.add_argument("--mixes", type=int, default=4)
@@ -1124,16 +1061,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace_dir = getattr(args, "trace_dir", "")
-    if not trace_dir or getattr(args, "handles_trace", False):
-        # Commands with their own collector (obs, resilience, cluster,
-        # broker, warmstart) export the trace themselves.
+    if not trace_dir:
         return args.func(args)
-    from repro.obs import TraceCollector, use_collector
+    import os
 
+    from repro.obs import TraceCollector, use_collector
+    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
+
+    # The one trace-export path: every command records into this
+    # ambient collector, whatever it runs underneath.
     collector = TraceCollector()
     with use_collector(collector):
         code = args.func(args)
-    _export_trace(collector, trace_dir, f"repro {args.command}")
+    os.makedirs(trace_dir, exist_ok=True)
+    write_jsonl(collector.events, os.path.join(trace_dir, "trace.jsonl"))
+    write_chrome_trace(
+        collector.events,
+        os.path.join(trace_dir, "trace.chrome.json"),
+        process_name=f"repro {args.command}",
+    )
+    write_prometheus(collector.metrics, os.path.join(trace_dir, "metrics.prom"))
+    # stderr: stdout may be a JSON report (obs --json -)
+    print(f"trace artifacts written to {trace_dir}/ "
+          f"(trace.jsonl, trace.chrome.json, metrics.prom)", file=sys.stderr)
     return code
 
 

@@ -490,9 +490,8 @@ class ClusterSimulator:
             qos-kind jobs. When set, an :class:`~repro.qos.SLOTracker`
             scores every node-epoch's per-interval telemetry, records
             land in ``NodeEpochRecord.slo_attained`` /
-            ``ClusterResult.slo``, per-node ``slo_attainment`` series
-            and a ``cluster.slo_misses`` counter are emitted, and
-            qos-aware partitioning policies (``BoPF``,
+            ``ClusterResult.slo``, a ``cluster.slo_misses`` counter is
+            emitted, and qos-aware partitioning policies (``BoPF``,
             ``QoSPARTIES``) receive the node's qos slot indices and
             the floor via injected kwargs. ``None`` (the default)
             changes nothing — specs, RNG draws, and telemetry are
@@ -1044,18 +1043,6 @@ class ClusterSimulator:
         """Whether the arrival trace has been fully replayed."""
         return self._epoch >= self._trace.n_epochs
 
-    @property
-    def _series_prefix(self) -> str:
-        # Sweep cells run sequentially under one collector, so series
-        # names carry the cell coordinates to keep nodes from
-        # interleaving across cells. Broker sweeps share placement and
-        # policy across cells, so the broker name joins the coordinate
-        # (no-broker runs keep the historical prefix).
-        prefix = f"cluster.{self._placement.name}.{self._policy}"
-        if self._broker is not None:
-            prefix += f"@{self._broker.name}"
-        return prefix
-
     def step_epoch(self) -> List[NodeEpochRecord]:
         """Advance the cluster by exactly one placement epoch.
 
@@ -1063,9 +1050,9 @@ class ClusterSimulator:
         (down/rejoin + budget parking), trace departures, optional
         fairness-driven migration, re-placement of drained jobs, new
         arrivals, resurrection matching, node-epoch spec execution
-        through the engine, checkpointing, scoring (per-node series),
-        quarantine, brokering, and the conservation audit; the records
-        then become the placement policy's view.
+        through the engine, checkpointing, scoring (the qos miss
+        counter), quarantine, brokering, and the conservation audit; the
+        records then become the placement policy's view.
 
         Callers may interleave their own work between epochs — inspect
         :attr:`nodes`, read the accumulated records, or snapshot
@@ -1106,30 +1093,15 @@ class ClusterSimulator:
         return records
 
     def _score_epoch(self, records: Sequence[NodeEpochRecord]) -> None:
-        """Fold an epoch's records into the per-node metric series."""
-        obs = active_collector()
-        series_prefix = self._series_prefix
-        for record in records:
-            node_prefix = f"{series_prefix}.node{record.node_id}"
-            obs.metrics.series(f"{node_prefix}.throughput").append(record.throughput)
-            obs.metrics.series(f"{node_prefix}.fairness").append(record.fairness)
-            obs.metrics.series(f"{node_prefix}.occupancy").append(record.n_jobs)
-            if record.budget is not None:
-                obs.metrics.series(f"{node_prefix}.budget_units").append(
-                    record.budget.total_units
-                )
-            if record.slo_attained:
-                values = [value for _, value in record.slo_attained]
-                obs.metrics.series(f"{node_prefix}.slo_attainment").append(
-                    float(np.mean(values))
-                )
-                misses = sum(
-                    1
-                    for value in values
-                    if value < self._slo_tracker.spec.attain_target
-                )
-                if misses:
-                    obs.metrics.counter("cluster.slo_misses").inc(misses)
+        """Count the epoch's qos job-epochs below the attainment target."""
+        if self._slo_tracker is None:
+            return
+        target = self._slo_tracker.spec.attain_target
+        misses = sum(
+            1 for record in records for _, value in record.slo_attained if value < target
+        )
+        if misses:
+            active_collector().metrics.counter("cluster.slo_misses").inc(misses)
 
     def result(self) -> ClusterResult:
         """The cluster-level result over the epochs stepped so far."""

@@ -226,7 +226,6 @@ def _overhead(scale: FigureScale) -> str:
 def _cluster(scale: FigureScale) -> str:
     from repro.analysis.plots import cluster_node_dashboard
     from repro.experiments.cluster import cluster_sweep, default_trace
-    from repro.obs import TraceCollector, use_collector
 
     catalog = experiment_catalog(scale.units)
     n_nodes, n_epochs = 2, 3
@@ -234,25 +233,23 @@ def _cluster(scale: FigureScale) -> str:
         n_epochs=n_epochs, n_nodes=n_nodes, suite="ecp",
         seed=scale.seed, catalog=catalog,
     )
-    collector = TraceCollector()
-    with use_collector(collector):
-        sweep = cluster_sweep(
-            trace,
-            n_nodes=n_nodes,
-            placements=("round_robin", "contention_aware"),
-            policies=("SATORI",),
-            catalog=catalog,
-            epoch_config=scale.run_config,
-            seed=scale.seed,
-            engine=scale.make_engine(),
-        )
+    sweep = cluster_sweep(
+        trace,
+        n_nodes=n_nodes,
+        placements=("round_robin", "contention_aware"),
+        policies=("SATORI",),
+        catalog=catalog,
+        epoch_config=scale.run_config,
+        seed=scale.seed,
+        engine=scale.make_engine(),
+    )
     summary = ", ".join(
         f"{cell.placement}: T {cell.result.throughput:.3f} / F {cell.result.fairness:.3f}"
         for cell in sweep.cells
     )
     return (
         f"Cluster ({sweep.n_jobs} jobs, {n_nodes} nodes, {n_epochs} epochs) {summary}\n\n"
-        + cluster_node_dashboard(collector.metrics)
+        + cluster_node_dashboard(cell.result for cell in sweep.cells)
     )
 
 

@@ -32,7 +32,7 @@ from repro.core.controller import SatoriController
 from repro.experiments.comparison import full_space
 from repro.experiments.runner import RunConfig, experiment_catalog, run_policy
 from repro.metrics.goals import GoalSet
-from repro.obs import SPAN, TraceCollector, use_collector
+from repro.obs import SPAN, TraceCollector, active_collector, use_collector
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
 from repro.workloads.mixes import JobMix
@@ -234,12 +234,12 @@ def observed_overhead(
     goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     idle_detection: bool = False,
-    collector: Optional[TraceCollector] = None,
 ) -> Tuple[ObsReport, TraceCollector]:
     """Run SATORI under a live collector and decompose its overhead.
 
-    Returns the report together with the collector, so callers can
-    export the raw trace (JSONL / Chrome) alongside the summary.
+    Records into the ambient collector when one is enabled (so a
+    caller's trace export includes the run), otherwise into a fresh
+    one. Returns the report together with that collector.
     """
     catalog = catalog or experiment_catalog()
     run_config = run_config or RunConfig(duration_s=15.0)
@@ -250,7 +250,9 @@ def observed_overhead(
         idle_detection=idle_detection,
         rng=spawn_rng(rng),
     )
-    collector = collector if collector is not None else TraceCollector()
+    collector = active_collector()
+    if not collector.enabled:
+        collector = TraceCollector()
     with use_collector(collector):
         run_policy(controller, mix, catalog, run_config, goals, seed=spawn_rng(rng))
     report = summarize_collector(

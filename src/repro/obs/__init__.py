@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricRegistry,
     NullRegistry,
-    Series,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "NullRegistry",
-    "Series",
 ]

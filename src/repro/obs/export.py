@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, List, Union
 
 from repro.errors import ObsError
 from repro.obs.collector import INSTANT, TraceEvent
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry, Series
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 
 PathLike = Union[str, Path]
 
@@ -141,9 +141,7 @@ def prometheus_text(registry: MetricRegistry) -> str:
     """Registry contents in the Prometheus text exposition format.
 
     Histograms expand to cumulative ``_bucket{le=...}`` lines plus
-    ``_sum``/``_count``; a :class:`~repro.obs.metrics.Series` is
-    summarized as a gauge holding its last value (the full sequence
-    belongs in the trace, not the scrape).
+    ``_sum``/``_count``.
     """
     lines: List[str] = []
     for name, metric in registry.items():
@@ -163,9 +161,6 @@ def prometheus_text(registry: MetricRegistry) -> str:
             lines.append(f'{pname}_bucket{{le="+Inf"}} {metric.count}')
             lines.append(f"{pname}_sum {_fmt(metric.sum)}")
             lines.append(f"{pname}_count {metric.count}")
-        elif isinstance(metric, Series):
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_fmt(metric.last)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

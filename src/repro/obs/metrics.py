@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, series.
+"""Metric primitives: counters, gauges, histograms.
 
 A :class:`MetricRegistry` hands out named metric instruments on first
 use (``registry.counter("engine.cache_hits")``) and remembers them, so
@@ -13,7 +13,7 @@ so uninstrumented runs pay only an attribute lookup and an empty call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ObsError
 
@@ -114,32 +114,6 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
 
-class Series:
-    """Append-only sample sequence (per-epoch node fairness, etc.).
-
-    Unlike a histogram this keeps the order of observations, which is
-    what sparkline dashboards need. Intended for per-epoch/per-batch
-    cadence, not per-interval.
-    """
-
-    __slots__ = ("name", "_values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._values: List[float] = []
-
-    def append(self, value: float) -> None:
-        self._values.append(float(value))
-
-    @property
-    def values(self) -> Tuple[float, ...]:
-        return tuple(self._values)
-
-    @property
-    def last(self) -> float:
-        return self._values[-1] if self._values else 0.0
-
-
 class MetricRegistry:
     """Named metric instruments, created on first use.
 
@@ -175,9 +149,6 @@ class MetricRegistry:
         self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S
     ) -> Histogram:
         return self._get_or_create(name, Histogram, buckets)
-
-    def series(self, name: str) -> Series:
-        return self._get_or_create(name, Series)
 
     def get(self, name: str) -> Optional[Any]:
         """The instrument bound to ``name``, or ``None``."""
@@ -236,20 +207,9 @@ class _NullHistogram:
         pass
 
 
-class _NullSeries:
-    __slots__ = ()
-    name = ""
-    values: Tuple[float, ...] = ()
-    last = 0.0
-
-    def append(self, value: float) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
-_NULL_SERIES = _NullSeries()
 
 
 class NullRegistry(MetricRegistry):
@@ -272,6 +232,3 @@ class NullRegistry(MetricRegistry):
         self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S
     ) -> Histogram:
         return _NULL_HISTOGRAM  # type: ignore[return-value]
-
-    def series(self, name: str) -> Series:
-        return _NULL_SERIES  # type: ignore[return-value]

@@ -120,13 +120,6 @@ class ControlPlaneServer:
         finally:
             await self.stop()
 
-    def run(self) -> None:
-        """Blocking convenience entry point (the CLI's ``serve``)."""
-        try:
-            asyncio.run(self.serve_forever())
-        except KeyboardInterrupt:
-            pass
-
     # -- connection handling ------------------------------------------------
 
     async def _handle_connection(

@@ -23,8 +23,10 @@ The session reproduces the paper's measurement methodology exactly
   ``extra`` so recovery analyses can locate fault windows.
 
 :class:`~repro.system.simulation.CoLocationSimulator` is the
-reference ``ServerLike`` implementation; the cluster layer's
-:class:`~repro.cluster.node.ServerNode` wraps one session per node.
+reference ``ServerLike`` implementation. The cluster layer holds no
+sessions: each node-epoch runs as an engine
+:class:`~repro.engine.RunSpec`, which drives one session through
+:func:`~repro.experiments.runner.run_policy`.
 
 RNG-discipline note: the session draws server randomness in the exact
 order the pre-extraction loops did (initial isolation measurement,

@@ -34,6 +34,27 @@ COMMANDS = (
 #: Server/client commands: no experiment to run, so no common options.
 SERVE_COMMANDS = ("serve", "loadgen")
 
+#: Common options with a sample value each.
+COMMON_OPTIONS = {
+    "--suite": ["ecp"],
+    "--mix": ["1"],
+    "--seed": ["7"],
+    "--workers": ["2"],
+    "--cache-dir": ["cache"],
+    "--no-cache": [],
+}
+
+#: (command, common option) pairs the command never reads.
+UNREAD_OPTIONS = (
+    [("qos", option) for option in ("--seed", "--suite", "--mix")]
+    + [(command, option) for command in ("figure", "scalability")
+       for option in ("--suite", "--mix")]
+    + [(command, "--mix")
+       for command in ("cluster", "broker", "warmstart", "chaos", "report")]
+    + [(command, option) for command in ("quickstart", "weights", "overhead", "obs")
+       for option in ("--workers", "--cache-dir", "--no-cache")]
+)
+
 #: Tiny-budget invocation per subcommand (fast enough for tier-1).
 TINY_INVOCATIONS = {
     "workloads": ["workloads"],
@@ -108,6 +129,22 @@ class TestParser:
             args = parser.parse_args([command, "--trace-dir", "/tmp/t"])
             assert args.trace_dir == "/tmp/t"
 
+    @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+    def test_unread_common_option_rejected(self, command, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, option, *COMMON_OPTIONS[option]])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_common_options_accepted(self):
+        parser = build_parser()
+        for command in COMMANDS:
+            if command == "workloads" or command in SERVE_COMMANDS:
+                continue
+            for option, value in COMMON_OPTIONS.items():
+                if (command, option) not in UNREAD_OPTIONS:
+                    parser.parse_args([command, option, *value])
+
 
 class TestTinyInvocations:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -152,8 +189,22 @@ class TestTinyInvocations:
         assert main(TINY_INVOCATIONS["obs"] + ["--json"]) == 0
         report = ObsReport.from_dict(json.loads(capsys.readouterr().out))
         assert report.budget.n_intervals > 0
-        assert report.budget.span_coverage >= 0.9
         assert ObsReport.from_dict(report.to_dict()) == report
+
+    def test_obs_json_stdout_stays_json_with_trace_dir(self, capsys, tmp_path):
+        import json
+
+        from repro.experiments.obs import ObsReport
+        from repro.obs.export import read_jsonl
+
+        trace_dir = tmp_path / "trace"
+        assert main(TINY_INVOCATIONS["obs"]
+                    + ["--json", "-", "--trace-dir", str(trace_dir)]) == 0
+        report = ObsReport.from_dict(json.loads(capsys.readouterr().out))
+        events = read_jsonl(trace_dir / "trace.jsonl")
+        assert any(e.name == "gp_fit" and e.kind == "span" for e in events)
+        # The report summarizes the same collector the trace came from.
+        assert report.n_events == len(events)
 
     def test_obs_trace_artifacts(self, capsys, tmp_path):
         import json
@@ -191,6 +242,12 @@ class TestTinyInvocations:
         report = json.loads(out_path.read_text())
         assert len(report["adaptation"]) == 2
         assert "job_speedup_delta" in report["cluster"]
+
+    def test_warmstart_rejects_a_single_mix(self):
+        # The recovery-gain confidence interval needs two mixes.
+        with pytest.raises(SystemExit, match="--mixes must be at least 2"):
+            main(["warmstart", "--duration", "2", "--units", "4", "--mixes", "1",
+                  "--nodes", "2", "--epochs", "3"])
 
     def test_cluster_warm_start_flag(self, capsys):
         assert main(TINY_INVOCATIONS["cluster"] + ["--warm-start"]) == 0

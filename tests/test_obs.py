@@ -151,13 +151,6 @@ class TestMetricRegistry:
     def test_default_buckets_strictly_ascending(self):
         assert list(DEFAULT_LATENCY_BUCKETS_S) == sorted(set(DEFAULT_LATENCY_BUCKETS_S))
 
-    def test_series_keeps_order(self):
-        series = MetricRegistry().series("s")
-        for value in (3.0, 1.0, 2.0):
-            series.append(value)
-        assert series.values == (3.0, 1.0, 2.0)
-        assert series.last == 2.0
-
     def test_name_kind_conflict_rejected(self):
         registry = MetricRegistry()
         registry.counter("x")
@@ -185,7 +178,6 @@ class TestNullPath:
         collector.event("e")
         collector.metrics.counter("c").inc()
         collector.metrics.histogram("h").observe(1.0)
-        collector.metrics.series("s").append(1.0)
         collector.metrics.gauge("g").set(1.0)
         assert collector.events == ()
         assert len(collector.metrics) == 0
@@ -193,7 +185,6 @@ class TestNullPath:
     def test_null_registry_hands_out_shared_singletons(self):
         registry = NullRegistry()
         assert registry.counter("a") is registry.counter("b")
-        assert registry.series("a") is registry.series("b")
 
     def test_use_collector_installs_and_restores(self):
         collector = TraceCollector()
@@ -272,7 +263,6 @@ class TestPrometheusExport:
         histogram = registry.histogram("lat", buckets=(1.0, 2.0))
         histogram.observe(0.5)
         histogram.observe(5.0)
-        registry.series("node0.fairness").append(0.9)
 
         text = prometheus_text(registry)
         assert "# TYPE engine_cache_hits counter\nengine_cache_hits 3" in text
@@ -281,7 +271,6 @@ class TestPrometheusExport:
         assert 'lat_bucket{le="2"} 1' in text  # cumulative: nothing in (1, 2]
         assert 'lat_bucket{le="+Inf"} 2' in text
         assert "lat_sum 5.5" in text and "lat_count 2" in text
-        assert "node0_fairness 0.9" in text
 
         path = write_prometheus(registry, tmp_path / "m.prom")
         assert path.read_text() == text
