@@ -77,9 +77,9 @@ def run_summary(result: RunResult) -> Dict[str, Any]:
     }
 
 
-def run_summary_json(result: RunResult, indent: int = 2) -> str:
-    """The run summary rendered as a JSON string."""
-    return json.dumps(run_summary(result), indent=indent)
+def run_summary_json(result: RunResult) -> str:
+    """The run summary rendered as an indented JSON string."""
+    return json.dumps(run_summary(result), indent=2)
 
 
 def engine_summary(engine: ExecutionEngine) -> Dict[str, Any]:
@@ -90,6 +90,6 @@ def engine_summary(engine: ExecutionEngine) -> Dict[str, Any]:
     return summary
 
 
-def engine_summary_json(engine: ExecutionEngine, indent: int = 2) -> str:
-    """The engine summary rendered as a JSON string."""
-    return json.dumps(engine_summary(engine), indent=indent)
+def engine_summary_json(engine: ExecutionEngine) -> str:
+    """The engine summary rendered as an indented JSON string."""
+    return json.dumps(engine_summary(engine), indent=2)

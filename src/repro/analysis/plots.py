@@ -147,7 +147,6 @@ def line_chart(
     series: Dict[str, Sequence[float]],
     height: int = 10,
     width: int = 72,
-    y_label: str = "",
 ) -> str:
     """Multi-series ASCII line chart (each series gets its own glyph)."""
     if not series:
@@ -182,7 +181,5 @@ def line_chart(
     legend = "   ".join(
         f"{glyphs[i % len(glyphs)]} {name}" for i, name in enumerate(arrays)
     )
-    if y_label:
-        legend = f"{y_label}   {legend}"
     lines.append(" " * 12 + legend)
     return "\n".join(lines)

@@ -17,7 +17,6 @@ from scipy import stats as scipy_stats
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, run_policy
-from repro.metrics.goals import GoalSet
 from repro.policies.base import PartitioningPolicy
 from repro.resources.types import ResourceCatalog
 from repro.workloads.mixes import JobMix
@@ -37,16 +36,14 @@ class ReplicatedScore:
         return f"{self.mean:.3f} ± {(self.ci_high - self.ci_low) / 2:.3f} (n={self.n})"
 
 
-def confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> ReplicatedScore:
-    """Student-t confidence interval of the mean."""
+def confidence_interval(values: Sequence[float]) -> ReplicatedScore:
+    """Two-sided 95% Student-t confidence interval of the mean."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ExperimentError("need at least two replications for a confidence interval")
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
-    t = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1)
+    t = scipy_stats.t.ppf(0.975, df=values.size - 1)
     return ReplicatedScore(
         mean=mean,
         std=float(values.std(ddof=1)),
@@ -72,9 +69,7 @@ def replicate_policy(
     mix: JobMix,
     catalog: ResourceCatalog,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    confidence: float = 0.95,
 ) -> ReplicatedRun:
     """Run a fresh policy instance once per seed and summarize.
 
@@ -86,12 +81,12 @@ def replicate_policy(
     results: List[RunResult] = []
     for seed in seeds:
         policy = policy_factory()
-        results.append(run_policy(policy, mix, catalog, run_config, goals, seed=seed))
+        results.append(run_policy(policy, mix, catalog, run_config, seed=seed))
     return ReplicatedRun(
         policy_name=results[0].policy_name,
         mix_label=mix.label,
-        throughput=confidence_interval([r.throughput for r in results], confidence),
-        fairness=confidence_interval([r.fairness for r in results], confidence),
+        throughput=confidence_interval([r.throughput for r in results]),
+        fairness=confidence_interval([r.fairness for r in results]),
         results=tuple(results),
     )
 
@@ -115,12 +110,8 @@ class PairedDelta:
     n_only_b: int
 
 
-def paired_deltas(
-    a: Mapping[Any, float],
-    b: Mapping[Any, float],
-    confidence: float = 0.95,
-) -> PairedDelta:
-    """Confidence interval on the mean per-key difference ``b - a``.
+def paired_deltas(a: Mapping[Any, float], b: Mapping[Any, float]) -> PairedDelta:
+    """95% confidence interval on the mean per-key difference ``b - a``.
 
     For cluster sweeps the natural inputs are per-job mean speedups
     (:meth:`~repro.cluster.simulator.ClusterResult.job_mean_speedups`)
@@ -148,7 +139,7 @@ def paired_deltas(
             mean=deltas[0], std=0.0, ci_low=deltas[0], ci_high=deltas[0], n=1
         )
     else:
-        score = confidence_interval(deltas, confidence)
+        score = confidence_interval(deltas)
     return PairedDelta(
         delta=score,
         n_common=len(common),
@@ -157,29 +148,24 @@ def paired_deltas(
     )
 
 
-def convergence_time_s(
-    result: RunResult,
-    fraction_of_final: float = 0.95,
-    tail_fraction: float = 0.25,
-) -> float:
+def convergence_time_s(result: RunResult) -> float:
     """Time at which the weighted objective first reaches its final level.
 
-    The final level is the mean objective over the run's last
-    ``tail_fraction``; convergence is the first instant a 1-second
-    moving average reaches ``fraction_of_final`` of it. Returns the
-    run duration if the run never converges.
+    The final level is the mean objective over the run's last quarter;
+    convergence is the first instant a 1-second moving average reaches
+    95% of it. Returns the run duration if the run never converges.
     """
     telemetry = result.telemetry
     objective = 0.5 * telemetry.series("throughput") + 0.5 * telemetry.series("fairness")
     times = telemetry.series("time")
-    tail = max(1, int(round(len(objective) * tail_fraction)))
+    tail = max(1, int(round(len(objective) * 0.25)))
     final_level = float(np.mean(objective[-tail:]))
     if final_level <= 0:
         raise ExperimentError("degenerate run: non-positive final objective")
 
     window = max(1, round(1.0 / result.run_config.interval_s))
     smoothed = np.convolve(objective, np.ones(window) / window, mode="valid")
-    threshold = fraction_of_final * final_level
+    threshold = 0.95 * final_level
     hits = np.nonzero(smoothed >= threshold)[0]
     if hits.size == 0:
         return float(times[-1])

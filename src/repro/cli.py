@@ -497,7 +497,9 @@ def cmd_broker(args: argparse.Namespace) -> int:
             title="cluster-wide by broker scheme:",
         )
     )
-    deltas = sweep.deltas_vs_static(args.slo)
+    # A sweep without the static control still compares placements;
+    # it just has nothing to pair against.
+    deltas = sweep.deltas_vs_static(args.slo) if "static" in args.brokers else []
     if deltas:
         delta_rows = [
             [

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine import ExecutionEngine, RunSpec
-from repro.metrics.goals import GoalSet
 from repro.resources.types import LLC_WAYS, MEMORY_BANDWIDTH, ResourceCatalog
 from repro.rng import SeedLike
 from repro.experiments.comparison import seed_to_int
@@ -49,12 +48,11 @@ class SubsetAblationResult:
         return self.satori_fairness - self.baseline_fairness
 
 
-def _base_fields(mix, catalog, run_config, goals, seed) -> dict:
+def _base_fields(mix, catalog, run_config, seed) -> dict:
     return dict(
         mix=mix,
         catalog=catalog,
         run_config=run_config or RunConfig(),
-        goals=(goals.throughput_metric, goals.fairness_metric),
         seed=seed_to_int(seed),
     )
 
@@ -70,7 +68,6 @@ def resource_subset_ablation(
     subset: Sequence[str],
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     engine: Optional[ExecutionEngine] = None,
 ) -> SubsetAblationResult:
@@ -82,7 +79,6 @@ def resource_subset_ablation(
     same normalization the paper uses).
     """
     catalog = catalog or experiment_catalog()
-    goals = goals or GoalSet()
     engine = engine or ExecutionEngine()
     subset = tuple(subset)
 
@@ -93,7 +89,7 @@ def resource_subset_ablation(
     else:
         raise ValueError(f"no matching baseline for resource subset {subset}")
 
-    base = _base_fields(mix, catalog, run_config, goals, seed)
+    base = _base_fields(mix, catalog, run_config, seed)
     oracle, satori_result, baseline_result = engine.run(
         [
             _oracle_spec(base),
@@ -127,14 +123,10 @@ def bo_design_ablation(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
-    engine: Optional[ExecutionEngine] = None,
 ) -> DesignChoiceResult:
     """Swap the acquisition function and kernel (DESIGN.md ablations)."""
     catalog = catalog or experiment_catalog()
-    goals = goals or GoalSet()
-    engine = engine or ExecutionEngine()
 
     variants = {
         "EI + Matern52 (paper)": dict(acquisition="ei", kernel="matern52"),
@@ -142,8 +134,8 @@ def bo_design_ablation(
         "UCB + Matern52": dict(acquisition="ucb", kernel="matern52"),
         "EI + RBF": dict(acquisition="ei", kernel="rbf"),
     }
-    base = _base_fields(mix, catalog, run_config, goals, seed)
-    results = engine.run(
+    base = _base_fields(mix, catalog, run_config, seed)
+    results = ExecutionEngine().run(
         [
             _oracle_spec(base),
             *(

@@ -147,14 +147,13 @@ def adjusted_epoch_fairness(
 def recovery_intervals(
     fairness: Dict[int, float],
     disruption_epochs: Tuple[int, ...],
-    fraction: float = RECOVERY_FRACTION,
 ) -> Dict[int, Optional[int]]:
-    """Epochs until fairness regained ``fraction`` of its baseline.
+    """Epochs until fairness regained ``RECOVERY_FRACTION`` of its baseline.
 
     The baseline is mean fairness over the epochs before the *first*
     disruption (1.0 for a disruption at epoch 0). For each disruption
     epoch ``d`` the value is the smallest ``k >= 0`` with
-    ``fairness[d + k] >= fraction * baseline``, or ``None`` if the
+    ``fairness[d + k] >= RECOVERY_FRACTION * baseline``, or ``None`` if the
     trace ends first — an unrecovered disruption is reported as such,
     not clamped to the horizon.
     """
@@ -174,7 +173,7 @@ def recovery_intervals(
             if epoch < d:
                 continue
             value = fairness[epoch]
-            if value == value and value >= fraction * baseline:
+            if value == value and value >= RECOVERY_FRACTION * baseline:
                 out[d] = epoch - d
                 break
     return out

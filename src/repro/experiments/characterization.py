@@ -16,12 +16,11 @@ These drivers reproduce the paper's motivating measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.metrics.goals import GoalSet
 from repro.policies.oracle import OracleSearch
 from repro.resources.allocation import Configuration
 from repro.resources.types import ResourceCatalog
@@ -56,20 +55,12 @@ def optimal_configuration_drift(
     catalog: Optional[ResourceCatalog] = None,
     duration_s: float = 12.0,
     step_s: float = 0.5,
-    goals: Optional[GoalSet] = None,
-    w_throughput: float = 1.0,
-    w_fairness: float = 0.0,
 ) -> DriftResult:
-    """Track the goal-optimal configuration over time (Fig. 1).
-
-    Defaults track the Throughput Oracle; pass fairness weights to
-    track the fairness-optimal configuration instead (the paper notes
-    it varies just as much).
-    """
+    """Track the Throughput Oracle's configuration over time (Fig. 1)."""
     catalog = catalog or experiment_catalog()
-    search = OracleSearch(mix, catalog, goals)
+    search = OracleSearch(mix, catalog)
     times = np.arange(0.0, duration_s, step_s)
-    configs = [search.best(float(t), w_throughput, w_fairness).config for t in times]
+    configs = [search.best(float(t), 1.0, 0.0).config for t in times]
 
     shares: Dict[str, np.ndarray] = {}
     for name in search.space.resource_names:
@@ -108,11 +99,10 @@ def conflicting_goal_gap(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     time_s: float = 0.0,
-    goals: Optional[GoalSet] = None,
 ) -> GoalGapResult:
     """Quantify the throughput/fairness optimum gap at one time (Fig. 2)."""
     catalog = catalog or experiment_catalog()
-    search = OracleSearch(mix, catalog, goals)
+    search = OracleSearch(mix, catalog)
 
     t_opt = search.best(time_s, 1.0, 0.0)
     f_opt = search.best(time_s, 0.0, 1.0)
@@ -160,23 +150,21 @@ class RebalancingExample:
 def rebalancing_opportunity(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
-    times: Sequence[float] = (0.5, 3.5, 5.5, 8.5),
     n_samples: int = 120,
-    goals: Optional[GoalSet] = None,
     rng: SeedLike = 7,
-    throughput_match_tolerance: float = 0.25,
 ) -> Optional[RebalancingExample]:
     """Search for a Fig. 3-style re-balancing opportunity.
 
-    Samples configuration pairs at each candidate time, then looks for
-    two times where a pair exists with (a) approximately equal
-    throughput differences but (b) fairness differences of opposite
+    Samples configuration pairs at four candidate times, then looks for
+    two times where a pair exists with (a) throughput differences
+    within 25% of each other but (b) fairness differences of opposite
     sign. Returns ``None`` only if no example exists among the samples
     (in practice the opportunity is plentiful, which is the point of
     Observation 3).
     """
     catalog = catalog or experiment_catalog()
-    search = OracleSearch(mix, catalog, goals)
+    search = OracleSearch(mix, catalog)
+    times = (0.5, 3.5, 5.5, 8.5)
     rng = make_rng(rng)
     configs = search.space.sample_batch(n_samples, rng)
 
@@ -199,7 +187,7 @@ def rebalancing_opportunity(
                 for dtb, dfb in deltas[tb]:
                     if dfa * dfb >= 0:
                         continue
-                    if abs(dtb - dta) > throughput_match_tolerance * abs(dta):
+                    if abs(dtb - dta) > 0.25 * abs(dta):
                         continue
                     example = RebalancingExample(
                         time_a=ta,

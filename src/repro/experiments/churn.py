@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.controller import SatoriController
 from repro.errors import ExperimentError
-from repro.metrics.goals import GoalSet
 from repro.policies.oracle import OracleSearch
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
@@ -64,7 +63,6 @@ def workload_churn(
     catalog: Optional[ResourceCatalog] = None,
     duration_s: float = 30.0,
     swap_time_s: Optional[float] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     window_s: float = 4.0,
 ) -> ChurnResult:
@@ -75,7 +73,6 @@ def workload_churn(
     achievable *for the current workloads*.
     """
     catalog = catalog or experiment_catalog()
-    goals = goals or GoalSet()
     if swap_time_s is None:
         swap_time_s = duration_s / 2.0
     if not 0 < swap_time_s < duration_s:
@@ -85,14 +82,14 @@ def workload_churn(
 
     rng = make_rng(seed)
     simulator = CoLocationSimulator(mix, catalog, seed=spawn_rng(rng))
-    controller = SatoriController(full_space(catalog, len(mix)), goals, rng=spawn_rng(rng))
+    controller = SatoriController(full_space(catalog, len(mix)), rng=spawn_rng(rng))
     # The churn driver manages baselines itself: re-measured on the
     # swap, never periodically.
-    session = ControlSession(controller, simulator, goals=goals)
+    session = ControlSession(controller, simulator)
     telemetry = session.telemetry
 
     searches = {
-        "before": OracleSearch(mix, catalog, goals),
+        "before": OracleSearch(mix, catalog),
         "after": None,  # built lazily after the swap
     }
 
@@ -104,7 +101,7 @@ def workload_churn(
         raw = session.step()
         if not swapped and raw.time_s >= swap_time_s:
             simulator.replace_workload(swap_index, newcomer)
-            searches["after"] = OracleSearch(simulator.mix, catalog, goals)
+            searches["after"] = OracleSearch(simulator.mix, catalog)
             session.refresh_baseline()
             swapped = True
         search = searches["after"] if swapped else searches["before"]

@@ -18,16 +18,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import ExecutionEngine, RunSpec, derive_seed
+from repro.engine import ExecutionEngine, RunSpec
 from repro.errors import ExperimentError
 from repro.metrics.goals import GoalSet
 from repro.policies.base import PartitioningPolicy
-from repro.policies.oracle import OraclePolicy, OracleSearch
 from repro.policies.registry import make_policy, policy_names
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH, ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
-from repro.experiments.runner import RunConfig, RunResult, experiment_catalog, run_policy
+from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.workloads.mixes import JobMix
 
 #: Canonical policy order used in tables (mirrors Fig. 7's x axis).
@@ -92,7 +91,6 @@ def comparison_specs(
     goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     include: Sequence[str] = STANDARD_POLICY_ORDER,
-    satori_kwargs: Optional[dict] = None,
 ) -> Tuple[RunSpec, Dict[str, RunSpec]]:
     """The Balanced Oracle spec plus one spec per included policy.
 
@@ -115,24 +113,14 @@ def comparison_specs(
         seed=seed_to_int(seed),
     )
     oracle = RunSpec(policy="Oracle", policy_kwargs=_ORACLE_KWARGS, **base)
-    specs = {
-        name: RunSpec(
-            policy=name,
-            policy_kwargs=(satori_kwargs or {}) if name == "SATORI" else {},
-            **base,
-        )
-        for name in include
-    }
-    return oracle, specs
+    return oracle, {name: RunSpec(policy=name, **base) for name in include}
 
 
 def standard_policies(
     catalog: ResourceCatalog,
     n_jobs: int,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = None,
     include: Sequence[str] = STANDARD_POLICY_ORDER,
-    satori_kwargs: Optional[dict] = None,
 ) -> Dict[str, PartitioningPolicy]:
     """Fresh instances of the paper's competing policies.
 
@@ -142,21 +130,16 @@ def standard_policies(
 
     Args:
         include: which of the standard policy names to build.
-        satori_kwargs: forwarded to :class:`SatoriController`.
     """
     rng = make_rng(seed)
-    goals = goals or GoalSet()
     known = set(policy_names())
     unknown = set(include) - known
     if unknown:
         raise ExperimentError(f"unknown policies {sorted(unknown)}; have {sorted(known)}")
-    policies: Dict[str, PartitioningPolicy] = {}
-    for name in include:
-        kwargs = (satori_kwargs or {}) if name == "SATORI" else {}
-        policies[name] = make_policy(
-            name, None, catalog, goals, rng=spawn_rng(rng), n_jobs=n_jobs, **kwargs
-        )
-    return policies
+    return {
+        name: make_policy(name, None, catalog, rng=spawn_rng(rng), n_jobs=n_jobs)
+        for name in include
+    }
 
 
 def compare_on_mix(
@@ -166,59 +149,15 @@ def compare_on_mix(
     goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     include: Sequence[str] = STANDARD_POLICY_ORDER,
-    satori_kwargs: Optional[dict] = None,
-    extra_policies: Optional[Dict[str, PartitioningPolicy]] = None,
-    oracle_search: Optional[OracleSearch] = None,
-    engine: Optional[ExecutionEngine] = None,
 ) -> MixComparison:
     """Run the standard policies plus the Balanced Oracle on one mix.
 
-    Args:
-        engine: execution engine; defaults to a fresh serial engine.
-            Pass a shared parallel/cached engine to fan the runs out.
-        extra_policies: pre-built policy instances to score alongside
-            the registry policies; these cannot cross process
-            boundaries, so they always run in-process (uncached).
-        oracle_search: a pre-built (shareable) search used instead of
-            the engine's own Oracle run; in-process as well.
+    The specs from :func:`comparison_specs` run as one batch on a
+    serial engine.
     """
-    catalog = catalog or experiment_catalog()
-    run_config = run_config or RunConfig()
-    goals = goals or GoalSet()
-    engine = engine or ExecutionEngine()
-
-    oracle_spec, policy_specs = comparison_specs(
-        mix, catalog, run_config, goals, seed, include, satori_kwargs
-    )
-    if oracle_search is not None:
-        # Legacy path: honor the caller's search object but keep the
-        # noise stream identical to what the oracle spec would use.
-        oracle = run_policy(
-            OraclePolicy(oracle_search, 0.5, 0.5),
-            mix,
-            catalog,
-            run_config,
-            goals,
-            seed=derive_seed(oracle_spec.cold_digest, "noise"),
-        )
-        results = engine.run(list(policy_specs.values()))
-    else:
-        batch = engine.run([oracle_spec, *policy_specs.values()])
-        oracle, results = batch[0], batch[1:]
-
-    scores: Dict[str, PolicyScore] = {
-        name: _normalize(result, oracle) for name, result in zip(policy_specs, results)
-    }
-    for name, policy in (extra_policies or {}).items():
-        result = run_policy(
-            policy,
-            mix,
-            catalog,
-            run_config,
-            goals,
-            seed=derive_seed(oracle_spec.digest, "extra", name),
-        )
-        scores[name] = _normalize(result, oracle)
+    oracle_spec, policy_specs = comparison_specs(mix, catalog, run_config, goals, seed, include)
+    oracle, *results = ExecutionEngine().run([oracle_spec, *policy_specs.values()])
+    scores = {name: _normalize(result, oracle) for name, result in zip(policy_specs, results)}
     return MixComparison(mix_label=mix.label, oracle=oracle, scores=scores)
 
 
@@ -226,10 +165,8 @@ def compare_on_mixes(
     mixes: Sequence[JobMix],
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     include: Sequence[str] = STANDARD_POLICY_ORDER,
-    satori_kwargs: Optional[dict] = None,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[MixComparison]:
     """Run :func:`compare_on_mix` over a list of mixes (Figs. 8, 10, 11).
@@ -245,7 +182,7 @@ def compare_on_mixes(
     flat: List[RunSpec] = []
     for mix in mixes:
         oracle_spec, policy_specs = comparison_specs(
-            mix, catalog, run_config, goals, seed_int, include, satori_kwargs
+            mix, catalog, run_config, seed=seed_int, include=include
         )
         per_mix.append((mix, oracle_spec, policy_specs))
         flat.extend([oracle_spec, *policy_specs.values()])

@@ -75,7 +75,6 @@ class PowerExtensionResult:
 def power_capped_partitioning(
     mix: JobMix,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     units: int = 8,
 ) -> PowerExtensionResult:
@@ -89,11 +88,11 @@ def power_capped_partitioning(
     rng = make_rng(seed)
     space = ConfigurationSpace(catalog, len(mix))
 
-    satori = SatoriController(space, goals, rng=spawn_rng(rng))
-    satori_result = run_policy(satori, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+    satori = SatoriController(space, rng=spawn_rng(rng))
+    satori_result = run_policy(satori, mix, catalog, run_config, seed=spawn_rng(rng))
 
-    equal = EqualPartitionPolicy(space, goals)
-    equal_result = run_policy(equal, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+    equal = EqualPartitionPolicy(space)
+    equal_result = run_policy(equal, mix, catalog, run_config, seed=spawn_rng(rng))
 
     return PowerExtensionResult(
         mix_label=mix.label,

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.controller import SatoriController
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
 from repro.experiments.comparison import full_space
@@ -53,17 +52,13 @@ def weight_trace(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
-    **satori_kwargs,
 ) -> Tuple[WeightTrace, RunResult]:
     """Run full SATORI and extract the Fig. 14(a) weight decomposition."""
     catalog = catalog or experiment_catalog()
     rng = make_rng(seed)
-    satori = SatoriController(
-        full_space(catalog, len(mix)), goals, mode="dynamic", rng=spawn_rng(rng), **satori_kwargs
-    )
-    result = run_policy(satori, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+    satori = SatoriController(full_space(catalog, len(mix)), mode="dynamic", rng=spawn_rng(rng))
+    result = run_policy(satori, mix, catalog, run_config, seed=spawn_rng(rng))
     telemetry = result.telemetry
     trace = WeightTrace(
         times=telemetry.series("time"),
@@ -99,15 +94,14 @@ def _run_variant(
     mix: JobMix,
     catalog: ResourceCatalog,
     run_config: Optional[RunConfig],
-    goals: Optional[GoalSet],
     seed: SeedLike,
     **satori_kwargs,
 ) -> Tuple[RunResult, SatoriController]:
     rng = make_rng(seed)
     controller = SatoriController(
-        full_space(catalog, len(mix)), goals, rng=spawn_rng(rng), **satori_kwargs
+        full_space(catalog, len(mix)), rng=spawn_rng(rng), **satori_kwargs
     )
-    result = run_policy(controller, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+    result = run_policy(controller, mix, catalog, run_config, seed=spawn_rng(rng))
     return result, controller
 
 
@@ -115,7 +109,6 @@ def dynamic_vs_static(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
 ) -> VariantComparison:
     """Fig. 14(b): full SATORI vs SATORI with static 0.5/0.5 weights.
@@ -124,8 +117,8 @@ def dynamic_vs_static(
     so the difference is attributable to dynamic prioritization.
     """
     catalog = catalog or experiment_catalog()
-    dynamic, _ = _run_variant(mix, catalog, run_config, goals, seed, mode="dynamic")
-    static, _ = _run_variant(mix, catalog, run_config, goals, seed, mode="static")
+    dynamic, _ = _run_variant(mix, catalog, run_config, seed, mode="dynamic")
+    static, _ = _run_variant(mix, catalog, run_config, seed, mode="static")
     return VariantComparison(
         mix_label=mix.label, dynamic=dynamic, other=static, other_label="static weights"
     )
@@ -156,7 +149,6 @@ def objective_trace(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
 ) -> ObjectiveTraces:
     """Fig. 17: run dynamic and static SATORI, collect internals."""
@@ -164,10 +156,10 @@ def objective_trace(
     # Disable idle skipping so the proxy model updates every interval
     # (Fig. 17 characterizes the BO engine itself).
     dynamic, _ = _run_variant(
-        mix, catalog, run_config, goals, seed, mode="dynamic", idle_detection=False
+        mix, catalog, run_config, seed, mode="dynamic", idle_detection=False
     )
     static, _ = _run_variant(
-        mix, catalog, run_config, goals, seed, mode="static", idle_detection=False
+        mix, catalog, run_config, seed, mode="static", idle_detection=False
     )
     return ObjectiveTraces(
         times=dynamic.telemetry.series("time"),
@@ -194,11 +186,10 @@ def performance_variation(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
 ) -> VariationResult:
     """Fig. 18: observed-performance variation, dynamic vs static."""
-    comparison = dynamic_vs_static(mix, catalog, run_config, goals, seed)
+    comparison = dynamic_vs_static(mix, catalog, run_config, seed)
     dyn = comparison.dynamic.scored
     sta = comparison.other.scored
     return VariationResult(
@@ -215,7 +206,6 @@ def weak_goal_priority(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
 ) -> VariantComparison:
     """Fig. 19: prioritize the weaker goal (SATORI) vs the stronger one.
@@ -225,10 +215,10 @@ def weak_goal_priority(
     """
     catalog = catalog or experiment_catalog()
     weaker, _ = _run_variant(
-        mix, catalog, run_config, goals, seed, mode="dynamic", favor_weaker_goal=True
+        mix, catalog, run_config, seed, mode="dynamic", favor_weaker_goal=True
     )
     stronger, _ = _run_variant(
-        mix, catalog, run_config, goals, seed, mode="dynamic", favor_weaker_goal=False
+        mix, catalog, run_config, seed, mode="dynamic", favor_weaker_goal=False
     )
     return VariantComparison(
         mix_label=mix.label, dynamic=weaker, other=stronger, other_label="favor stronger goal"

@@ -31,7 +31,6 @@ from repro import serialize
 from repro.core.controller import SatoriController
 from repro.experiments.comparison import full_space
 from repro.experiments.runner import RunConfig, experiment_catalog, run_policy
-from repro.metrics.goals import GoalSet
 from repro.obs import SPAN, TraceCollector, active_collector, use_collector
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
@@ -231,7 +230,6 @@ def observed_overhead(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     idle_detection: bool = False,
 ) -> Tuple[ObsReport, TraceCollector]:
@@ -246,7 +244,6 @@ def observed_overhead(
     rng = make_rng(seed)
     controller = SatoriController(
         full_space(catalog, len(mix)),
-        goals,
         idle_detection=idle_detection,
         rng=spawn_rng(rng),
     )
@@ -254,7 +251,7 @@ def observed_overhead(
     if not collector.enabled:
         collector = TraceCollector()
     with use_collector(collector):
-        run_policy(controller, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+        run_policy(controller, mix, catalog, run_config, seed=spawn_rng(rng))
     report = summarize_collector(
         collector,
         mix_label=mix.label,

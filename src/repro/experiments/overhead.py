@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.controller import SatoriController
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
 from repro.experiments.comparison import full_space
@@ -41,20 +40,16 @@ class OverheadResult:
         """
         return self.mean_decision_time_ms / self.control_interval_ms
 
-    def estimated_instruction_overhead(
-        self,
-        controller_ips: float = 1.5e9,
-        mix_total_ips: float = 6e9,
-    ) -> float:
+    def estimated_instruction_overhead(self) -> float:
         """Controller instructions as a fraction of the mix's (paper: ~1 %).
 
         Estimated from the measured decision time: the controller
-        occupies one core at ``controller_ips`` for
+        occupies one core at 1.5 G instructions/s for
         ``mean_decision_time`` out of every interval, while the mix
-        retires ``mix_total_ips``.
+        retires 6 G instructions/s.
         """
-        controller_instr = controller_ips * (self.mean_decision_time_ms / 1000.0)
-        mix_instr = mix_total_ips * (self.control_interval_ms / 1000.0)
+        controller_instr = 1.5e9 * (self.mean_decision_time_ms / 1000.0)
+        mix_instr = 6e9 * (self.control_interval_ms / 1000.0)
         return controller_instr / mix_instr
 
 
@@ -62,7 +57,6 @@ def controller_overhead(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     idle_detection: bool = True,
 ) -> OverheadResult:
@@ -72,11 +66,10 @@ def controller_overhead(
     rng = make_rng(seed)
     controller = SatoriController(
         full_space(catalog, len(mix)),
-        goals,
         idle_detection=idle_detection,
         rng=spawn_rng(rng),
     )
-    run_policy(controller, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+    run_policy(controller, mix, catalog, run_config, seed=spawn_rng(rng))
     return OverheadResult(
         mix_label=mix.label,
         mean_decision_time_ms=controller.mean_decision_time_s * 1000.0,

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine import ExecutionEngine
-from repro.metrics.goals import GoalSet
 from repro.policies.oracle import OracleSearch
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
@@ -66,7 +65,6 @@ def distance_to_oracle(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     include: Sequence[str] = STANDARD_POLICY_ORDER,
     engine: Optional[ExecutionEngine] = None,
@@ -78,12 +76,11 @@ def distance_to_oracle(
     each telemetry log happens in-process.
     """
     catalog = catalog or experiment_catalog()
-    goals = goals or GoalSet()
     engine = engine or ExecutionEngine()
-    search = OracleSearch(mix, catalog, goals)
+    search = OracleSearch(mix, catalog)
 
     _oracle_spec, policy_specs = comparison_specs(
-        mix, catalog, run_config, goals, seed, include
+        mix, catalog, run_config, seed=seed, include=include
     )
     results = engine.run(list(policy_specs.values()))
     mean_distance: Dict[str, float] = {}

@@ -34,7 +34,6 @@ import numpy as np
 from repro.core.controller import SatoriController
 from repro.engine import ExecutionEngine
 from repro.errors import ExperimentError
-from repro.metrics.goals import GoalSet
 from repro.policies.base import PartitioningPolicy
 from repro.policies.qos_parties import QosPartiesPolicy
 from repro.policies.static import EqualPartitionPolicy
@@ -45,7 +44,7 @@ from repro.experiments.comparison import full_space
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import RunConfig, run_policy, experiment_catalog
 from repro.workloads.arrivals import ArrivalTrace, diurnal_trace, flash_crowd_trace
-from repro.workloads.latency_critical import LatencyCriticalJob, latency_critical_suite
+from repro.workloads.latency_critical import latency_critical_suite
 from repro.workloads.mixes import JobMix
 
 
@@ -71,30 +70,26 @@ class QosComparison:
 
 
 def qos_colocation(
-    jobs: Optional[Sequence[LatencyCriticalJob]] = None,
-    catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
 ) -> QosComparison:
-    """Run QoS-PARTIES, SATORI, and an equal split on an LC mix."""
-    catalog = catalog or experiment_catalog()
-    jobs = list(jobs) if jobs is not None else list(latency_critical_suite())
+    """Run QoS-PARTIES, SATORI, and an equal split on the LC suite."""
+    catalog = experiment_catalog()
+    jobs = list(latency_critical_suite())
     run_config = run_config or RunConfig(duration_s=15.0)
-    goals = goals or GoalSet()
     rng = make_rng(seed)
 
     mix = JobMix(tuple(job.workload for job in jobs))
     space = full_space(catalog, len(mix))
     policies: Dict[str, PartitioningPolicy] = {
-        "QoS-PARTIES": QosPartiesPolicy(space, jobs, goals),
-        "SATORI": SatoriController(space, goals, rng=spawn_rng(rng)),
-        "Equal Partition": EqualPartitionPolicy(space, goals),
+        "QoS-PARTIES": QosPartiesPolicy(space, jobs),
+        "SATORI": SatoriController(space, rng=spawn_rng(rng)),
+        "Equal Partition": EqualPartitionPolicy(space),
     }
 
     results: Dict[str, QosPolicyResult] = {}
     for name, policy in policies.items():
-        run = run_policy(policy, mix, catalog, run_config, goals, seed=spawn_rng(rng))
+        run = run_policy(policy, mix, catalog, run_config, seed=spawn_rng(rng))
         satisfied = np.zeros(len(jobs))
         intervals = 0
         total_ips = []
@@ -134,27 +129,25 @@ def qos_trace(
     shape: str,
     n_epochs: int = 8,
     qos_fraction: float = 0.25,
-    max_jobs: int = 9,
-    initial_jobs: int = 3,
-    mean_residency: float = 5.0,
-    suite: str = "parsec",
     seed: SeedLike = 0,
 ) -> ArrivalTrace:
     """One sweep trace: a pure function of ``(shape, qos_fraction, seed)``.
 
-    ``flash_crowd`` runs quiet (rate 0.8), spikes to 3.5 arrivals per
-    epoch over epochs [2, 4) — the surge lands *after* warm-started
-    controllers have drained their probe phases, which is what makes
-    the guarantee phase's reaction visible. ``diurnal`` sweeps a
-    raised-cosine rate from 0.8 up to 3.5 and back over the trace.
+    PARSEC arrivals join three initial jobs, at most nine resident, each
+    staying 5 epochs on average. ``flash_crowd`` runs quiet (rate 0.8),
+    spikes to 3.5 arrivals per epoch over epochs [2, 4) — the surge
+    lands *after* warm-started controllers have drained their probe
+    phases, which is what makes the guarantee phase's reaction
+    visible. ``diurnal`` sweeps a raised-cosine rate from 0.8 up to 3.5
+    and back over the trace.
     """
     common = dict(
         n_epochs=n_epochs,
-        mean_residency=mean_residency,
-        max_jobs=max_jobs,
-        suites=(suite,),
+        mean_residency=5.0,
+        max_jobs=9,
+        suites=("parsec",),
         seed=seed,
-        initial_jobs=initial_jobs,
+        initial_jobs=3,
         qos_fraction=qos_fraction,
     )
     if shape == "flash_crowd":
@@ -242,17 +235,13 @@ class QosSweepReport:
             raise ExperimentError(f"no cells for ({shape!r}, {policy!r})")
         return float(np.mean([cell.fairness for cell in cells]))
 
-    def attainment_delta(
-        self, shape: str, policy: str, baseline: str = "SATORI"
-    ) -> float:
-        """``policy``'s attainment gain over ``baseline`` on one shape."""
-        return self.attainment(shape, policy) - self.attainment(shape, baseline)
+    def attainment_delta(self, shape: str, policy: str) -> float:
+        """``policy``'s attainment gain over plain SATORI on one shape."""
+        return self.attainment(shape, policy) - self.attainment(shape, "SATORI")
 
-    def fairness_delta(
-        self, shape: str, policy: str, baseline: str = "SATORI"
-    ) -> float:
-        """``policy``'s adjusted-fairness change vs ``baseline``."""
-        return self.fairness(shape, policy) - self.fairness(shape, baseline)
+    def fairness_delta(self, shape: str, policy: str) -> float:
+        """``policy``'s adjusted-fairness change vs plain SATORI."""
+        return self.fairness(shape, policy) - self.fairness(shape, "SATORI")
 
     def to_dict(self) -> Dict:
         shapes = {
@@ -347,14 +336,13 @@ def qos_sweep(
     catalog: Optional[ResourceCatalog] = None,
     epoch_config: Optional[RunConfig] = None,
     placement: str = "slo_aware",
-    seed_offset: int = 10,
     warm_start: bool = True,
     engine: Optional[ExecutionEngine] = None,
 ) -> QosSweepReport:
     """Run the paired cluster SLO sweep.
 
     Pairing: the trace is a pure function of ``(shape, qos_fraction,
-    trace_seed)`` and the simulator seed of ``trace_seed + seed_offset``,
+    trace_seed)`` and the simulator seed of ``trace_seed + 10``,
     both shared verbatim across policies — every policy faces identical
     arrivals, placements epochs, and node-epoch noise, so the
     attainment/fairness gaps are the policies' doing.
@@ -398,7 +386,7 @@ def qos_sweep(
                         policy=policy,
                         catalog=catalog,
                         epoch_config=epoch_config,
-                        seed=trace_seed + seed_offset,
+                        seed=trace_seed + 10,
                         warm_start=warm_start,
                         qos_slo=slo,
                         engine=engine,

@@ -45,8 +45,8 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(label: str, values: Sequence[float], precision: int = 3, limit: int = 12) -> str:
-    """Render a (possibly subsampled) numeric series on one line."""
+def format_series(label: str, values: Sequence[float], limit: int = 12) -> str:
+    """Render a (possibly subsampled) numeric series on one line, to 3 decimals."""
     values = list(values)
     if len(values) > limit:
         stride = max(1, len(values) // limit)
@@ -54,5 +54,5 @@ def format_series(label: str, values: Sequence[float], precision: int = 3, limit
         suffix = f"  (every {stride}th of {len(values) * stride})"
     else:
         suffix = ""
-    body = " ".join(f"{v:.{precision}f}" for v in values)
+    body = " ".join(f"{v:.3f}" for v in values)
     return f"{label}: {body}{suffix}"

@@ -44,7 +44,6 @@ from repro.errors import ExperimentError
 from repro.experiments.comparison import seed_to_int
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.faults.plan import FaultPlan
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
 from repro.workloads.mixes import JobMix
@@ -195,7 +194,6 @@ def resilience_specs(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     seed: SeedLike = 0,
 ) -> List[Tuple[str, float, RunSpec]]:
@@ -208,7 +206,6 @@ def resilience_specs(
     """
     catalog = catalog or experiment_catalog()
     run_config = run_config or RunConfig()
-    goals = goals or GoalSet()
     levels = sorted({float(level) for level in intensities} | {0.0})
     seed_int = seed_to_int(seed)
     cells: List[Tuple[str, float, RunSpec]] = []
@@ -220,7 +217,6 @@ def resilience_specs(
                 catalog=catalog,
                 policy_kwargs=dict(kwargs),
                 run_config=run_config,
-                goals=(goals.throughput_metric, goals.fairness_metric),
                 seed=seed_int,
                 fault_plan=moderate_fault_plan(level, run_config.duration_s),
             )
@@ -232,7 +228,6 @@ def resilience_sweep(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     seed: SeedLike = 0,
     engine: Optional[ExecutionEngine] = None,
@@ -248,7 +243,7 @@ def resilience_sweep(
             Pass a parallel/cached one to fan the grid out.
     """
     engine = engine or ExecutionEngine()
-    cells = resilience_specs(mix, catalog, run_config, goals, intensities, seed)
+    cells = resilience_specs(mix, catalog, run_config, intensities, seed)
     results = engine.run([spec for _, _, spec in cells], on_error="record")
 
     clean: Dict[str, RunResult] = {}

@@ -15,13 +15,12 @@ import numpy as np
 
 from repro.engine import ExecutionEngine
 from repro.errors import ExperimentError
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
 from repro.experiments.comparison import compare_on_mixes, seed_to_int
 from repro.experiments.runner import RunConfig, experiment_catalog
 from repro.workloads.mixes import JobMix, suite_mixes
-from repro.workloads.registry import WorkloadRegistry, default_registry
+from repro.workloads.registry import default_registry
 
 
 @dataclass(frozen=True)
@@ -58,34 +57,30 @@ class ScalabilityResult:
 
 def colocation_scalability(
     degrees: Sequence[int] = (3, 4, 5, 6, 7),
-    suite: str = "parsec",
     mixes_per_degree: int = 2,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
-    registry: Optional[WorkloadRegistry] = None,
     engine: Optional[ExecutionEngine] = None,
 ) -> ScalabilityResult:
     """Compare SATORI and PARTIES across co-location degrees.
 
-    For each degree, a few representative mixes (deterministically
+    For each degree, a few representative PARSEC mixes (deterministically
     chosen from the ``C(7, degree)`` combinations) are averaged; each
     degree's mixes go to the engine as one batch.
     """
     catalog = catalog or experiment_catalog()
-    registry = registry or default_registry()
     engine = engine or ExecutionEngine()
     seed_int = seed_to_int(seed)
-    n_available = len(registry.suite(suite))
+    n_available = len(default_registry().suite("parsec"))
 
     points = []
     for degree in degrees:
         if degree > n_available:
             raise ExperimentError(
-                f"degree {degree} exceeds the {n_available} workloads of suite {suite!r}"
+                f"degree {degree} exceeds the {n_available} workloads of suite 'parsec'"
             )
-        all_mixes = suite_mixes(suite, mix_size=degree, registry=registry)
+        all_mixes = suite_mixes("parsec", mix_size=degree)
         stride = max(1, len(all_mixes) // mixes_per_degree)
         chosen = all_mixes[::stride][:mixes_per_degree]
 
@@ -93,7 +88,6 @@ def colocation_scalability(
             chosen,
             catalog=catalog,
             run_config=run_config,
-            goals=goals,
             seed=seed_int,
             include=("PARTIES", "SATORI"),
             engine=engine,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import ExecutionEngine, RunSpec
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
 from repro.experiments.comparison import seed_to_int
@@ -65,7 +64,6 @@ def period_sensitivity(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
     prioritization_sweep: Sequence[float] = DEFAULT_PRIORITIZATION_SWEEP,
     equalization_sweep: Sequence[float] = DEFAULT_EQUALIZATION_SWEEP,
@@ -74,16 +72,9 @@ def period_sensitivity(
     """Sweep T_P (at T_E=10 s) and T_E (at T_P=1 s) on one mix."""
     catalog = catalog or experiment_catalog()
     run_config = run_config or RunConfig()
-    goals = goals or GoalSet()
     engine = engine or ExecutionEngine()
 
-    base = dict(
-        mix=mix,
-        catalog=catalog,
-        run_config=run_config,
-        goals=(goals.throughput_metric, goals.fairness_metric),
-        seed=seed_to_int(seed),
-    )
+    base = dict(mix=mix, catalog=catalog, run_config=run_config, seed=seed_to_int(seed))
 
     def satori_spec(t_p: float, t_e: float) -> RunSpec:
         return RunSpec(

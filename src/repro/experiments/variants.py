@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine import ExecutionEngine, RunSpec
-from repro.metrics.goals import GoalSet
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
 from repro.experiments.comparison import seed_to_int
@@ -53,23 +52,13 @@ def single_goal_limits(
     mix: JobMix,
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
-    goals: Optional[GoalSet] = None,
     seed: SeedLike = 0,
-    engine: Optional[ExecutionEngine] = None,
 ) -> VariantLimitsResult:
     """Run all SATORI variants and all Oracle variants on one mix."""
     catalog = catalog or experiment_catalog()
     run_config = run_config or RunConfig()
-    goals = goals or GoalSet()
-    engine = engine or ExecutionEngine()
 
-    base = dict(
-        mix=mix,
-        catalog=catalog,
-        run_config=run_config,
-        goals=(goals.throughput_metric, goals.fairness_metric),
-        seed=seed_to_int(seed),
-    )
+    base = dict(mix=mix, catalog=catalog, run_config=run_config, seed=seed_to_int(seed))
 
     def satori(mode: str) -> RunSpec:
         return RunSpec(policy="SATORI", policy_kwargs={"mode": mode}, **base)
@@ -81,7 +70,7 @@ def single_goal_limits(
             **base,
         )
 
-    results = engine.run(
+    results = ExecutionEngine().run(
         [
             satori("dynamic"),
             satori("throughput"),

@@ -44,7 +44,7 @@ from repro.engine import ExecutionEngine, RunSpec
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.resources.types import ResourceCatalog
-from repro.workloads.arrivals import ArrivalTrace, poisson_trace
+from repro.workloads.arrivals import poisson_trace
 from repro.workloads.mixes import JobMix, suite_mixes
 
 #: Fraction of an epoch treated as the "early window" when comparing
@@ -64,10 +64,8 @@ def _tail_level(series: np.ndarray) -> float:
     return float(np.mean(series[-tail:]))
 
 
-def _series_recovery(
-    series: np.ndarray, reference_level: float, window: int, fraction: float = 0.95
-) -> int:
-    """Intervals until a 1 s moving average reaches the reference level.
+def _series_recovery(series: np.ndarray, reference_level: float, window: int) -> int:
+    """Intervals until a 1 s moving average reaches 95% of the reference level.
 
     Local (step-indexed) variant of
     :func:`repro.analysis.stats.convergence_time_s`: epoch telemetry
@@ -76,7 +74,7 @@ def _series_recovery(
     reaching the level counts as the full series length (censored).
     """
     smoothed = np.convolve(series, np.ones(window) / window, mode="valid")
-    hits = np.nonzero(smoothed >= fraction * reference_level)[0]
+    hits = np.nonzero(smoothed >= 0.95 * reference_level)[0]
     if hits.size == 0:
         return len(series)
     return int(hits[0] + window)
@@ -350,16 +348,13 @@ class WarmstartClusterComparison:
 
 
 def cluster_warmstart(
-    trace: Optional[ArrivalTrace] = None,
     n_nodes: int = 2,
     n_epochs: int = 12,
-    policy: str = "SATORI",
     catalog: Optional[ResourceCatalog] = None,
-    epoch_config: Optional[RunConfig] = None,
     seed: int = 0,
     engine: Optional[ExecutionEngine] = None,
 ) -> WarmstartClusterComparison:
-    """Replay one trace cold and warm and pair the outcomes.
+    """Replay one Poisson trace cold and warm under SATORI and pair the outcomes.
 
     Round-robin placement and no migration keep job→node routing
     independent of telemetry, so both replays produce identical
@@ -368,26 +363,26 @@ def cluster_warmstart(
     default trace is long (``n_epochs=12``) with sticky residency:
     warm starts only fire on membership-stable epoch boundaries, so
     churny short traces yield too few pairs to measure anything.
+    Epochs last 4 s with a baseline refresh every 2 s.
     """
     catalog = catalog or experiment_catalog()
-    epoch_config = epoch_config or RunConfig(duration_s=4.0, baseline_reset_s=2.0)
+    epoch_config = RunConfig(duration_s=4.0, baseline_reset_s=2.0)
     engine = engine or ExecutionEngine()
-    if trace is None:
-        trace = poisson_trace(
-            n_epochs=n_epochs,
-            arrival_rate=0.4,
-            mean_residency=6.0,
-            max_jobs=3 * n_nodes,
-            seed=seed,
-            initial_jobs=2 * n_nodes,
-        )
+    trace = poisson_trace(
+        n_epochs=n_epochs,
+        arrival_rate=0.4,
+        mean_residency=6.0,
+        max_jobs=3 * n_nodes,
+        seed=seed,
+        initial_jobs=2 * n_nodes,
+    )
 
     def _run(warm: bool) -> ClusterResult:
         return ClusterSimulator(
             trace,
             n_nodes=n_nodes,
             placement="round_robin",
-            policy=policy,
+            policy="SATORI",
             catalog=catalog,
             epoch_config=epoch_config,
             seed=seed,
@@ -429,7 +424,6 @@ class WarmstartReport:
 
 def warmstart_experiment(
     mixes: Optional[Sequence[JobMix]] = None,
-    policy: str = "SATORI",
     catalog: Optional[ResourceCatalog] = None,
     run_config: Optional[RunConfig] = None,
     n_nodes: int = 2,
@@ -437,15 +431,13 @@ def warmstart_experiment(
     seed: int = 0,
     engine: Optional[ExecutionEngine] = None,
 ) -> WarmstartReport:
-    """Run both halves of the warm-vs-cold experiment."""
+    """Run both halves of the warm-vs-cold experiment under SATORI."""
     engine = engine or ExecutionEngine()
     return WarmstartReport(
         adaptation=adaptation_sweep(
-            mixes, policy=policy, catalog=catalog, run_config=run_config,
-            seed=seed, engine=engine,
+            mixes, catalog=catalog, run_config=run_config, seed=seed, engine=engine
         ),
         cluster=cluster_warmstart(
-            n_nodes=n_nodes, n_epochs=n_epochs, policy=policy, catalog=catalog,
-            seed=seed, engine=engine,
+            n_nodes=n_nodes, n_epochs=n_epochs, catalog=catalog, seed=seed, engine=engine
         ),
     )

@@ -253,6 +253,17 @@ class TestTinyInvocations:
         assert main(TINY_INVOCATIONS["cluster"] + ["--warm-start"]) == 0
         capsys.readouterr()  # drain
 
+    def test_broker_without_static_control(self, capsys):
+        # A harvest-only sweep still compares placements; with no static
+        # cell to pair against, the deltas section is left out.
+        argv = ["broker", "--nodes", "2", "--epochs", "2", "--duration", "1",
+                "--units", "4", "--suite", "ecp", "--policy", "EqualPartition",
+                "--brokers", "harvest"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "cluster-wide by broker scheme:" in out
+        assert "paired deltas vs the static control" not in out
+
     def test_chaos_output_and_json(self, capsys, tmp_path):
         import json
 

@@ -1,9 +1,9 @@
 """Smoke checks for the example scripts.
 
-Full example runs take tens of seconds each, so the test suite
-verifies they compile, carry usage docstrings, and expose a ``main``
-entry point; the examples themselves are exercised manually / by CI
-at release time.
+The test suite verifies they compile, carry usage docstrings, and
+expose a ``main`` entry point. A blocking tier-1 CI step runs every
+script to completion (2-5 s each, about 17 s for all six on a 2-vCPU
+host).
 """
 
 import ast
