@@ -38,6 +38,9 @@ N_SAMPLES = 150
 #: Gated refit period benchmarked here (the BO default is 10).
 REFIT_EVERY = 5
 
+#: Alternating passes of each suggest() loop; each side's fastest counts.
+TIMING_ROUNDS = 3
+
 
 def _trace(n: int, d: int = 12, seed: int = 0):
     """A synthetic growing (x, y) trace shaped like encoded configs."""
@@ -111,11 +114,17 @@ def test_controller_step_speedup():
             total += time.perf_counter() - started
         return total
 
-    forced = loop(refit_every=1)
-    gated = loop(refit_every=REFIT_EVERY)
+    # A single pass of each is one wall-clock race that a load burst during
+    # either pass can decide, so alternate them and compare each side's
+    # best pass.
+    forced_passes, gated_passes = [], []
+    for _ in range(TIMING_ROUNDS):
+        forced_passes.append(loop(refit_every=1))
+        gated_passes.append(loop(refit_every=REFIT_EVERY))
+    forced, gated = min(forced_passes), min(gated_passes)
     print(
-        f"\nsuggest() loop over {N_SAMPLES} intervals: "
-        f"every-step refit {forced * 1e3:.1f} ms, "
+        f"\nsuggest() loop over {N_SAMPLES} intervals, best of {TIMING_ROUNDS} "
+        f"alternating passes: every-step refit {forced * 1e3:.1f} ms, "
         f"gated (K={REFIT_EVERY}) {gated * 1e3:.1f} ms, "
         f"speedup {forced / max(gated, 1e-12):.2f}x"
     )

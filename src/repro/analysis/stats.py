@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, run_policy
@@ -43,7 +43,8 @@ def confidence_interval(values: Sequence[float]) -> ReplicatedScore:
         raise ExperimentError("need at least two replications for a confidence interval")
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
-    t = scipy_stats.t.ppf(0.975, df=values.size - 1)
+    # The Student-t quantile, as SciPy's ``t.ppf`` evaluates it for finite df.
+    t = special.stdtrit(values.size - 1, 0.975)
     return ReplicatedScore(
         mean=mean,
         std=float(values.std(ddof=1)),

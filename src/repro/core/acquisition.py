@@ -11,9 +11,15 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.errors import ModelError
+
+# The standard normal cdf is ``special.ndtr`` and its pdf the closed form
+# below, exactly what SciPy's ``norm`` distribution evaluates after its
+# argument checks. Importing SciPy's statistics package for them would
+# cost every process over a second of start-up.
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 class AcquisitionFunction(abc.ABC):
@@ -43,7 +49,8 @@ class ExpectedImprovement(AcquisitionFunction):
         std = np.maximum(np.asarray(std, dtype=float), 1e-12)
         improvement = mean - best - self.xi
         z = improvement / std
-        return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+        pdf = np.exp(-z**2 / 2.0) / _SQRT_2PI
+        return improvement * special.ndtr(z) + std * pdf
 
 
 class ProbabilityOfImprovement(AcquisitionFunction):
@@ -57,7 +64,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     def __call__(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
         mean = np.asarray(mean, dtype=float)
         std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-        return stats.norm.cdf((mean - best - self.xi) / std)
+        return special.ndtr((mean - best - self.xi) / std)
 
 
 class UpperConfidenceBound(AcquisitionFunction):

@@ -11,7 +11,7 @@ through, and measure how quickly performance recovers relative to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

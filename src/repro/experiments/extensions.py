@@ -25,17 +25,9 @@ from repro.core.controller import SatoriController
 from repro.metrics.goals import GoalSet
 from repro.policies.static import EqualPartitionPolicy
 from repro.resources.space import ConfigurationSpace
-from repro.resources.types import (
-    CORES,
-    LLC_WAYS,
-    MEMORY_BANDWIDTH,
-    POWER,
-    Resource,
-    ResourceCatalog,
-    ResourceKind,
-)
+from repro.resources.types import Resource, ResourceCatalog, ResourceKind
 from repro.rng import SeedLike, make_rng, spawn_rng
-from repro.experiments.comparison import compare_on_mix, full_space
+from repro.experiments.comparison import compare_on_mix
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog, run_policy
 from repro.workloads.mixes import JobMix
 

@@ -11,7 +11,7 @@ weaker-goal-versus-stronger-goal prioritization ablation (Fig. 19).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -96,13 +96,12 @@ def _run_variant(
     run_config: Optional[RunConfig],
     seed: SeedLike,
     **satori_kwargs,
-) -> Tuple[RunResult, SatoriController]:
+) -> RunResult:
     rng = make_rng(seed)
     controller = SatoriController(
         full_space(catalog, len(mix)), rng=spawn_rng(rng), **satori_kwargs
     )
-    result = run_policy(controller, mix, catalog, run_config, seed=spawn_rng(rng))
-    return result, controller
+    return run_policy(controller, mix, catalog, run_config, seed=spawn_rng(rng))
 
 
 def dynamic_vs_static(
@@ -117,8 +116,8 @@ def dynamic_vs_static(
     so the difference is attributable to dynamic prioritization.
     """
     catalog = catalog or experiment_catalog()
-    dynamic, _ = _run_variant(mix, catalog, run_config, seed, mode="dynamic")
-    static, _ = _run_variant(mix, catalog, run_config, seed, mode="static")
+    dynamic = _run_variant(mix, catalog, run_config, seed, mode="dynamic")
+    static = _run_variant(mix, catalog, run_config, seed, mode="static")
     return VariantComparison(
         mix_label=mix.label, dynamic=dynamic, other=static, other_label="static weights"
     )
@@ -155,10 +154,10 @@ def objective_trace(
     catalog = catalog or experiment_catalog()
     # Disable idle skipping so the proxy model updates every interval
     # (Fig. 17 characterizes the BO engine itself).
-    dynamic, _ = _run_variant(
+    dynamic = _run_variant(
         mix, catalog, run_config, seed, mode="dynamic", idle_detection=False
     )
-    static, _ = _run_variant(
+    static = _run_variant(
         mix, catalog, run_config, seed, mode="static", idle_detection=False
     )
     return ObjectiveTraces(
@@ -214,10 +213,10 @@ def weak_goal_priority(
     underperform the chosen design by roughly 5 %.
     """
     catalog = catalog or experiment_catalog()
-    weaker, _ = _run_variant(
+    weaker = _run_variant(
         mix, catalog, run_config, seed, mode="dynamic", favor_weaker_goal=True
     )
-    stronger, _ = _run_variant(
+    stronger = _run_variant(
         mix, catalog, run_config, seed, mode="dynamic", favor_weaker_goal=False
     )
     return VariantComparison(

@@ -9,7 +9,7 @@ gradient descent gets stuck in the proliferating local maxima.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike
 from repro.experiments.comparison import compare_on_mixes, seed_to_int
 from repro.experiments.runner import RunConfig, experiment_catalog
-from repro.workloads.mixes import JobMix, suite_mixes
+from repro.workloads.mixes import suite_mixes
 from repro.workloads.registry import default_registry
 
 

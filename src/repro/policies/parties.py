@@ -20,7 +20,7 @@ degree grows (Sec. V, scalability).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -12,7 +12,7 @@ paper's evaluation uses (Sec. IV explains the adaptation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

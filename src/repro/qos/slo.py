@@ -32,7 +32,7 @@ the tracker records an :class:`SLOMissEvent`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.workloads.latency_critical import LatencyCriticalJob

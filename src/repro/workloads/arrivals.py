@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ClusterError
 from repro.rng import SeedLike, make_rng
 from repro.workloads.model import Phase, PhaseSchedule, Workload

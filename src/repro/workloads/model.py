@@ -28,7 +28,7 @@ the paper measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.analysis.export import (
     run_summary,
@@ -89,6 +90,16 @@ class TestConfidenceInterval:
 
     def test_str(self):
         assert "n=3" in str(confidence_interval([1.0, 2.0, 3.0]))
+
+    def test_bounds_equal_scipy_stats_t(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 201):
+            values = rng.normal(1.0, 0.3, size=n)
+            mean = float(values.mean())
+            sem = float(values.std(ddof=1) / np.sqrt(n))
+            t = scipy_stats.t.ppf(0.975, df=n - 1)
+            score = confidence_interval(values)
+            assert (score.ci_low, score.ci_high) == (mean - t * sem, mean + t * sem), n
 
 
 class TestReplication:

@@ -5,8 +5,13 @@ tiny-budget invocation must run to completion (exit code 0). This is
 the cheap guard against a driver refactor breaking the CLI wiring.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 #: Every registered subcommand.
@@ -144,6 +149,20 @@ class TestParser:
             for option, value in COMMON_OPTIONS.items():
                 if (command, option) not in UNREAD_OPTIONS:
                     parser.parse_args([command, option, *value])
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """Importing scipy.stats costs every process over a second and
+        tens of MB; the program needs only kernels from scipy.special."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        assert loaded.stdout.strip() == "False"
 
 
 class TestTinyInvocations:

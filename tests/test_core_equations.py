@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from repro.core.acquisition import ExpectedImprovement, ProbabilityOfImprovement
 from repro.core.kernels import Matern52
@@ -109,6 +110,42 @@ class TestExpectedImprovementClosedForm:
         rng = np.random.default_rng(7)
         draws = rng.normal(mean, std, size=200_000)
         assert closed == pytest.approx((draws > best).mean(), abs=0.01)
+
+
+def _posterior_draw(rng):
+    """1-300 candidates, |z| spread out to about 40; zero stds go far beyond."""
+    n = int(rng.integers(1, 301))
+    std = rng.uniform(0.0, 1.0, size=n)
+    std[rng.uniform(size=n) < 0.1] = 0.0
+    best = float(rng.normal())
+    z = rng.uniform(-40.0, 40.0, size=n) * rng.uniform(size=n) ** 2
+    mean = best + z * np.maximum(std, 1e-3)
+    return mean, std, best, float(rng.uniform(0.0, 0.05))
+
+
+class TestAcquisitionMatchesScipyStats:
+    """EI and PI equal the ``scipy.stats.norm`` formulas bit for bit."""
+
+    DRAWS = 2000
+
+    def test_ei_bit_identical(self):
+        rng = np.random.default_rng(2021)
+        for draw in range(self.DRAWS):
+            mean, std, best, xi = _posterior_draw(rng)
+            floored = np.maximum(std, 1e-12)
+            improvement = mean - best - xi
+            z = improvement / floored
+            expected = improvement * norm.cdf(z) + floored * norm.pdf(z)
+            got = ExpectedImprovement(xi=xi)(mean, std, best)
+            assert np.array_equal(got, expected), f"draw {draw}"
+
+    def test_pi_bit_identical(self):
+        rng = np.random.default_rng(2022)
+        for draw in range(self.DRAWS):
+            mean, std, best, xi = _posterior_draw(rng)
+            expected = norm.cdf((mean - best - xi) / np.maximum(std, 1e-12))
+            got = ProbabilityOfImprovement(xi=xi)(mean, std, best)
+            assert np.array_equal(got, expected), f"draw {draw}"
 
 
 class TestMatern52ClosedForm:

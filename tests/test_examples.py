@@ -2,7 +2,7 @@
 
 The test suite verifies they compile, carry usage docstrings, and
 expose a ``main`` entry point. A blocking tier-1 CI step runs every
-script to completion (2-5 s each, about 17 s for all six on a 2-vCPU
+script to completion (1-5 s each, about 13 s for all six on a 2-vCPU
 host).
 """
 
