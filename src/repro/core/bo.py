@@ -265,7 +265,7 @@ class BayesianOptimizer:
         proxy model's estimates from one iteration to the next,
         measured on a fixed set of configurations.
         """
-        means, _ = gp.predict(self._probe_x)
+        means = gp.predict_mean(self._probe_x)
         if self._last_probe_means is None:
             self._last_probe_means = means
             return 0.0

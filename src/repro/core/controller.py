@@ -24,6 +24,7 @@ Variants (Sec. IV "Throughput and Fairness SATORI"):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -63,11 +64,8 @@ def _optional_dataclass(cls, codecs=None) -> serialize.FieldCodec:
 
 
 _CONFIG = serialize.optional(serialize.object_codec(Configuration))
-_ARRAY = serialize.optional(
-    serialize.FieldCodec(
-        encode=lambda values: values.tolist(),
-        decode=lambda data: np.asarray(data, dtype=float),
-    )
+_FLOATS = serialize.optional(
+    serialize.FieldCodec(encode=list, decode=lambda data: tuple(float(v) for v in data))
 )
 
 
@@ -96,9 +94,9 @@ class _Loop:
     rejected_samples: int = 0
     spike_pending: bool = False
     noise_seen: bool = False
-    last_accepted_ips: Optional[np.ndarray] = None
+    last_accepted_ips: Optional[Tuple[float, ...]] = None
     last_accepted_config: Optional[Configuration] = None
-    last_good_speedups: Optional[np.ndarray] = None
+    last_good_speedups: Optional[Tuple[float, ...]] = None
     last_weights: Optional[WeightState] = None
     last_suggestion: Optional[Suggestion] = None
     last_objective: float = 0.0
@@ -111,16 +109,14 @@ _LOOP_CODECS = {
     "pending": _CONFIG,
     "stable_best": _CONFIG,
     "idle_config": _CONFIG,
-    "last_accepted_ips": _ARRAY,
+    "last_accepted_ips": _FLOATS,
     "last_accepted_config": _CONFIG,
-    "last_good_speedups": _ARRAY,
+    "last_good_speedups": _FLOATS,
     "last_weights": _optional_dataclass(WeightState),
     "last_suggestion": _optional_dataclass(
         Suggestion, {"config": serialize.object_codec(Configuration)}
     ),
-    "baseline_tilt": serialize.optional(
-        serialize.FieldCodec(encode=list, decode=lambda data: tuple(float(v) for v in data))
-    ),
+    "baseline_tilt": _FLOATS,
 }
 
 #: Payload keys every snapshot carries; ``baseline_tilt`` is absent
@@ -608,37 +604,32 @@ class SatoriController(PartitioningPolicy):
         accepted).
         """
         loop = self._loop
-        ips = np.asarray(observation.ips, dtype=float)
-        iso = np.asarray(observation.isolation_ips, dtype=float)
-        if not (np.all(np.isfinite(ips)) and np.all(np.isfinite(iso))):
+        ips = tuple(float(v) for v in observation.ips)
+        iso = tuple(float(v) for v in observation.isolation_ips)
+        if not all(math.isfinite(v) for v in ips + iso):
             return False
-        if not np.any(ips > 0):
+        if not any(v > 0 for v in ips):
             # A fully-starved interval (mass crash/hang) has no defined
             # fairness CoV; scoring it would raise mid-decide.
             return False
-        if loop.last_accepted_ips is not None and len(loop.last_accepted_ips) == len(ips):
+        last = loop.last_accepted_ips
+        if last is not None and len(last) == len(ips):
             if not loop.noise_seen and self._same_config(observation):
                 # Small nonzero change under an unchanged configuration
                 # is measurement noise (phase shifts move levels by
                 # much more); from here on exact repeats are stuck.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rel = np.abs(ips - loop.last_accepted_ips) / np.where(
-                        loop.last_accepted_ips > 0, loop.last_accepted_ips, 1.0
-                    )
-                if np.any((rel > 0) & (rel < 0.05)):
-                    loop.noise_seen = True
-            if loop.noise_seen:
-                stale = (ips == loop.last_accepted_ips) & (ips > 0)
-                if np.any(stale):
-                    return False
-        safe_iso = np.where(iso > 0, iso, 1.0)
-        speedup = np.where(iso > 0, ips / safe_iso, 0.0)
-        if np.any(speedup > self._speedup_ceiling):
+                loop.noise_seen = any(
+                    0 < abs(v - p) / (p if p > 0 else 1.0) < 0.05 for v, p in zip(ips, last)
+                )
+            if loop.noise_seen and any(v == p and v > 0 for v, p in zip(ips, last)):
+                return False
+        speedup = tuple(v / b if b > 0 else 0.0 for v, b in zip(ips, iso))
+        if any(s > self._speedup_ceiling for s in speedup):
             return False
-        if loop.last_good_speedups is not None and len(loop.last_good_speedups) == len(speedup):
-            ref = loop.last_good_speedups
-            suspect = (ref > 0) & (speedup < ref / self._spike_factor)
-            if np.any(suspect) and not loop.spike_pending:
+        ref = loop.last_good_speedups
+        if ref is not None and len(ref) == len(speedup):
+            suspect = any(r > 0 and s < r / self._spike_factor for s, r in zip(speedup, ref))
+            if suspect and not loop.spike_pending:
                 loop.spike_pending = True
                 return False
         loop.spike_pending = False

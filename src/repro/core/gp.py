@@ -265,19 +265,28 @@ class GaussianProcess:
 
         Returns values in the original (unstandardized) target units.
         """
-        if not self.is_fitted:
-            raise ModelError("predict() before fit()")
-        x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
-        k_star = self.kernel(x_query, self._x)
-        mean_z = k_star @ self._alpha
-
+        k_star = self._cross_kernel(x_query)
         v = np.linalg.solve(self._chol, k_star.T)
-        var_z = self.kernel.diagonal(x_query.shape[0]) - np.sum(v**2, axis=0)
+        var_z = self.kernel.diagonal(k_star.shape[0]) - np.sum(v**2, axis=0)
         var_z = np.maximum(var_z, 1e-12)
+        return self._mean(k_star), np.sqrt(var_z) * self._y_std
 
-        mean = mean_z * self._y_std + self._y_mean
-        std = np.sqrt(var_z) * self._y_std
-        return mean, std
+    def predict_mean(self, x_query: np.ndarray) -> np.ndarray:
+        """Posterior mean alone, bit-identical to ``predict(x_query)[0]``.
+
+        Skips the triangular solve the standard deviation needs.
+        """
+        return self._mean(self._cross_kernel(x_query))
+
+    def _cross_kernel(self, x_query: np.ndarray) -> np.ndarray:
+        """Kernel between the query points and the fitted inputs."""
+        if not self.is_fitted:
+            raise ModelError("prediction before fit()")
+        return self.kernel(np.atleast_2d(np.asarray(x_query, dtype=float)), self._x)
+
+    def _mean(self, k_star: np.ndarray) -> np.ndarray:
+        """Posterior mean in target units, from the cross kernel."""
+        return (k_star @ self._alpha) * self._y_std + self._y_mean
 
     def log_marginal_likelihood(self) -> float:
         """Log evidence of the fitted data under the current kernel."""

@@ -6,28 +6,31 @@ speedups, ``1 / (1 + CoV^2)``, which is 1 when every job suffers the
 same relative slowdown and approaches 0 as the slowdowns diverge.
 ``1 - CoV`` is provided as the alternative metric the paper discusses
 (unbounded below, hence the normalization note in Sec. III-B).
+
+The metrics run on Python floats and sum in numpy's order
+(:func:`~repro.metrics.summation.np_sum`), so each equals its numpy
+formula (``np.std(s) / np.mean(s)`` for the CoV) bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Sequence
 
-import numpy as np
-
 from repro.errors import ExperimentError
+from repro.metrics.summation import np_sum
+from repro.metrics.throughput import checked_speedups
 
 
 def coefficient_of_variation(job_speedups: Sequence[float]) -> float:
     """Population CoV (std as a fraction of the mean) of the speedups."""
-    s = np.asarray(job_speedups, dtype=float)
-    if s.size == 0:
-        raise ExperimentError("need at least one job")
-    if np.any(s < 0):
-        raise ExperimentError(f"speedups must be non-negative, got {s}")
-    mean = float(np.mean(s))
+    s = checked_speedups(job_speedups)
+    n = len(s)
+    mean = np_sum(s) / n
     if mean <= 0:
         raise ExperimentError("mean speedup must be positive to compute CoV")
-    return float(np.std(s) / mean)
+    deviations = [value - mean for value in s]
+    return math.sqrt(np_sum([d * d for d in deviations]) / n) / mean
 
 
 def jain_index(job_speedups: Sequence[float]) -> float:
@@ -44,7 +47,12 @@ def one_minus_cov(job_speedups: Sequence[float]) -> float:
 def one_minus_cov_normalized(job_speedups: Sequence[float]) -> float:
     """``1 - CoV`` clipped into [0, 1] (the paper normalizes unbounded
     metrics into a common [0, 1] range before weighting, Sec. III-B)."""
-    return float(np.clip(one_minus_cov(job_speedups), 0.0, 1.0))
+    value = one_minus_cov(job_speedups)
+    if value < 0.0:
+        return 0.0
+    if value > 1.0:
+        return 1.0
+    return value  # NaN passes through, as np.clip lets it
 
 
 #: Named fairness metrics for metric-sweep experiments.

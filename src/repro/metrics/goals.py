@@ -74,7 +74,11 @@ class GoalSet:
         return f"GoalSet(throughput={self._throughput_metric!r}, fairness={self._fairness_metric!r})"
 
     def scores(self, ips: Sequence[float], isolation_ips: Sequence[float]) -> GoalScores:
-        """Normalized goal scores for one set of measurements."""
+        """Normalized goal scores for one set of measurements.
+
+        Runs the metric functions themselves, on Python floats: the
+        controller and the telemetry log each score every interval.
+        """
         s = speedups(ips, isolation_ips)
         return GoalScores(
             throughput=self._throughput(s, isolation_ips),
@@ -82,7 +86,7 @@ class GoalSet:
         )
 
     def scores_batch(self, ips: np.ndarray, isolation_ips: Sequence[float]):
-        """Vectorized scores for many candidate evaluations.
+        """Scores for many candidate evaluations, one :meth:`scores` per row.
 
         Args:
             ips: ``(n_configs, n_jobs)`` array of modeled IPS values.
@@ -90,40 +94,25 @@ class GoalSet:
 
         Returns:
             ``(throughput, fairness)`` arrays of shape ``(n_configs,)``.
-
-        Used by the brute-force Oracle, where building per-row
-        :class:`GoalScores` objects would dominate the search cost.
         """
         ips = np.asarray(ips, dtype=float)
-        iso = np.asarray(isolation_ips, dtype=float)
-        if ips.ndim != 2 or ips.shape[1] != iso.shape[0]:
-            raise ExperimentError(f"expected (n, {iso.shape[0]}) ips array, got {ips.shape}")
-        s = ips / iso
+        iso = [float(v) for v in isolation_ips]
+        if ips.ndim != 2 or ips.shape[1] != len(iso):
+            raise ExperimentError(f"expected (n, {len(iso)}) ips array, got {ips.shape}")
+        rows = [self.scores(row, iso) for row in ips.tolist()]
+        return (
+            np.array([row.throughput for row in rows], dtype=float),
+            np.array([row.fairness for row in rows], dtype=float),
+        )
 
-        if self._throughput_metric == "sum_ips":
-            throughput = (s * iso).sum(axis=1) / iso.sum()
-        elif self._throughput_metric == "geometric_mean":
-            throughput = np.exp(np.log(np.maximum(s, 1e-12)).mean(axis=1))
-        else:  # harmonic_mean
-            throughput = s.shape[1] / (1.0 / np.maximum(s, 1e-12)).sum(axis=1)
-
-        mean = s.mean(axis=1)
-        std = s.std(axis=1)
-        cov = std / np.maximum(mean, 1e-12)
-        if self._fairness_metric == "jain":
-            fairness = 1.0 / (1.0 + cov * cov)
-        else:
-            fairness = np.clip(1.0 - cov, 0.0, 1.0)
-        return throughput, fairness
-
-    def _throughput(self, s: np.ndarray, isolation_ips: Sequence[float]) -> float:
+    def _throughput(self, s: Sequence[float], isolation_ips: Sequence[float]) -> float:
         if self._throughput_metric == "sum_ips":
             return weighted_mean_speedup(s, isolation_ips)
         if self._throughput_metric == "geometric_mean":
             return geometric_mean_speedup(s)
         return harmonic_mean_speedup(s)
 
-    def _fairness(self, s: np.ndarray) -> float:
+    def _fairness(self, s: Sequence[float]) -> float:
         if self._fairness_metric == "jain":
             return jain_index(s)
         return one_minus_cov_normalized(s)

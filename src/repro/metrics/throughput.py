@@ -12,44 +12,55 @@ second*; normalized by the sum of isolation IPS it equals the
 IPS-weighted mean speedup. Geometric and harmonic mean speedups are
 provided because Sec. II lists them as common alternatives and the
 paper confirms SATORI's improvements hold for them.
+
+Every metric but the geometric mean runs on Python floats and sums in
+numpy's order (:func:`~repro.metrics.summation.np_sum`), so it equals
+its numpy formula bit for bit; the geometric mean keeps numpy's
+``log`` and ``exp``, which ``math`` does not reproduce.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+import math
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.metrics.summation import np_sum
 
 
-def speedups(ips: Sequence[float], isolation_ips: Sequence[float]) -> np.ndarray:
+def speedups(ips: Sequence[float], isolation_ips: Sequence[float]) -> Tuple[float, ...]:
     """Per-job speedups relative to isolation performance.
 
     Raises:
-        ExperimentError: on length mismatch or non-positive baselines.
+        ExperimentError: on length mismatch, non-positive baselines or
+            negative IPS.
     """
-    ips = np.asarray(ips, dtype=float)
-    iso = np.asarray(isolation_ips, dtype=float)
-    if ips.shape != iso.shape:
-        raise ExperimentError(f"ips shape {ips.shape} != baseline shape {iso.shape}")
-    if np.any(iso <= 0):
+    ips = [float(v) for v in ips]
+    iso = [float(v) for v in isolation_ips]
+    if len(ips) != len(iso):
+        raise ExperimentError(f"{len(ips)} IPS values for {len(iso)} baselines")
+    if any(v <= 0 for v in iso):
         raise ExperimentError("isolation IPS must be positive")
-    if np.any(ips < 0):
+    if any(v < 0 for v in ips):
         raise ExperimentError("IPS must be non-negative")
-    return ips / iso
+    return tuple(value / base for value, base in zip(ips, iso))
 
 
 def geometric_mean_speedup(job_speedups: Sequence[float]) -> float:
     """Geometric mean of the per-job speedups."""
-    s = _checked(job_speedups)
+    s = checked_speedups(job_speedups)
     return float(np.exp(np.mean(np.log(np.maximum(s, 1e-12)))))
 
 
 def harmonic_mean_speedup(job_speedups: Sequence[float]) -> float:
     """Harmonic mean of the per-job speedups."""
-    s = _checked(job_speedups)
-    return float(len(s) / np.sum(1.0 / np.maximum(s, 1e-12)))
+    s = checked_speedups(job_speedups)
+    # np.maximum(v, 1e-12), which keeps a NaN (``nan < 1e-12`` is false).
+    reciprocal_sum = np_sum([1.0 / (1e-12 if v < 1e-12 else v) for v in s])
+    # Only all-infinite speedups sum to zero; numpy reads that as inf.
+    return len(s) / reciprocal_sum if reciprocal_sum else math.inf
 
 
 def weighted_mean_speedup(job_speedups: Sequence[float], isolation_ips: Sequence[float]) -> float:
@@ -57,20 +68,27 @@ def weighted_mean_speedup(job_speedups: Sequence[float], isolation_ips: Sequence
 
     ``sum_i ips_i / sum_i iso_i`` — the paper's default throughput
     metric in its [0, 1] normalized form.
+
+    Raises:
+        ExperimentError: on an empty, negative or mismatched input, or
+            isolation IPS that sum to zero.
     """
-    s = _checked(job_speedups)
-    iso = np.asarray(isolation_ips, dtype=float)
-    if iso.shape != s.shape:
-        raise ExperimentError(f"speedup shape {s.shape} != baseline shape {iso.shape}")
-    return float(np.sum(s * iso) / np.sum(iso))
+    s = checked_speedups(job_speedups)
+    iso = [float(v) for v in isolation_ips]
+    if len(iso) != len(s):
+        raise ExperimentError(f"{len(s)} speedups for {len(iso)} baselines")
+    iso_sum = np_sum(iso)
+    if iso_sum == 0:
+        raise ExperimentError("isolation IPS must not sum to zero")
+    return np_sum([value * base for value, base in zip(s, iso)]) / iso_sum
 
 
 def total_ips(ips: Sequence[float]) -> float:
     """Raw sum of instructions per second (unnormalized)."""
-    values = np.asarray(ips, dtype=float)
-    if values.size == 0:
+    values = [float(v) for v in ips]
+    if not values:
         raise ExperimentError("need at least one job")
-    return float(np.sum(values))
+    return np_sum(values)
 
 
 #: Named throughput metrics over speedups alone, for metric-sweep
@@ -82,10 +100,11 @@ THROUGHPUT_METRICS: Dict[str, Callable[[Sequence[float]], float]] = {
 }
 
 
-def _checked(job_speedups: Sequence[float]) -> np.ndarray:
-    s = np.asarray(job_speedups, dtype=float)
-    if s.size == 0:
+def checked_speedups(job_speedups: Sequence[float]) -> List[float]:
+    """The speedups as floats; rejects an empty or negative input."""
+    s = [float(v) for v in job_speedups]
+    if not s:
         raise ExperimentError("need at least one job")
-    if np.any(s < 0):
+    if any(v < 0 for v in s):
         raise ExperimentError(f"speedups must be non-negative, got {s}")
     return s

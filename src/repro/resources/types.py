@@ -11,7 +11,7 @@ bandwidth-throttle steps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Tuple
 
 from repro.errors import SpaceError
@@ -48,23 +48,25 @@ class Resource:
             natural dimension (cores: 1 core; LLC: bytes per way;
             bandwidth: bytes/s per throttle step; power: watts). Used
             by the hardware substrate and performance models.
+        name: canonical string name of the resource (its kind value),
+            set at construction; derived from ``kind``, so it takes no
+            part in equality, hashing or repr.
     """
 
     kind: ResourceKind
     units: int
     min_units: int = 1
     unit_capacity: float = 1.0
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.units < 1:
             raise SpaceError(f"resource {self.kind.value} needs >=1 unit, got {self.units}")
         if self.min_units < 0:
             raise SpaceError(f"min_units must be >=0, got {self.min_units}")
-
-    @property
-    def name(self) -> str:
-        """Canonical string name of the resource (its kind value)."""
-        return self.kind.value
+        # Read on every contention solve and actuation; a property
+        # would re-derive it from the enum each time.
+        object.__setattr__(self, "name", self.kind.value)
 
     @property
     def capacity(self) -> float:

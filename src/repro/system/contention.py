@@ -25,7 +25,7 @@ reproduction exactly as the paper measures (CoPart > dCAT, Sec. V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -72,11 +72,16 @@ class SystemState:
 
     Arrays are ``(n_jobs,)`` from :func:`evaluate_system` and
     ``(n_configs, n_jobs)`` from :func:`evaluate_system_batch`.
+    :func:`evaluate_system` also fills ``allocations`` with the
+    :func:`effective_allocations` it solved with, so a caller that
+    needs them (the simulator's reconfiguration penalty) does not
+    solve them again.
     """
 
     ips: np.ndarray
     llc_occupancy_bytes: np.ndarray
     memory_bandwidth_bytes_s: np.ndarray
+    allocations: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def effective_allocations(
@@ -233,6 +238,7 @@ def evaluate_system(
         ips=ips,
         llc_occupancy_bytes=np.minimum(cache_bytes, phases.working_set_bytes),
         memory_bandwidth_bytes_s=ips * bytes_per_instr,
+        allocations=allocations,
     )
 
 

@@ -39,11 +39,7 @@ from repro.resources.types import (
     default_catalog,
 )
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state, spawn_rng
-from repro.system.contention import (
-    effective_allocations,
-    evaluate_system,
-    evaluate_system_batch,
-)
+from repro.system.contention import evaluate_system, evaluate_system_batch
 from repro.workloads.mixes import JobMix
 from repro.workloads.model import Phase, Workload
 
@@ -410,7 +406,7 @@ class CoLocationSimulator:
 
         interval_start = self._time_s
         state = evaluate_system(self._mix, self._catalog, self._config, interval_start)
-        ips = state.ips * self._reconfiguration_factors()
+        ips = state.ips * self._reconfiguration_factors(state.allocations)
         ips = ips * self._workload_fault_factors(interval_start)
         if self._pending_failed_attempts:
             penalty = min(0.5, ACTUATION_RETRY_PENALTY * self._pending_failed_attempts)
@@ -680,16 +676,16 @@ class CoLocationSimulator:
                 self._last_reported_ips[job] = value
         return reported
 
-    def _reconfiguration_factors(self) -> np.ndarray:
+    def _reconfiguration_factors(self, current: Dict[str, np.ndarray]) -> np.ndarray:
         """Per-job IPS multipliers for this interval's allocation change.
 
         A job whose allocation moved loses up to
         :data:`RECONFIGURATION_PENALTY` of the interval to cache
         refill / thread-migration disturbance, in proportion to the
         fraction of its allocation that changed. The first interval is
-        free (jobs are starting anyway).
+        free (jobs are starting anyway). ``current`` is the interval's
+        effective allocations, as its contention solve computed them.
         """
-        current = effective_allocations(self._mix, self._catalog, self._config, self._time_s)
         if self._prev_allocations is None:
             self._prev_allocations = current
             return np.ones(self.n_jobs)

@@ -35,7 +35,7 @@ class TelemetryRecord:
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def speedups(self) -> np.ndarray:
+    def speedups(self) -> Tuple[float, ...]:
         return speedups(self.ips, self.isolation_ips)
 
     @property

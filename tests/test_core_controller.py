@@ -1,15 +1,19 @@
 """Tests for the SATORI controller (Algorithm 1)."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro import serialize
+from repro.core import controller as controller_module
 from repro.core.controller import SatoriController
 from repro.core.initializers import good_initial_set
 from repro.errors import PolicyError
 from repro.experiments.runner import RunConfig, run_policy
 from repro.resources.space import ConfigurationSpace
 from repro.rng import make_rng
-from repro.system.simulation import CoLocationSimulator
+from repro.system.simulation import CoLocationSimulator, Observation
 
 
 @pytest.fixture
@@ -141,3 +145,202 @@ class TestEndToEnd:
         satori_score = satori.throughput + satori.fairness
         random_score = random.throughput + random.fairness
         assert satori_score > random_score
+
+
+# -- the float validation gate against the numpy one ------------------------
+
+
+class ArrayLoop:
+    """The gate's loop fields as the numpy gate held them."""
+
+    def __init__(self):
+        self.noise_seen = False
+        self.spike_pending = False
+        self.last_accepted_ips = None
+        self.last_accepted_config = None
+        self.last_good_speedups = None
+
+
+def array_gate(loop, observation, spike_factor=4.0, speedup_ceiling=2.0):
+    """``_validate_observation`` as it ran on numpy arrays, kept as the
+    reference; returns ``(accepted, branch)``."""
+    ips = np.asarray(observation.ips, dtype=float)
+    iso = np.asarray(observation.isolation_ips, dtype=float)
+    if not (np.all(np.isfinite(ips)) and np.all(np.isfinite(iso))):
+        return False, "non_finite"
+    if not np.any(ips > 0):
+        return False, "starved"
+    branch = "accepted"
+    if loop.last_accepted_ips is not None and len(loop.last_accepted_ips) == len(ips):
+        same_config = (
+            observation.config is not None
+            and loop.last_accepted_config is not None
+            and observation.config == loop.last_accepted_config
+        )
+        if not loop.noise_seen and same_config:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.abs(ips - loop.last_accepted_ips) / np.where(
+                    loop.last_accepted_ips > 0, loop.last_accepted_ips, 1.0
+                )
+            if np.any((rel > 0) & (rel < 0.05)):
+                loop.noise_seen = True
+                branch = "noise_seen"
+        if loop.noise_seen:
+            stale = (ips == loop.last_accepted_ips) & (ips > 0)
+            if np.any(stale):
+                return False, "stale"
+    safe_iso = np.where(iso > 0, iso, 1.0)
+    speedup = np.where(iso > 0, ips / safe_iso, 0.0)
+    if np.any(speedup > speedup_ceiling):
+        return False, "ceiling"
+    if loop.last_good_speedups is not None and len(loop.last_good_speedups) == len(speedup):
+        ref = loop.last_good_speedups
+        suspect = (ref > 0) & (speedup < ref / spike_factor)
+        if np.any(suspect):
+            if not loop.spike_pending:
+                loop.spike_pending = True
+                return False, "spike_rejected"
+            branch = "spike_accepted"
+    loop.spike_pending = False
+    loop.last_accepted_ips = ips
+    loop.last_accepted_config = observation.config
+    loop.last_good_speedups = speedup
+    return True, branch
+
+
+class ArrayGateController(SatoriController):
+    """SATORI with the numpy gate, holding its loop fields as arrays."""
+
+    def _validate_observation(self, observation):
+        return array_gate(self._loop, observation, self._spike_factor, self._speedup_ceiling)[0]
+
+
+#: How the numpy gate's array fields were written into snapshots.
+ARRAY_CODEC = serialize.optional(
+    serialize.FieldCodec(
+        encode=lambda values: values.tolist(),
+        decode=lambda data: np.asarray(data, dtype=float),
+    )
+)
+
+
+def gate_observations(space, seed, n_steps=160, zero_baselines=True):
+    """A seeded observation stream that reaches every branch of the gate.
+
+    The first 12 intervals repeat exactly under one configuration (noise
+    not yet seen, so repeats are not stale); after that, 1% lognormal
+    noise, and per interval one of: NaN IPS, an infinite baseline, a
+    starved interval, a job repeating its previous IPS, a speedup over
+    or exactly at the ceiling, a 10x drop that persists to the next interval 60% of
+    the time, a phase shift, a zero-IPS job, another configuration, or
+    (optionally) a zero baseline.
+    """
+    rng = np.random.default_rng(seed)
+    n = space.n_jobs
+    configs = [space.equal_partition()] + space.sample_batch(2, rng)
+    base_iso = rng.uniform(1e9, 3e9, n)
+    level = rng.uniform(0.3, 0.9, n)
+    kinds = ["clean"] * 6 + [
+        "nan", "inf", "starved", "stale", "stale", "ceiling", "at_ceiling", "spike", "spike",
+        "shift", "zero_job", "config",
+    ] + (["zero_iso"] if zero_baselines else [])
+    previous = None
+    dropped = None
+    for step in range(n_steps):
+        iso = base_iso.copy()
+        noise = 1.0 if step < 12 else rng.lognormal(0.0, 0.01, n)
+        ips = level * iso * noise
+        config = configs[0]
+        if dropped is not None and rng.random() < 0.6:
+            ips[dropped] /= 10.0
+        dropped = None
+        kind = "clean" if step < 12 else kinds[rng.integers(len(kinds))]
+        job = rng.integers(n)
+        if kind == "nan":
+            ips[job] = np.nan
+        elif kind == "inf":
+            iso[job] = np.inf
+        elif kind == "starved":
+            ips[:] = 0.0
+        elif kind == "stale" and previous is not None:
+            ips[job] = previous[job]
+        elif kind == "ceiling":
+            ips[job] = iso[job] * rng.uniform(2.01, 3.0)
+        elif kind == "at_ceiling":
+            ips[job] = iso[job] * 2.0  # a speedup of exactly the ceiling passes
+        elif kind == "spike":
+            ips[job] /= 10.0
+            dropped = job
+        elif kind == "shift":
+            level = rng.uniform(0.3, 0.9, n)
+            ips = level * iso * noise
+        elif kind == "zero_job":
+            ips[job] = 0.0
+        elif kind == "config":
+            config = configs[1 + rng.integers(2)]
+        elif kind == "zero_iso":
+            iso[job] = 0.0
+        previous = ips.copy()
+        yield Observation(
+            time_s=0.1 * (step + 1),
+            interval_s=0.1,
+            ips=tuple(ips.tolist()),
+            isolation_ips=tuple(iso.tolist()),
+            config=config,
+            completed_runs=(0,) * n,
+        )
+
+
+class TestFloatValidationGate:
+    def test_same_verdicts_and_fields_as_the_array_gate(self, space):
+        branches = set()
+        for seed in range(6):
+            controller = SatoriController(space, rng=0)
+            reference = ArrayLoop()
+            for observation in gate_observations(space, seed):
+                accepted, branch = array_gate(reference, observation)
+                branches.add(branch)
+                assert controller._validate_observation(observation) is accepted
+                loop = controller._loop
+                assert loop.noise_seen == reference.noise_seen
+                assert loop.spike_pending == reference.spike_pending
+                assert loop.last_accepted_config == reference.last_accepted_config
+                if reference.last_accepted_ips is None:
+                    assert loop.last_accepted_ips is None
+                    assert loop.last_good_speedups is None
+                else:
+                    assert loop.last_accepted_ips == tuple(reference.last_accepted_ips.tolist())
+                    assert loop.last_good_speedups == tuple(
+                        reference.last_good_speedups.tolist()
+                    )
+        assert branches == {
+            "non_finite", "starved", "noise_seen", "stale", "ceiling",
+            "spike_rejected", "spike_accepted", "accepted",
+        }
+
+    def test_snapshot_json_bytes_equal_the_array_gate(self, space, monkeypatch):
+        floats = SatoriController(space, rng=4)
+        arrays = ArrayGateController(space, rng=4)
+        assert floats.decide(None) == arrays.decide(None)
+        stream = gate_observations(space, seed=3, n_steps=120, zero_baselines=False)
+        for step, observation in enumerate(stream):
+            assert floats.decide(observation) == arrays.decide(observation)
+            if step % 30 == 29:
+                with monkeypatch.context() as patch:
+                    for key in ("last_accepted_ips", "last_good_speedups"):
+                        patch.setitem(controller_module._LOOP_CODECS, key, ARRAY_CODEC)
+                    expected = json.dumps(arrays.snapshot().to_dict())
+                assert json.dumps(floats.snapshot().to_dict()) == expected
+        assert floats.rejected_samples == arrays.rejected_samples > 0
+
+    def test_restored_fields_are_float_tuples(self, space):
+        controller = SatoriController(space, rng=1)
+        controller.decide(None)
+        for observation in gate_observations(space, seed=2, n_steps=30, zero_baselines=False):
+            controller.decide(observation)
+        twin = SatoriController(space, rng=9)
+        twin.restore(controller.snapshot())
+        for key in ("last_accepted_ips", "last_good_speedups"):
+            value = getattr(twin._loop, key)
+            assert value == getattr(controller._loop, key)
+            assert type(value) is tuple and all(type(v) is float for v in value)

@@ -242,3 +242,22 @@ class TestIncrementalFit:
     def test_refit_every_validated(self):
         with pytest.raises(ModelError):
             GaussianProcess(lengthscale_refit_every=0)
+
+
+class TestPredictMean:
+    """The proxy-change probe asks for the posterior mean alone."""
+
+    def test_equals_predict_mean_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        x = rng.random((24, 4))
+        y = np.cos(2 * x[:, 0]) + 0.3 * x[:, 2] + rng.normal(scale=0.02, size=24)
+        gp = GaussianProcess(noise=5e-2, lengthscale_refit_every=3)
+        query = rng.random((48, 4))
+        for n in range(2, 25):  # full factorizations, extensions and grid searches
+            gp.fit(x[:n], y[:n], optimize_lengthscale=True)
+            assert np.array_equal(gp.predict_mean(query), gp.predict(query)[0])
+            assert np.array_equal(gp.predict_mean(query[0]), gp.predict(query[0])[0])
+
+    def test_before_fit_rejected(self):
+        with pytest.raises(ModelError):
+            GaussianProcess().predict_mean(np.zeros((1, 2)))

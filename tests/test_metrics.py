@@ -147,3 +147,208 @@ class TestGoalSet:
     def test_batch_shape_checked(self):
         with pytest.raises(ExperimentError):
             GoalSet().scores_batch(np.ones((2, 3)), np.ones(2))
+
+
+# -- the float metrics against numpy, bit for bit ---------------------------
+#
+# The numpy expressions the metrics computed before they moved to Python
+# floats, kept here as the reference the float path must equal with ``==``.
+
+
+def np_speedups(ips, iso):
+    return np.asarray(ips, dtype=float) / np.asarray(iso, dtype=float)
+
+
+def np_cov(s):
+    s = np.asarray(s, dtype=float)
+    mean = float(np.mean(s))
+    return float(np.std(s) / mean)
+
+
+def np_jain(s):
+    cov = np_cov(s)
+    return 1.0 / (1.0 + cov * cov)
+
+
+def np_one_minus_cov(s):
+    return 1.0 - np_cov(s)
+
+
+def np_one_minus_cov_normalized(s):
+    return float(np.clip(np_one_minus_cov(s), 0.0, 1.0))
+
+
+def np_weighted_mean(s, iso):
+    s, iso = np.asarray(s, dtype=float), np.asarray(iso, dtype=float)
+    return float(np.sum(s * iso) / np.sum(iso))
+
+
+def np_harmonic(s):
+    s = np.asarray(s, dtype=float)
+    return float(len(s) / np.sum(1.0 / np.maximum(s, 1e-12)))
+
+
+def np_geometric(s):
+    s = np.asarray(s, dtype=float)
+    return float(np.exp(np.mean(np.log(np.maximum(s, 1e-12)))))
+
+
+def np_total_ips(ips):
+    return float(np.sum(np.asarray(ips, dtype=float)))
+
+
+def np_scores_batch(throughput_metric, fairness_metric, ips, iso):
+    """``GoalSet.scores_batch`` as one vectorized pass over the rows."""
+    s = ips / iso
+    if throughput_metric == "sum_ips":
+        throughput = (s * iso).sum(axis=1) / iso.sum()
+    elif throughput_metric == "geometric_mean":
+        throughput = np.exp(np.log(np.maximum(s, 1e-12)).mean(axis=1))
+    else:
+        throughput = s.shape[1] / (1.0 / np.maximum(s, 1e-12)).sum(axis=1)
+    cov = s.std(axis=1) / np.maximum(s.mean(axis=1), 1e-12)
+    if fairness_metric == "jain":
+        return throughput, 1.0 / (1.0 + cov * cov)
+    return throughput, np.clip(1.0 - cov, 0.0, 1.0)
+
+
+NP_THROUGHPUT = {
+    "sum_ips": np_weighted_mean,
+    "geometric_mean": lambda s, iso: np_geometric(s),
+    "harmonic_mean": lambda s, iso: np_harmonic(s),
+}
+NP_FAIRNESS = {"jain": np_jain, "one_minus_cov": np_one_minus_cov_normalized}
+
+
+def metric_draws(seed, count):
+    """Seeded ``(ips, iso)`` pairs of 1-300 jobs.
+
+    Sizes cover the left-to-right path (n < 8), numpy's 8-accumulator
+    block (8-128) and its pairwise split (above 128); values span
+    1e-3 to 1e9 and include exact zeros and runs of equal values.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 130, 136, 255, 256, 300]
+    for i in range(count):
+        n = sizes[i] if i < len(sizes) else int(rng.integers(1, 301))
+        scale = 10.0 ** rng.uniform(-3, 9)
+        iso = scale * rng.uniform(0.5, 2.0, n)
+        ips = iso * rng.uniform(0.0, 1.2, n)
+        shape = i % 4
+        if shape == 1:
+            ips[rng.random(n) < 0.3] = 0.0
+        elif shape == 2:
+            ips[:] = ips[0]
+            iso[:] = iso[0]
+        elif shape == 3:
+            ips = ips * 10.0 ** rng.uniform(-3, 3, n)
+        yield ips, iso
+
+
+class TestFloatMetricsMatchNumpy:
+    DRAWS = list(metric_draws(seed=25, count=600))
+
+    def test_sum_and_speedups(self):
+        for ips, iso in self.DRAWS:
+            assert total_ips(ips.tolist()) == np_total_ips(ips)
+            assert speedups(ips.tolist(), iso.tolist()) == tuple(np_speedups(ips, iso).tolist())
+
+    def test_fairness_metrics(self):
+        checked = 0
+        for ips, iso in self.DRAWS:
+            s = np_speedups(ips, iso)
+            if not np.any(s > 0):
+                continue
+            values = s.tolist()
+            assert coefficient_of_variation(values) == np_cov(s)
+            assert jain_index(values) == np_jain(s)
+            assert one_minus_cov(values) == np_one_minus_cov(s)
+            assert one_minus_cov_normalized(values) == np_one_minus_cov_normalized(s)
+            checked += 1
+        assert checked > 500
+
+    def test_throughput_metrics(self):
+        for ips, iso in self.DRAWS:
+            s = np_speedups(ips, iso)
+            assert weighted_mean_speedup(s.tolist(), iso.tolist()) == np_weighted_mean(s, iso)
+            assert harmonic_mean_speedup(s.tolist()) == np_harmonic(s)
+            assert geometric_mean_speedup(s.tolist()) == np_geometric(s)
+
+    @pytest.mark.parametrize("throughput_metric", ["sum_ips", "geometric_mean", "harmonic_mean"])
+    @pytest.mark.parametrize("fairness_metric", ["jain", "one_minus_cov"])
+    def test_goal_scores(self, throughput_metric, fairness_metric):
+        goals = GoalSet(throughput_metric, fairness_metric)
+        for ips, iso in self.DRAWS:
+            s = np_speedups(ips, iso)
+            if not np.any(s > 0):
+                continue
+            scores = goals.scores(tuple(ips.tolist()), tuple(iso.tolist()))
+            assert scores.throughput == NP_THROUGHPUT[throughput_metric](s, iso)
+            assert scores.fairness == NP_FAIRNESS[fairness_metric](s)
+
+    @pytest.mark.parametrize("throughput_metric", ["sum_ips", "geometric_mean", "harmonic_mean"])
+    @pytest.mark.parametrize("fairness_metric", ["jain", "one_minus_cov"])
+    def test_goal_scores_batch(self, throughput_metric, fairness_metric):
+        goals = GoalSet(throughput_metric, fairness_metric)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n_jobs, n_configs = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            iso = rng.uniform(1e8, 5e9, n_jobs)
+            ips = iso * rng.uniform(0.01, 1.0, (n_configs, n_jobs))
+            throughput, fairness = goals.scores_batch(ips, iso)
+            expected = np_scores_batch(throughput_metric, fairness_metric, ips, iso)
+            assert np.array_equal(throughput, expected[0])
+            assert np.array_equal(fairness, expected[1])
+
+    def test_signed_sums_keep_numpy_order(self):
+        # Cancellation makes the order visible: a left-to-right sum of
+        # these differs from numpy's blocked one.
+        rng = np.random.default_rng(7)
+        for n in (3, 8, 13, 128, 129, 200, 300):
+            values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 9, n)
+            assert total_ips(values.tolist()) == float(np.sum(values))
+
+    def test_results_are_python_floats(self):
+        s = [0.25, 0.5, 0.75]
+        for value in (
+            coefficient_of_variation(s),
+            jain_index(s),
+            one_minus_cov_normalized(s),
+            harmonic_mean_speedup(s),
+            weighted_mean_speedup(s, [1e9, 2e9, 3e9]),
+            total_ips([1e9, 2e9]),
+            *speedups([1e9, 2e9], [2e9, 4e9]),
+        ):
+            assert type(value) is float
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: speedups([], [1e9]),
+            lambda: speedups([1e9, 2e9], [1e9]),
+            lambda: speedups([1e9], [0.0]),
+            lambda: speedups([1e9], [-1e9]),
+            lambda: speedups([-1.0], [1e9]),
+            lambda: coefficient_of_variation([]),
+            lambda: coefficient_of_variation([0.5, -0.1]),
+            lambda: coefficient_of_variation([0.0, 0.0, 0.0]),
+            lambda: jain_index([]),
+            lambda: jain_index([0.0]),
+            lambda: one_minus_cov([-1.0, 1.0]),
+            lambda: one_minus_cov_normalized([0.0, 0.0]),
+            lambda: harmonic_mean_speedup([]),
+            lambda: harmonic_mean_speedup([0.5, -0.5]),
+            lambda: geometric_mean_speedup([-0.5]),
+            lambda: weighted_mean_speedup([], []),
+            lambda: weighted_mean_speedup([0.5, 0.5], [1e9]),
+            lambda: weighted_mean_speedup([-0.5], [1e9]),
+            lambda: weighted_mean_speedup([0.5, 0.5], [0.0, 0.0]),
+            lambda: total_ips([]),
+            lambda: GoalSet().scores([1e9, 2e9], [1e9]),
+            lambda: GoalSet().scores([0.0, 0.0], [1e9, 1e9]),
+            lambda: GoalSet("harmonic_mean", "one_minus_cov").scores([1e9], [0.0]),
+        ],
+    )
+    def test_rejected_inputs_raise(self, call):
+        with pytest.raises(ExperimentError):
+            call()

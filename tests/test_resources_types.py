@@ -1,5 +1,9 @@
 """Unit tests for resources.types: Resource, ResourceCatalog."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import SpaceError
@@ -42,6 +46,29 @@ class TestResource:
         r = Resource(ResourceKind.CORES, 10)
         with pytest.raises(AttributeError):
             r.units = 5
+
+    def test_stored_name_stays_out_of_identity(self):
+        """``name`` is stored at construction; equality, hashing, repr,
+        pickling and ``dataclasses.replace`` see only the four
+        constructor fields."""
+        r = Resource(ResourceKind.LLC_WAYS, 10, min_units=2, unit_capacity=1.5e6)
+        assert [f.name for f in dataclasses.fields(r) if f.init] == [
+            "kind", "units", "min_units", "unit_capacity",
+        ]
+        assert r == Resource(ResourceKind.LLC_WAYS, 10, min_units=2, unit_capacity=1.5e6)
+        assert r != Resource(ResourceKind.LLC_WAYS, 11, min_units=2, unit_capacity=1.5e6)
+        assert hash(r) == hash((ResourceKind.LLC_WAYS, 10, 2, 1.5e6))
+        assert repr(r) == (
+            "Resource(kind=<ResourceKind.LLC_WAYS: 'llc_ways'>, units=10, "
+            "min_units=2, unit_capacity=1500000.0)"
+        )
+        for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert twin == r and hash(twin) == hash(r) and twin.name == "llc_ways"
+        moved = dataclasses.replace(r, kind=ResourceKind.CORES)
+        assert moved.name == "cores"
+        assert moved == Resource(ResourceKind.CORES, 10, min_units=2, unit_capacity=1.5e6)
+        with pytest.raises(AttributeError):
+            r.name = "cores"
 
 
 class TestResourceCatalog:

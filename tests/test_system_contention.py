@@ -146,6 +146,16 @@ class TestEvaluateSystem:
             assert state.llc_occupancy_bytes[j] <= config.units(LLC_WAYS)[j] * way_bytes + 1
             assert state.llc_occupancy_bytes[j] <= workload.phase_at(0.0).working_set_bytes + 1
 
+    def test_state_carries_the_allocations_it_solved(self, mix, catalog6):
+        partial = Configuration({LLC_WAYS: (2, 2, 2)})
+        for t in (0.0, 6.0):
+            for config in (None, equal_partition(catalog6, 3), partial):
+                state = evaluate_system(mix, catalog6, config, t)
+                expected = effective_allocations(mix, catalog6, config, t)
+                assert list(state.allocations) == list(expected) == list(catalog6.names)
+                for name, units in expected.items():
+                    assert np.array_equal(state.allocations[name], units)
+
 
 class TestIsolation:
     def test_isolation_beats_any_partition(self, mix, catalog6):

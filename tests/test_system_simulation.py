@@ -309,3 +309,25 @@ class TestContentionEntryPoints:
         for _ in range(4):
             sim.step()
         assert len(calls) == 5
+
+    def test_step_solves_allocations_once(self, make_simulator, monkeypatch):
+        """The reconfiguration penalty reads the allocations the
+        interval's contention solve already computed."""
+        from repro.system import contention, simulation
+
+        calls = []
+        solve = contention.effective_allocations
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(contention, "effective_allocations", counting)
+        # Also count a solve the simulator would make through a name of
+        # its own.
+        monkeypatch.setattr(simulation, "effective_allocations", counting, raising=False)
+        sim = make_simulator()
+        sim.step(sim.equal_partition())
+        for _ in range(4):
+            sim.step()
+        assert len(calls) == 5
