@@ -212,7 +212,7 @@ class BayesianOptimizer:
             with obs.span("acquisition", "bo"):
                 proxy_change = self._track_proxy_change(gp)
 
-                rows, encoded = self._candidate_pool(records, weights)
+                rows, encoded = self._candidate_pool(x, y)
                 mean, std = gp.predict(encoded)
                 scores = self._acquisition(mean, std, incumbent)
                 best = int(np.argmax(scores))
@@ -227,10 +227,13 @@ class BayesianOptimizer:
                 proxy_change_percent=proxy_change,
             )
 
-    def _candidate_pool(
-        self, records: GoalRecords, weights: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _candidate_pool(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Random + local-neighbor + already-sampled candidates.
+
+        ``x`` and ``y`` are the recorded encodings and objective values
+        the GP was just fitted on, in sample order; the incumbent is
+        the first argmax of ``y``, the sample ``GoalRecords.best``
+        picks under the same weights.
 
         Returns the pool as rows and its encoding. Small spaces return
         the full enumeration instead — the acquisition is then
@@ -241,12 +244,11 @@ class BayesianOptimizer:
         space = self._space
         blocks = [space.sample_rows(self._pool_size, self._rng)]
         if self._include_neighbors:
-            best_config, _ = records.best(weights)
-            best = space.to_rows([best_config])
+            best = space.decode_rows(x[[int(np.argmax(y))]])
             blocks += [space.neighbor_rows(best[0]), best]
         # Previously sampled configurations stay eligible (re-evaluation
         # keeps the model honest across phase changes).
-        blocks.append(space.to_rows([s.config for s in records.samples[-8:]]))
+        blocks.append(space.decode_rows(x[-8:]))
 
         # Keep first occurrences in pool order: argmax breaks ties by
         # position, so the order is part of the result. Each row is

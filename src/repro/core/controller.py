@@ -119,6 +119,21 @@ _LOOP_CODECS = {
     "baseline_tilt": _FLOATS,
 }
 
+
+def _scorable(observation: Observation) -> bool:
+    """Whether the goal scorers accept the sample's values.
+
+    Speedups need non-negative IPS over positive baselines. A sample
+    outside that domain is rejected beside the validation gate, before
+    any of the gate's loop fields move; non-finite values are left to
+    the gate.
+    """
+    return not (
+        any(v < 0 for v in observation.ips)
+        or any(b <= 0 for b in observation.isolation_ips)
+    )
+
+
 #: Payload keys every snapshot carries; ``baseline_tilt`` is absent
 #: from snapshots taken before baseline tilts existed.
 _REQUIRED_KEYS = ("rng", "bo", "records", "initial_set") + tuple(
@@ -464,7 +479,7 @@ class SatoriController(PartitioningPolicy):
             fallback = self._watchdog_gate(observation)
             if fallback is not None:
                 return fallback
-            if not self._validate_observation(observation):
+            if not (_scorable(observation) and self._validate_observation(observation)):
                 # A corrupted measurement must not reach the GP; spend
                 # the interval on the best recorded configuration (not
                 # on whatever exploration point was last emitted) and

@@ -3,11 +3,12 @@
 The paper's SATORI deployment actuates Intel CAT and MBA "via setting
 Model Specific Registers (MSRs)" (Sec. IV). The reproduction keeps the
 same layering: the CAT/MBA/RAPL actuators translate partitioning
-decisions into register writes against this simulated MSR file, and
-the simulated server reads its effective allocation state back out of
-the registers. This preserves the real failure modes (invalid masks,
-out-of-range classes of service) and makes the actuator layer testable
-in isolation.
+decisions into register writes against this simulated MSR file. The
+simulated server never reads the registers back: its contention model
+reads the installed configuration, and the registers record what was
+programmed. This preserves the real failure modes (invalid masks,
+out-of-range classes of service, injected write faults) and makes the
+actuator layer testable in isolation.
 
 Register addresses follow the Intel SDM:
 

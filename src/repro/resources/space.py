@@ -371,3 +371,12 @@ class ConfigurationSpace:
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
         """Encode a block of rows: each entry divided by its resource's units."""
         return rows / self._column_units
+
+    def decode_rows(self, encoded: np.ndarray) -> np.ndarray:
+        """The rows an :meth:`encode_rows` block was made from.
+
+        ``u / units * units`` lies within two ulps of the integer
+        ``u``, so rounding recovers it exactly. The encoding is not
+        checked for membership.
+        """
+        return np.rint(encoded * self._column_units).astype(np.int64)

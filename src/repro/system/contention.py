@@ -189,9 +189,12 @@ def evaluate_system(
 ) -> SystemState:
     """True per-job IPS (and memory telemetry) at time ``t``.
 
-    The contention solve: the simulator calls it once per control
-    interval. Every array is ``(n_jobs,)``; the per-job roofline runs
-    as one :class:`PhaseVector` evaluation.
+    The contention solve. The simulator calls it for an interval whose
+    installed configuration or some job's phase differs from the last
+    solve's, and reuses that solve otherwise (a pure function of the
+    mix, the catalog, the configuration and the phases). Every array
+    is ``(n_jobs,)``; the per-job roofline runs as one
+    :class:`PhaseVector` evaluation.
 
     Args:
         mix: the co-located workloads.

@@ -39,7 +39,7 @@ from repro.resources.types import (
     default_catalog,
 )
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state, spawn_rng
-from repro.system.contention import evaluate_system, evaluate_system_batch
+from repro.system.contention import SystemState, evaluate_system, evaluate_system_batch
 from repro.workloads.mixes import JobMix
 from repro.workloads.model import Phase, Workload
 
@@ -218,6 +218,12 @@ class CoLocationSimulator:
         self._instructions = np.zeros(len(mix), dtype=float)
         self._completed_runs = np.zeros(len(mix), dtype=np.int64)
         self._prev_allocations: Optional[dict] = None
+        # The last contention solve and its key: the installed
+        # configuration and each job's phase index. The solve is a pure
+        # function of those, the mix and the catalog, so an interval
+        # with an equal key reuses it. One entry, dropped when the mix
+        # changes; not snapshot state (a restored server re-solves).
+        self._solved: Optional[Tuple[tuple, SystemState]] = None
 
         # Fault bookkeeping: failed write attempts pending their IPS
         # penalty, once-per-event triggers (crash progress loss fires a
@@ -309,8 +315,10 @@ class CoLocationSimulator:
         """Install a partitioning configuration on the (simulated) hardware.
 
         Resources the configuration covers are programmed through the
-        corresponding actuator; resources it omits revert to shared.
-        ``None`` removes all partitions (unmanaged baseline).
+        corresponding actuator. Resources it omits are left as they
+        are in the registers; the contention model treats them as
+        shared, because it reads the installed :class:`Configuration`,
+        not the registers. ``None`` runs the server unmanaged.
 
         Under fault injection a write can fail; the install is retried
         up to ``actuation_retries`` extra times (each failure costs a
@@ -318,6 +326,11 @@ class CoLocationSimulator:
         If every attempt fails the last-known-good configuration stays
         in force — ``self._config`` is only updated on success — and
         :class:`~repro.errors.ActuationError` is raised.
+
+        Requesting the configuration already installed writes nothing,
+        unless the fault schedule injects failing attempts now: the
+        registers already hold it, so a pass of the same writes would
+        change no register and no counter.
 
         Raises:
             ConfigurationError: if the configuration is invalid for
@@ -327,19 +340,23 @@ class CoLocationSimulator:
         """
         with active_collector().span("actuation", "server"):
             if config is not None:
-                if config.n_jobs != self.n_jobs:
-                    raise ConfigurationError(
-                        f"configuration covers {config.n_jobs} jobs, mix has {self.n_jobs}"
-                    )
-                config.validate(self._catalog.subset(config.resource_names))
-                self._install(config)
+                fail_attempts = 0
+                if self._fault_schedule is not None:
+                    fail_attempts = self._fault_schedule.actuation_fail_attempts(self._time_s)
+                if fail_attempts or config != self._config:
+                    if config.n_jobs != self.n_jobs:
+                        raise ConfigurationError(
+                            f"configuration covers {config.n_jobs} jobs, mix has {self.n_jobs}"
+                        )
+                    config.validate(self._catalog.subset(config.resource_names))
+                    self._install(config, fail_attempts)
             self._config = config
 
-    def _install(self, config: Configuration) -> None:
-        """Program a validated configuration, retrying injected failures."""
-        fail_attempts = 0
-        if self._fault_schedule is not None:
-            fail_attempts = self._fault_schedule.actuation_fail_attempts(self._time_s)
+    def _install(self, config: Configuration, fail_attempts: int) -> None:
+        """Program a validated configuration, retrying injected failures.
+
+        The first ``fail_attempts`` write attempts fail on purpose.
+        """
         faulty = self._msr if isinstance(self._msr, FaultyMsrFile) else None
         last_error: Optional[HardwareError] = None
         total_attempts = 1 + self._actuation_retries
@@ -405,7 +422,11 @@ class CoLocationSimulator:
                 actuation_ok = False
 
         interval_start = self._time_s
-        state = evaluate_system(self._mix, self._catalog, self._config, interval_start)
+        key = (self._config, self.phase_key(interval_start))
+        if self._solved is None or self._solved[0] != key:
+            state = evaluate_system(self._mix, self._catalog, self._config, interval_start)
+            self._solved = (key, state)
+        state = self._solved[1]
         ips = state.ips * self._reconfiguration_factors(state.allocations)
         ips = ips * self._workload_fault_factors(interval_start)
         if self._pending_failed_attempts:
@@ -465,6 +486,7 @@ class CoLocationSimulator:
         workloads = list(self._mix.workloads)
         workloads[job_index] = workload
         self._mix = JobMix(tuple(workloads))
+        self._solved = None
         self._instructions[job_index] = 0.0
         # The newcomer's phase clock starts fresh relative to wall time;
         # shift its schedule so phase_at(self._time_s) is its phase 0.
@@ -684,9 +706,11 @@ class CoLocationSimulator:
         refill / thread-migration disturbance, in proportion to the
         fraction of its allocation that changed. The first interval is
         free (jobs are starting anyway). ``current`` is the interval's
-        effective allocations, as its contention solve computed them.
+        effective allocations, as its contention solve computed them;
+        a reused solve hands back the previous interval's own, which
+        moved nothing.
         """
-        if self._prev_allocations is None:
+        if self._prev_allocations is None or current is self._prev_allocations:
             self._prev_allocations = current
             return np.ones(self.n_jobs)
 

@@ -5,8 +5,8 @@ that every batched entry point — the BO row pool, :class:`PhaseVector`,
 :meth:`OracleSearch.evaluate_batch`, the stacked
 :func:`evaluate_system_batch` and
 :meth:`CoLocationSimulator.true_ips_batch` — is *bit-identical* to the
-reference it stands for, and that :func:`evaluate_system`, the one
-contention solve per interval, equals the batch-of-one solve it
+reference it stands for, and that :func:`evaluate_system`, the
+simulator's contention solve, equals the batch-of-one solve it
 replaced. These tests pin each pairing with exact (``==`` /
 ``np.array_equal``) comparisons, not tolerances.
 """
@@ -264,7 +264,7 @@ class TestCandidatePoolPairing:
         for step in range(3):
             twin = rng_from_state(rng_state(generator))
             expected = reference_pool(space, twin, 64, records, weights)
-            rows, encoded = bo._candidate_pool(records, weights)
+            rows, encoded = bo._candidate_pool(records.inputs(), records.objective_values(weights))
             assert np.array_equal(rows, as_rows(space, expected))
             assert np.array_equal(encoded, reference_encode_batch(space, expected))
             assert generator.bit_generator.state == twin.bit_generator.state
@@ -290,7 +290,7 @@ class TestCandidatePoolPairing:
         configs = list(space.enumerate())
         records = _records(space, 0)
         bo = BayesianOptimizer(space, rng=0)
-        rows, encoded = bo._candidate_pool(records, (0.5, 0.5))
+        rows, encoded = bo._candidate_pool(records.inputs(), records.objective_values((0.5, 0.5)))
         assert np.array_equal(rows, as_rows(space, configs))
         assert np.array_equal(space.enumerate_rows(), rows)
         assert np.array_equal(encoded, reference_encode_batch(space, configs))

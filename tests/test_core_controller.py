@@ -1,5 +1,6 @@
 """Tests for the SATORI controller (Algorithm 1)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from repro import serialize
 from repro.core import controller as controller_module
 from repro.core.controller import SatoriController
 from repro.core.initializers import good_initial_set
-from repro.errors import PolicyError
+from repro.errors import ExperimentError, PolicyError
 from repro.experiments.runner import RunConfig, run_policy
 from repro.resources.space import ConfigurationSpace
 from repro.rng import make_rng
@@ -344,3 +345,76 @@ class TestFloatValidationGate:
             value = getattr(twin._loop, key)
             assert value == getattr(controller._loop, key)
             assert type(value) is tuple and all(type(v) is float for v in value)
+
+
+# -- samples outside the scorers' domain -------------------------------------
+
+
+#: Each case corrupts one job of an otherwise clean observation into a
+#: value the goal scorers reject.
+OUT_OF_DOMAIN = {
+    "zero_baseline": ("isolation_ips", 0.0),
+    "negative_baseline": ("isolation_ips", -2e9),
+    "negative_ips": ("ips", -1e9),
+}
+
+
+def corrupted(observation, case):
+    field, value = OUT_OF_DOMAIN[case]
+    values = list(getattr(observation, field))
+    values[1] = value
+    return dataclasses.replace(observation, **{field: tuple(values)})
+
+
+def steered(controller, simulator, n_steps=12):
+    """Drive past the initial set; returns the last observation."""
+    observation = drive(controller, simulator, n_steps)
+    assert not controller.probing
+    return observation
+
+
+class TestOutOfDomainSamples:
+    """The hardened controller rejects a sample its scorers cannot score
+    (a non-positive baseline or a negative IPS) as it rejects a
+    non-finite one: counted, not recorded, and the interval spent on
+    the incumbent. The corruption persists for two intervals: the
+    gate's spike check rejects only the first of them."""
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+    def test_hardened_controller_rejects(self, space, make_simulator, case):
+        controller = SatoriController(space, rng=0)
+        observation = steered(controller, make_simulator())
+        n_records = len(controller.records)
+        weights = controller.weights.pair
+        for _ in range(2):
+            config = controller.decide(corrupted(observation, case))
+        assert controller.rejected_samples == 2
+        assert len(controller.records) == n_records
+        values = controller.records.objective_values(weights)
+        assert config == controller.records.samples[int(np.argmax(values))].config
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+    def test_first_sample_rejected(self, space, make_simulator, case):
+        """With no accepted sample yet, no spike check stands in."""
+        controller = SatoriController(space, rng=0)
+        config = controller.decide(None)
+        controller.decide(corrupted(make_simulator().step(config), case))
+        assert controller.rejected_samples == 1
+        assert len(controller.records) == 0
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+    def test_unhardened_controller_still_raises(self, space, make_simulator, case):
+        controller = SatoriController(space, hardening=False, rng=0)
+        observation = steered(controller, make_simulator())
+        with pytest.raises(ExperimentError):
+            controller.decide(corrupted(observation, case))
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+    def test_bopf_rejects_through_its_inner_controller(self, space, make_simulator, case):
+        from repro.policies.bopf import BoPFPolicy
+
+        policy = BoPFPolicy(space, qos_jobs=(1,), rng=0)
+        observation = drive(policy, make_simulator(), 12)
+        for _ in range(2):
+            policy.decide(corrupted(observation, case))
+        assert policy.diagnostics()["rejected_samples"] == 2.0

@@ -163,6 +163,20 @@ class TestConfigurationSpace:
     def test_encode_batch_empty(self, space):
         assert space.encode_batch([]).shape == (0, space.dimensions)
 
+    @pytest.mark.parametrize("units", [10, 22, 47, 49, 120, 199])
+    def test_decode_rows_inverts_encode_rows(self, units):
+        """Every share of every resource size round-trips exactly; at
+        22, 47, 49 and 199 units some ``u / units * units`` fall just
+        below ``u``, so a truncating decode would be off by one."""
+        catalog = default_catalog(units, units, units)
+        space = ConfigurationSpace(catalog, 2)
+        shares = np.arange(1, units)
+        rows = np.concatenate(
+            [np.stack([shares, units - shares], axis=1)] * len(catalog), axis=1
+        )
+        assert np.array_equal(space.decode_rows(space.encode_rows(rows)), rows)
+        assert space.decode_rows(space.encode_rows(rows)).dtype == rows.dtype
+
     def test_per_resource_matrices_roundtrip(self, space):
         matrices = space.per_resource_matrices()
         config = space.configuration_from_indices((0, 0, 0), matrices)

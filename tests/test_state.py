@@ -18,6 +18,7 @@ import pytest
 from repro.cluster import ClusterSimulator, MigrationConfig
 from repro.engine import ExecutionEngine, RunCache, RunSpec, execute_run
 from repro.errors import ClusterError, ExperimentError, PolicyError
+from repro.faults import FaultPlan
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.policies.random_search import RandomSearchPolicy
 from repro.policies.registry import make_policy
@@ -274,6 +275,21 @@ class TestProtocol:
 # -- spec and cache separation -------------------------------------------
 
 
+#: Transient and outage actuation faults, monitor faults and crashes,
+#: dense enough that each fires within a 2 s run.
+PINNED_FAULTS = FaultPlan(
+    actuation_fail_rate=0.3,
+    actuation_outage_rate=0.05,
+    actuation_outage_duration_s=0.3,
+    sample_drop_rate=0.05,
+    sample_nan_rate=0.05,
+    sample_stuck_rate=0.05,
+    sample_outlier_rate=0.05,
+    crash_rate=0.03,
+    crash_restart_s=0.3,
+)
+
+
 def _spec(mix, catalog, **overrides):
     fields = dict(mix=mix, policy="SATORI", catalog=catalog, run_config=FAST, seed=3)
     fields.update(overrides)
@@ -358,6 +374,27 @@ class TestSpecIdentity:
         # The result codec reproduces those bytes exactly.
         rebuilt = RunResult.from_dict(json.loads(canonical(warm_result.to_dict())))
         assert canonical(rebuilt.to_dict()) == canonical(warm_result.to_dict())
+
+    @pytest.mark.parametrize(
+        "policy, digest",
+        [
+            ("EqualPartition", "985045a73729f06d46bfe9bb7b77d4071457652d41e4bfcf27152d1a53e61b39"),
+            ("SATORI", "4ab90383c1cdc3c5857ef9273cd92a799a22565863edafaf2a144a60e3e72612"),
+        ],
+    )
+    def test_pinned_faulted_result_bytes(self, catalog, mix, policy, digest):
+        """Canonical result JSON of two faulted runs, pinned before the
+        simulator skipped quiet intervals. The plan's schedule holds
+        four transient actuation faults, a 0.3 s outage, every monitor
+        fault kind and two crashes. EqualPartition asks for the same
+        configuration every interval, so its run takes the
+        unchanged-configuration shortcut between the faults."""
+        spec = _spec(mix, catalog, policy=policy, fault_plan=PINNED_FAULTS)
+        result = ExecutionEngine().run_one(spec)
+        assert hashlib.sha256(canonical(result.to_dict()).encode()).hexdigest() == digest
+        # The outage fails three installs in a row.
+        ok = [record.extra["actuation_ok"] for record in result.telemetry.records]
+        assert ok == [1.0] * 8 + [0.0] * 3 + [1.0] * 9
 
     def test_stateless_policy_yields_no_final_state(self, catalog, mix):
         result = execute_run(_spec(mix, catalog, policy="EqualPartition"))

@@ -281,11 +281,31 @@ class TestIsolationMap:
         assert len(sim._isolation) <= len(phases)
 
 
+def counting(monkeypatch, owner, name, *also):
+    """Rebind ``owner.name`` (and the same name on ``also``) to a
+    wrapper that records each call; returns the call list."""
+    calls = []
+    solve = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    for other in also:
+        monkeypatch.setattr(other, name, wrapper, raising=False)
+    return calls
+
+
 class TestContentionEntryPoints:
     """``perfbench/layers.py`` counts contention solves by rebinding
     ``evaluate_system`` and ``evaluate_system_batch`` on
     ``repro.system.simulation``; the simulator must keep resolving the
-    solve through that module global."""
+    solve through that module global.
+
+    A step solves contention only when its key changed: the installed
+    configuration or some job's phase at the interval's start, or the
+    mix (``replace_workload``). Otherwise it reuses the last solve."""
 
     def test_module_exposes_the_solves(self):
         from repro.system import contention, simulation
@@ -294,40 +314,114 @@ class TestContentionEntryPoints:
         assert simulation.evaluate_system_batch is contention.evaluate_system_batch
 
     def test_step_solves_through_the_module_global(self, make_simulator, monkeypatch):
+        """Five steps under one configuration in one phase: one solve."""
         from repro.system import simulation
 
-        calls = []
-        solve = simulation.evaluate_system
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(simulation, "evaluate_system", counting)
+        calls = counting(monkeypatch, simulation, "evaluate_system")
         sim = make_simulator()
+        assert sim.phase_key(0.0) == sim.phase_key(0.4)
         sim.step(sim.equal_partition())
         for _ in range(4):
             sim.step()
-        assert len(calls) == 5
+        assert len(calls) == 1
 
     def test_step_solves_allocations_once(self, make_simulator, monkeypatch):
         """The reconfiguration penalty reads the allocations the
-        interval's contention solve already computed."""
+        interval's contention solve already computed, and a reused
+        solve computes none."""
         from repro.system import contention, simulation
 
-        calls = []
-        solve = contention.effective_allocations
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(contention, "effective_allocations", counting)
         # Also count a solve the simulator would make through a name of
         # its own.
-        monkeypatch.setattr(simulation, "effective_allocations", counting, raising=False)
+        calls = counting(monkeypatch, contention, "effective_allocations", simulation)
         sim = make_simulator()
         sim.step(sim.equal_partition())
         for _ in range(4):
             sim.step()
-        assert len(calls) == 5
+        assert len(calls) == 1
+
+    def test_alternating_configurations_solve_every_interval(
+        self, make_simulator, monkeypatch
+    ):
+        from repro.system import contention, simulation
+
+        solves = counting(monkeypatch, simulation, "evaluate_system")
+        allocations = counting(monkeypatch, contention, "effective_allocations", simulation)
+        sim = make_simulator()
+        first = sim.equal_partition()
+        second = first.move_unit(LLC_WAYS, 0, 1)
+        for index in range(5):
+            sim.step(first if index % 2 == 0 else second)
+        assert len(solves) == 5
+        assert len(allocations) == 5
+
+    def test_phase_boundary_makes_a_solve(self, make_simulator, monkeypatch):
+        from repro.system import simulation
+
+        calls = counting(monkeypatch, simulation, "evaluate_system")
+        sim = make_simulator()
+        config = sim.equal_partition()
+        keys = [sim.phase_key(0.1 * index) for index in range(40)]
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert changes >= 1
+        for _ in keys:
+            sim.step(config)
+        assert len(calls) == 1 + changes
+        # The solve after a boundary is the one a fresh solve gives.
+        fresh = simulation.evaluate_system(sim.mix, sim.catalog, config, 3.9)
+        assert np.array_equal(sim._solved[1].ips, fresh.ips)
+
+    def test_replace_workload_makes_a_solve(self, make_simulator, monkeypatch):
+        from repro.system import simulation
+        from repro.workloads.registry import get_workload
+
+        calls = counting(monkeypatch, simulation, "evaluate_system")
+        sim = make_simulator()
+        sim.step(sim.equal_partition())
+        sim.step()
+        assert len(calls) == 1
+        sim.replace_workload(1, get_workload("vips"))
+        sim.step()
+        assert len(calls) == 2
+        assert calls[-1][0] is sim.mix
+
+
+class TestActuationCount:
+    """A request for the installed configuration writes nothing, unless
+    the fault schedule injects failing attempts at that time."""
+
+    def test_same_configuration_programs_once(self, make_simulator, monkeypatch):
+        sim = make_simulator()
+        passes = counting(monkeypatch, sim, "_program")
+        config = sim.equal_partition()
+        for _ in range(5):
+            sim.step(config)
+        assert len(passes) == 1
+        sim.step(config.move_unit(CORES, 0, 1))
+        sim.apply(None)
+        sim.step(config)
+        assert len(passes) == 3
+
+    def test_injected_failures_still_write(self, make_simulator, monkeypatch):
+        from repro.faults.schedule import ACTUATION, OUTAGE_ATTEMPTS, FaultEvent, FaultSchedule
+
+        schedule = FaultSchedule(
+            (
+                # One transient fault (retry rescues it), then an outage.
+                FaultEvent(ACTUATION, 0.05, 0.15, magnitude=1),
+                FaultEvent(ACTUATION, 0.25, 0.35, magnitude=OUTAGE_ATTEMPTS),
+            )
+        )
+        sim = make_simulator(fault_schedule=schedule, actuation_retries=2)
+        passes = counting(monkeypatch, sim, "_program")
+        config = sim.equal_partition()
+        ok = [sim.step(config).actuation_ok for _ in range(5)]
+        # Intervals 0, 2 and 4 are clean: one pass installs, then none.
+        # Interval 1 fails once and writes twice; interval 3 fails all
+        # three attempts and keeps the configuration it had.
+        assert ok == [True, True, True, False, True]
+        assert len(passes) == 1 + 2 + 3
+        assert sim.fault_counters["actuation_failures"] == 1 + 3
+        assert sim.fault_counters["actuation_exhausted"] == 1
+        assert sim.current_config == config
+        assert sim.msr.read(IA32_L3_QOS_MASK_BASE) != 0
