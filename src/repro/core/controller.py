@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -345,8 +345,19 @@ class SatoriController(PartitioningPolicy):
         snapshot; excludes only wall-clock accounting
         (``_decision_seconds``), which is irrelevant to decisions and
         non-deterministic by nature.
+
+        This wraps :meth:`snapshot_payload` in the one
+        :class:`PolicyState` envelope (and its JSON check). A wrapper
+        policy that nests this state in its own snapshot, such as
+        :class:`~repro.policies.bopf.BoPFPolicy`, calls
+        :meth:`snapshot_payload` instead, so the state is enveloped and
+        checked once, by the wrapper's snapshot.
         """
-        payload = {
+        return PolicyState(policy=self.state_kind, payload=self.snapshot_payload())
+
+    def snapshot_payload(self) -> Dict[str, Any]:
+        """The payload :meth:`snapshot` envelopes, built fresh."""
+        return {
             "mode": self._mode,
             "rng": rng_state(self._rng),
             "scheduler": self._scheduler.snapshot(),
@@ -355,7 +366,6 @@ class SatoriController(PartitioningPolicy):
             "initial_set": [config.to_dict() for config in self._initial_set],
             **serialize.dataclass_to_dict(self._loop, _LOOP_CODECS),
         }
-        return PolicyState(policy=self.state_kind, payload=payload)
 
     def restore(self, state: Optional[PolicyState]) -> None:
         """Resume from a :meth:`snapshot` taken by a same-mode controller.
@@ -368,8 +378,16 @@ class SatoriController(PartitioningPolicy):
         """
         if state is None:
             return
-        self._check_state(state)
-        payload = state.payload_dict()
+        self._check_state(state.policy, state.version)
+        self.restore_payload(state.payload)
+
+    def restore_payload(self, payload: Any) -> None:
+        """Resume from a :meth:`snapshot_payload` whose envelope the
+        caller has already checked (kind tag and version)."""
+        if not isinstance(payload, dict):
+            raise PolicyError(
+                f"{self.state_kind} state payload is not a mapping: {type(payload).__name__}"
+            )
         if payload.get("mode") != self._mode:
             raise PolicyError(
                 f"cannot restore a {payload.get('mode')!r}-mode snapshot into a "

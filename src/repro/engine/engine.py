@@ -16,11 +16,12 @@ order, or completion order, because
 * every RNG stream a run consumes is derived from the spec's content
   digest (:meth:`RunSpec.seed_for`), never from shared generators or
   submission sequence;
-* :meth:`RunResult.to_dict` is lossless and ``from_dict`` inverts it,
-  so a result computed serially (handed back as :func:`execute_run`
-  built it), computed in a worker (shipped through the pool pipe as
-  ``to_dict`` data) or loaded from cache has the same ``to_dict``
-  form. Only those two real boundaries pay for the codec.
+* a result computed serially (handed back as :func:`execute_run`
+  built it), computed in a worker (pickled across the pool pipe as
+  the same object) or loaded from cache has the same
+  :meth:`RunResult.to_dict` form. :meth:`RunResult.to_dict` is
+  lossless and ``from_dict`` inverts it; only the cache pays for
+  that codec.
 
 Duplicate specs inside a batch execute once (the 21-mix PARSEC grid
 shares one Balanced Oracle run per mix across all drivers that ask for
@@ -78,9 +79,9 @@ def execute_run(spec: RunSpec) -> RunResult:
 
 def _execute_run_traced(
     spec: RunSpec, collect: bool = False
-) -> Tuple[dict, float, Optional[List[dict]]]:
-    """Worker entry point: the result as plain data, wall time and
-    (optionally) spans.
+) -> Tuple[RunResult, float, Optional[List[dict]]]:
+    """Worker entry point: the result :func:`execute_run` built, wall
+    time and (optionally) spans.
 
     Worker processes have their own memory, so spans recorded inside
     them never reach the parent's collector directly. With ``collect``
@@ -93,13 +94,13 @@ def _execute_run_traced(
     """
     started = time.perf_counter()
     if not collect:
-        return execute_run(spec).to_dict(), time.perf_counter() - started, None
+        return execute_run(spec), time.perf_counter() - started, None
     local = TraceCollector()
     with use_collector(local):
         with local.span("run_spec", "engine"):
-            payload = execute_run(spec).to_dict()
+            result = execute_run(spec)
     events = [event.to_dict() for event in local.events]
-    return payload, time.perf_counter() - started, events
+    return result, time.perf_counter() - started, events
 
 
 @dataclass(frozen=True)
@@ -454,7 +455,7 @@ class ExecutionEngine:
         if error is not None:
             self._note_failure(slot, f"{type(error).__name__}: {error}", obs)
             return None
-        payload, duration_s, events = future.result()
+        result, duration_s, events = future.result()
         obs.metrics.histogram("engine.run_seconds").observe(duration_s)
         obs.event("run_spec", "engine", duration_s=duration_s)
         if events:
@@ -466,15 +467,11 @@ class ExecutionEngine:
                 at_ns=obs.now_ns() - int(duration_s * 1e9),
                 lane=f"worker:{lane}",
             )
-        self._note_success(slot, RunResult.from_dict(payload), obs)
+        self._note_success(slot, result, obs)
         return duration_s
 
     def _execute_serial(self, slot: _Slot, obs) -> None:
-        """Run one spec in-process.
-
-        The result never leaves the process, so it is handed back as
-        :func:`execute_run` built it, without a codec round trip.
-        """
+        """Run one spec in-process."""
         started = time.perf_counter()
         try:
             with obs.span("run_spec", "engine"):

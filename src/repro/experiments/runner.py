@@ -143,10 +143,9 @@ class RunResult:
     def to_dict(self) -> dict:
         """JSON-compatible representation of the full run (lossless).
 
-        The engine's on-disk cache and its worker processes both ship
-        results through this representation, so equality of
-        ``to_dict`` outputs is the engine's definition of
-        "bit-identical results".
+        The engine's on-disk cache stores results in this
+        representation, and equality of ``to_dict`` outputs is the
+        engine's definition of "bit-identical results".
         """
         return serialize.dataclass_to_dict(self, codecs=self._CODECS)
 

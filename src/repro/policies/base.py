@@ -100,14 +100,15 @@ class PartitioningPolicy(abc.ABC):
             f"{state.policy!r} policy state"
         )
 
-    def _check_state(self, state: PolicyState) -> None:
-        """Shared validation for stateful :meth:`restore` overrides."""
-        if self.state_kind is None or state.policy != self.state_kind:
+    def _check_state(self, policy: str, version: int) -> None:
+        """Shared validation for stateful :meth:`restore` overrides:
+        the kind tag and envelope version of the state to restore."""
+        if self.state_kind is None or policy != self.state_kind:
             raise PolicyError(
-                f"cannot restore {state.policy!r} state into {type(self).__name__} "
+                f"cannot restore {policy!r} state into {type(self).__name__} "
                 f"(expects {self.state_kind!r})"
             )
-        check_version(f"{state.policy} state", state.version)
+        check_version(f"{policy} state", version)
 
     def diagnostics(self) -> Dict[str, float]:
         """Introspection values recorded into telemetry ``extra`` fields.

@@ -48,7 +48,7 @@ from repro.policies.base import PartitioningPolicy
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.rng import SeedLike
-from repro.state import PolicyState
+from repro.state import STATE_VERSION, PolicyState, check_version
 from repro.system.simulation import Observation
 
 #: Violation threshold relative to the floor. Exactly 1.0: the tilt is
@@ -287,6 +287,14 @@ class BoPFPolicy(PartitioningPolicy):
     # -- snapshot / restore ----------------------------------------------
 
     def snapshot(self) -> PolicyState:
+        """The wrapper's state with the inner controller's nested in it.
+
+        One :class:`PolicyState` per snapshot: ``"inner"`` holds the
+        inner payload under the ``{"policy", "version", "payload"}``
+        keys, the same dict ``inner.snapshot().to_dict()`` gives, but
+        without building (and JSON-checking) that inner envelope. The
+        outer envelope's check covers the nested payload.
+        """
         payload = {
             "tick": self._tick,
             "level": self._level,
@@ -296,14 +304,25 @@ class BoPFPolicy(PartitioningPolicy):
             "violating_streak": self._violating_streak,
             "total_boosts": self._total_boosts,
             "ema": None if self._ema is None else [float(v) for v in self._ema],
-            "inner": self._inner.snapshot().to_dict(),
+            "inner": {
+                "policy": self._inner.state_kind,
+                "version": STATE_VERSION,
+                "payload": self._inner.snapshot_payload(),
+            },
         }
         return PolicyState(policy=self.state_kind, payload=payload)
 
     def restore(self, state: Optional[PolicyState]) -> None:
+        """Resume from a :meth:`snapshot`, building no second envelope.
+
+        The nested inner state is checked here, kind tag and version,
+        with the errors an inner ``PolicyState.from_dict`` and
+        ``SatoriController.restore`` would raise, and then restored
+        from the payload this state already holds.
+        """
         if state is None:
             return
-        self._check_state(state)
+        self._check_state(state.policy, state.version)
         payload = state.payload_dict()
         self._tick = int(payload["tick"])
         self._level = int(payload.get("level", 0))
@@ -314,7 +333,11 @@ class BoPFPolicy(PartitioningPolicy):
         self._total_boosts = int(payload.get("total_boosts", 0))
         ema = payload.get("ema")
         self._ema = None if ema is None else np.asarray(ema, dtype=float)
-        self._inner.restore(PolicyState.from_dict(payload["inner"]))
+        inner = payload["inner"]
+        version = int(inner.get("version", STATE_VERSION))
+        check_version("PolicyState", version)
+        self._inner._check_state(inner["policy"], version)
+        self._inner.restore_payload(inner.get("payload", ()))
         # The inner snapshot carries its own tilt, but the wrapper owns
         # the level — re-installing keeps them agreed (and rescoring is
         # a no-op when they already do).

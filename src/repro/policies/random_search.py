@@ -61,7 +61,7 @@ class RandomSearchPolicy(PartitioningPolicy):
     def restore(self, state: Optional[PolicyState]) -> None:
         if state is None:
             return
-        self._check_state(state)
+        self._check_state(state.policy, state.version)
         payload = state.payload_dict()
         self._rng = rng_from_state(payload["rng"])
         self._seen = {Configuration.from_dict(d) for d in payload["seen"]}

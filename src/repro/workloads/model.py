@@ -28,7 +28,10 @@ the paper measures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -281,22 +284,29 @@ class PhaseSchedule:
             if duration <= 0:
                 raise WorkloadError(f"phase durations must be positive, got {duration}")
 
-    @property
+    # The period and the segment ends are computed once per schedule.
+    # They are cached properties, not fields: ``RunSpec.mix_payload``
+    # renders workloads with ``dataclasses.asdict``, so a field would
+    # enter every spec digest.
+
+    @cached_property
     def period(self) -> float:
         """Length of one full pass through the schedule, in seconds."""
         return sum(duration for duration, _ in self.segments)
+
+    @cached_property
+    def _segment_ends(self) -> Tuple[float, ...]:
+        """Elapsed time at the end of each segment, summed in order."""
+        return tuple(accumulate((duration for duration, _ in self.segments), initial=0.0))[1:]
 
     def phase_index_at(self, t: float) -> int:
         """Index of the segment active at elapsed time ``t`` seconds."""
         if t < 0:
             raise WorkloadError(f"time must be >= 0, got {t}")
-        t = t % self.period
-        elapsed = 0.0
-        for index, (duration, _phase) in enumerate(self.segments):
-            elapsed += duration
-            if t < elapsed:
-                return index
-        return len(self.segments) - 1  # guard against float round-off at the period edge
+        index = bisect_right(self._segment_ends, t % self.period)
+        # The last segment also takes a time that float round-off puts
+        # at or past its end (the period edge).
+        return min(index, len(self.segments) - 1)
 
     def phase_at(self, t: float) -> Phase:
         """The phase active at elapsed time ``t`` seconds."""

@@ -206,6 +206,54 @@ class TestSnapshotRestore:
         with pytest.raises(PolicyError):
             policy.restore(PolicyState(policy="SATORI", payload={}))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"policy": "Random"},
+             "cannot restore 'Random' state into SatoriController (expects 'SATORI')"),
+            ({"version": 2},
+             "PolicyState version 2 is newer than this code understands (1)"),
+            ({"policy": "Random", "version": 2},
+             "PolicyState version 2 is newer than this code understands (1)"),
+            ({"payload": [1, 2]}, "SATORI state payload is not a mapping: list"),
+        ],
+    )
+    def test_bad_inner_state_rejected(self, space, change, message):
+        # The messages an inner PolicyState.from_dict and
+        # SatoriController.restore raised before BoPF checked the
+        # nested state itself.
+        donor = BoPFPolicy(space, qos_jobs=(0,), rng=0)
+        feed(donor, (0.2, 0.9, 0.9), 5)
+        data = json.loads(json.dumps(donor.snapshot().to_dict()))
+        data["payload"]["inner"].update(change)
+        policy = BoPFPolicy(space, qos_jobs=(0,), rng=1)
+        with pytest.raises(PolicyError) as raised:
+            policy.restore(PolicyState.from_dict(data))
+        assert str(raised.value) == message
+
+    def test_one_envelope_per_snapshot_and_none_per_restore(self, space, monkeypatch):
+        reference = BoPFPolicy(space, qos_jobs=(0,), min_speedup=0.6, rng=3)
+        observation = feed(reference, (0.2, 0.9, 0.9), 20)
+        built = []
+        post_init = PolicyState.__post_init__
+
+        def counting_post_init(state):
+            built.append(state.policy)
+            post_init(state)
+
+        monkeypatch.setattr(PolicyState, "__post_init__", counting_post_init)
+        state = reference.snapshot()
+        assert built == ["BoPF"]
+        assert state.payload_dict()["inner"] == reference._inner.snapshot().to_dict()
+        built.clear()
+        restored = BoPFPolicy(space, qos_jobs=(0,), min_speedup=0.6, rng=9)
+        restored.restore(state)
+        assert built == []
+        monkeypatch.undo()
+        feed(reference, (0.2, 0.9, 0.9), 10, observation)
+        feed(restored, (0.2, 0.9, 0.9), 10, observation)
+        assert restored.snapshot() == reference.snapshot()
+
 
 class TestBaselineTilt:
     """``SatoriController.set_baseline_tilt`` — the scoring context BoPF

@@ -157,6 +157,32 @@ class TestDeterminism:
         assert results[0].final_state is not None
         assert calls == []
 
+    def test_pool_path_skips_the_result_codec(self, mixes, catalog, monkeypatch):
+        # A worker's result crosses the pool pipe as the object
+        # execute_run built; neither side runs the codec.
+        cold_bopf = spec(mixes[1], catalog, policy="BoPF",
+                         policy_kwargs={"qos_jobs": (0,), "qos_min_speedup": 1.0})
+        satori = spec(mixes[0], catalog, policy="SATORI")
+        random = spec(mixes[2], catalog)
+        serial = ExecutionEngine().run([satori, cold_bopf, random])
+        assert serial[1].final_state.payload_dict()["level"] > 0
+        warm_bopf = dataclasses.replace(cold_bopf, initial_state=serial[1].final_state)
+        specs = [satori, cold_bopf, warm_bopf, random]
+        expected = [result.to_dict() for result in serial[:2]]
+        expected += [execute_run(warm_bopf).to_dict(), serial[2].to_dict()]
+
+        def refuse(*args):
+            raise AssertionError("the result codec ran")
+
+        # Pools fork, so the workers inherit the patches.
+        monkeypatch.setattr(RunResult, "to_dict", refuse)
+        monkeypatch.setattr(RunResult, "from_dict", classmethod(refuse))
+        with ExecutionEngine(workers=2) as engine:
+            outcomes = engine.run(specs, on_error="record")
+        monkeypatch.undo()
+        assert all(isinstance(outcome, RunResult) for outcome in outcomes), outcomes
+        assert [outcome.to_dict() for outcome in outcomes] == expected
+
     def test_duplicates_coalesce(self, mixes, catalog):
         engine = ExecutionEngine()
         one = spec(mixes[0], catalog)
@@ -253,17 +279,17 @@ class TestInterruptedRun:
         assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
 
     def test_pool_engine(self, mixes, catalog, monkeypatch):
-        from_dict = RunResult.from_dict.__func__
+        note_success = ExecutionEngine._note_success
         interrupted = []
 
-        def interrupt_once(cls, data):
+        def interrupt_once(self, slot, result, obs):
             if not interrupted:
-                interrupted.append(data)
+                interrupted.append(result)
                 raise _Interrupt()
-            return from_dict(cls, data)
+            return note_success(self, slot, result, obs)
 
-        # Raised in the parent while it decodes the first worker result.
-        monkeypatch.setattr(RunResult, "from_dict", classmethod(interrupt_once))
+        # Raised in the parent while it files the first worker result.
+        monkeypatch.setattr(ExecutionEngine, "_note_success", interrupt_once)
         specs = [spec(mixes[0], catalog), spec(mixes[1], catalog)]
         with ExecutionEngine(workers=2) as engine:
             with pytest.raises(_Interrupt):

@@ -514,3 +514,4 @@ class TestServeCli:
             except subprocess.TimeoutExpired:
                 server.kill()
                 server.wait()
+            server.stdout.close()

@@ -375,6 +375,30 @@ class TestSpecIdentity:
         rebuilt = RunResult.from_dict(json.loads(canonical(warm_result.to_dict())))
         assert canonical(rebuilt.to_dict()) == canonical(warm_result.to_dict())
 
+    def test_pinned_bopf_state_bytes(self, catalog, mix):
+        """A BoPF snapshot taken at full tilt, the warm spec built from
+        it and that spec's canonical result JSON, pinned before BoPF
+        stopped building a second envelope for its inner state."""
+
+        def sha(data) -> str:
+            return hashlib.sha256(canonical(data).encode()).hexdigest()
+
+        kwargs = {"qos_jobs": (0,), "qos_min_speedup": 1.0}
+        cold = _spec(mix, catalog, policy="BoPF", policy_kwargs=kwargs)
+        state = ExecutionEngine().run_one(cold).final_state
+        assert state.payload_dict()["level"] == 3
+        warm = _spec(mix, catalog, policy="BoPF", policy_kwargs=kwargs, initial_state=state)
+        warm_result = ExecutionEngine().run_one(warm)
+        assert sha(state.to_dict()) == (
+            "9583607cf0675530c03808e5d55a2d119323e02e8417e9380cba2caa9bf63dcd"
+        )
+        assert warm.digest == (
+            "d207babf7cc4bc1f4d34a9ed5f7280b365f89649b6128979c51395b1a6b0e28b"
+        )
+        assert sha(warm_result.to_dict()) == (
+            "c64497cdc3ffc75f70846ad67dae9e949cfaab02c9126173cad7bc0c09f626bb"
+        )
+
     @pytest.mark.parametrize(
         "policy, digest",
         [

@@ -1,5 +1,8 @@
 """Unit and property tests for the roofline workload model."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.workloads.model import (
     Workload,
     smoothmin,
 )
+from repro.workloads.registry import default_registry
 
 MB = float(2**20)
 
@@ -199,6 +203,51 @@ class TestPhaseSchedule:
     def test_constant(self):
         schedule = PhaseSchedule.constant(make_phase())
         assert schedule.phase_index_at(100.25) == 0
+
+    @staticmethod
+    def summing_lookup(schedule, t):
+        """Reference: the period re-summed and the segments walked on
+        every call."""
+        t = t % sum(duration for duration, _ in schedule.segments)
+        elapsed = 0.0
+        for index, (duration, _phase) in enumerate(schedule.segments):
+            elapsed += duration
+            if t < elapsed:
+                return index
+        return len(schedule.segments) - 1
+
+    def test_phase_index_at_matches_the_summing_loop(self, schedule):
+        registry = default_registry()
+        schedules = [
+            schedule,
+            PhaseSchedule.constant(make_phase(), duration=0.3),
+            # Durations whose running sums round (0.1 + 0.2 != 0.3).
+            PhaseSchedule(tuple((d, make_phase()) for d in (0.1, 0.2, 0.3, 0.7, 1.1))),
+            *(registry.get(name).schedule for name in registry.names),
+        ]
+        for candidate in schedules:
+            edges, elapsed = [0.0], 0.0
+            for duration, _phase in candidate.segments:
+                elapsed += duration
+                edges.append(elapsed)
+            times = {0.1 * step for step in range(400)}
+            lap = 0.0
+            for _ in range(6):
+                for edge in edges:
+                    t = lap + edge
+                    times.update((t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)))
+                lap += candidate.period
+            times.update(k * candidate.period for k in range(1, 40))
+            for t in sorted(times):
+                assert candidate.phase_index_at(t) == self.summing_lookup(candidate, t), (
+                    candidate, t)
+
+    def test_cached_lookups_are_not_fields(self, schedule):
+        # Workloads enter spec digests through dataclasses.asdict.
+        schedule.phase_index_at(1.0)
+        assert [field.name for field in dataclasses.fields(schedule)] == ["segments"]
+        assert dataclasses.asdict(schedule).keys() == {"segments"}
+        assert schedule == PhaseSchedule(schedule.segments)
 
 
 class TestWorkload:
