@@ -223,6 +223,9 @@ class SatoriController(PartitioningPolicy):
         )
         self._bo = BayesianOptimizer(space, rng=spawn_rng(self._rng), **bo_kwargs)
         self._records = GoalRecords(("throughput", "fairness"))
+        # The last recorded configuration and its encoding, a pure
+        # function of the space (so not snapshot state). One entry.
+        self._encoded: Optional[Tuple[Configuration, Tuple[float, ...]]] = None
         self._initial_set = good_initial_set(space, n_initial_random, spawn_rng(self._rng))
         self._loop = _Loop()
         self._idle_detection = idle_detection
@@ -556,9 +559,11 @@ class SatoriController(PartitioningPolicy):
             if observation.config is None:
                 raise PolicyError("cannot attribute observation to a configuration")
             config = observation.config.restrict(self.controlled_resources)
+        if self._encoded is None or self._encoded[0] != config:
+            self._encoded = (config, tuple(self._space.encode(config).tolist()))
         self._records.add(
             config,
-            self._space.encode(config),
+            self._encoded[1],
             (scores.throughput, scores.fairness),
             ips=observation.ips,
             isolation_ips=observation.isolation_ips,

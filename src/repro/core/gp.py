@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ModelError
-from repro.core.kernels import RBF, Kernel, Matern52
+from repro.core.kernels import RBF, Kernel, Matern52, pairwise_distance
 from repro.obs import active_collector
 from repro.state import STATE_VERSION, check_version
 
@@ -311,12 +311,17 @@ class GaussianProcess:
         Returns the winning kernel together with its Cholesky factor so
         the caller can reuse it instead of refactorizing (``None`` only
         when every grid point failed to factorize).
+
+        The grid shares one distance matrix: each kernel matrix divides
+        the same rendered distances by its own length scale, exactly
+        what a ``kernel(x, x)`` call per length scale computes.
         """
         n = x.shape[0]
         kernels = [self.kernel.with_params(lengthscale=ls) for ls in _LENGTHSCALE_GRID]
+        distance = pairwise_distance(x, x)
         stack = np.empty((len(kernels), n, n))
         for i, kernel in enumerate(kernels):
-            k = kernel(x, x)
+            k = kernel.at_distance(distance)
             k[np.diag_indices_from(k)] += self.noise + _JITTER
             stack[i] = k
         chols, ok = stacked_cholesky(stack)

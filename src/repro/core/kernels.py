@@ -35,7 +35,11 @@ class Kernel(abc.ABC):
         b = np.atleast_2d(np.asarray(b, dtype=float))
         if a.shape[1] != b.shape[1]:
             raise ModelError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-        return self._from_distance(_pairwise_distance(a, b) / self.lengthscale)
+        return self.at_distance(pairwise_distance(a, b))
+
+    def at_distance(self, distance: np.ndarray) -> np.ndarray:
+        """Covariance at unscaled :func:`pairwise_distance` values."""
+        return self._from_distance(distance / self.lengthscale)
 
     def diagonal(self, n: int) -> np.ndarray:
         """The prior variance at each of ``n`` points (``k(x, x)``)."""
@@ -74,7 +78,7 @@ class RBF(Kernel):
         return self.variance * np.exp(-0.5 * r**2)
 
 
-def _pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between row-sets, numerically clamped."""
     sq = (
         np.sum(a**2, axis=1)[:, None]

@@ -68,6 +68,12 @@ class GoalRecords:
         self._goal_names = tuple(goal_names)
         self._max_samples = max_samples
         self._samples: List[GoalSample] = []
+        # The samples' encodings and goal scores, row i for sample i, in
+        # the leading rows of (capacity, d) and (capacity, k) arrays
+        # updated in place, so that each interval's readers do not
+        # rebuild them. Allocated at the first add, when d is known.
+        self._inputs: Optional[np.ndarray] = None
+        self._scores: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -102,19 +108,31 @@ class GoalRecords:
         """
         if len(scores) != self.n_goals:
             raise ModelError(f"expected {self.n_goals} goal scores, got {len(scores)}")
-        self._samples.append(
-            GoalSample(
-                config=config,
-                encoded=tuple(float(v) for v in encoded),
-                scores=tuple(float(s) for s in scores),
-                ips=None if ips is None else tuple(float(v) for v in ips),
-                isolation_ips=(
-                    None if isolation_ips is None else tuple(float(v) for v in isolation_ips)
-                ),
-            )
+        sample = GoalSample(
+            config=config,
+            encoded=tuple(float(v) for v in encoded),
+            scores=tuple(float(s) for s in scores),
+            ips=None if ips is None else tuple(float(v) for v in ips),
+            isolation_ips=(
+                None if isolation_ips is None else tuple(float(v) for v in isolation_ips)
+            ),
         )
-        if len(self._samples) > self._max_samples:
+        if self._inputs is None:
+            self._allocate(len(sample.encoded))
+        self._samples.append(sample)
+        n = len(self._samples)
+        if n > self._max_samples:
             del self._samples[0]
+            n -= 1
+            self._inputs[: n - 1] = self._inputs[1:n]
+            self._scores[: n - 1] = self._scores[1:n]
+        self._inputs[n - 1] = sample.encoded
+        self._scores[n - 1] = sample.scores
+
+    def _allocate(self, dimensions: int) -> None:
+        capacity = max(self._max_samples, len(self._samples))
+        self._inputs = np.empty((capacity, dimensions))
+        self._scores = np.empty((capacity, self.n_goals))
 
     def rescore(self, scorer) -> int:
         """Recompute stored goal scores in place; returns samples changed.
@@ -139,6 +157,7 @@ class GoalRecords:
                 raise ModelError(f"expected {self.n_goals} goal scores, got {len(fresh)}")
             if fresh != sample.scores:
                 self._samples[index] = replace(sample, scores=fresh)
+                self._scores[index] = fresh
                 changed += 1
         return changed
 
@@ -199,13 +218,24 @@ class GoalRecords:
             )
             for sample in state.get("samples", ())
         ]
+        self._inputs = self._scores = None
+        if self._samples:
+            self._allocate(len(self._samples[0].encoded))
+            n = len(self._samples)
+            self._inputs[:n] = [s.encoded for s in self._samples]
+            self._scores[:n] = [s.scores for s in self._samples]
         return self
 
     def inputs(self) -> np.ndarray:
-        """All encoded inputs as an ``(n, d)`` matrix."""
+        """All encoded inputs as an ``(n, d)`` matrix the caller owns.
+
+        A copy: the records update their rows in place, and the GP
+        keeps the matrix it was fitted on to compare with the next
+        fit's prefix.
+        """
         if not self._samples:
             raise ModelError("no samples recorded yet")
-        return np.asarray([s.encoded for s in self._samples], dtype=float)
+        return self._inputs[: len(self._samples)].copy()
 
     def goal_values(self, goal: str) -> np.ndarray:
         """All recorded values of one goal."""
@@ -224,8 +254,7 @@ class GoalRecords:
             raise ModelError(f"expected {self.n_goals} weights, got shape {weights.shape}")
         if not self._samples:
             raise ModelError("no samples recorded yet")
-        scores = np.asarray([s.scores for s in self._samples], dtype=float)
-        return scores @ weights
+        return self._scores[: len(self._samples)] @ weights
 
     def best(self, weights: Sequence[float]) -> Tuple[Configuration, float]:
         """Best recorded configuration under the given weights."""

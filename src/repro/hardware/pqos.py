@@ -48,8 +48,8 @@ class PqosMonitor:
         outlier_rate: probability per job per interval of a counter
             glitch — a grossly wrong sample, as real RDT monitoring
             occasionally produces on RMID reassignment or overflow.
-            Defaults to 0 (clean monitoring); robustness tests and
-            fault-injection experiments raise it.
+            Defaults to 0 (clean monitoring); robustness tests raise
+            it. An interval draws its glitches after its noise factors.
         outlier_scale: multiplicative range of a glitch; the faulty
             sample is the true value scaled by a factor drawn
             log-uniformly from ``[1/outlier_scale, outlier_scale]``.
@@ -120,28 +120,39 @@ class PqosMonitor:
         if len(occupancy) != n or len(bandwidth) != n:
             raise HardwareError("per-job monitoring inputs must have equal lengths")
 
+        noise = self._noise_factors(3 * n)
+        if self._outlier_rate:
+            for job in range(n):
+                if self._rng.random() < self._outlier_rate:
+                    noise[3 * job] *= self._outlier_factor()
         samples = []
         for job in range(n):
-            noise = self._noise_factor()
-            if self._outlier_rate and self._rng.random() < self._outlier_rate:
-                noise *= self._outlier_factor()
-            ips = max(0.0, float(true_ips[job]) * noise)
+            ips = max(0.0, float(true_ips[job]) * noise[3 * job])
             samples.append(
                 PqosSample(
                     job=job,
                     interval_s=interval_s,
                     instructions=ips * interval_s,
                     ips=ips,
-                    llc_occupancy_bytes=float(occupancy[job]) * self._noise_factor(),
-                    memory_bandwidth_bytes_s=float(bandwidth[job]) * self._noise_factor(),
+                    llc_occupancy_bytes=float(occupancy[job]) * noise[3 * job + 1],
+                    memory_bandwidth_bytes_s=float(bandwidth[job]) * noise[3 * job + 2],
                 )
             )
         return samples
 
-    def _noise_factor(self) -> float:
+    def _noise_factors(self, count: int) -> List[float]:
+        """``count`` noise factors in one draw, as Python floats.
+
+        One ``lognormal(size=count)`` call yields the same values, in
+        the same order, and leaves the generator in the same state as
+        ``count`` scalar draws: the generator fills the array one
+        scalar draw at a time. Job ``j``'s IPS, occupancy and bandwidth
+        factors are entries ``3j``, ``3j + 1`` and ``3j + 2``, the order
+        per-job scalar draws take.
+        """
         if self._noise_sigma == 0:
-            return 1.0
-        return float(self._rng.lognormal(mean=0.0, sigma=self._noise_sigma))
+            return [1.0] * count
+        return self._rng.lognormal(mean=0.0, sigma=self._noise_sigma, size=count).tolist()
 
     def _outlier_factor(self) -> float:
         """A glitch factor, log-uniform in [1/scale, scale]."""

@@ -143,6 +143,9 @@ class ControlSession:
         self._telemetry = TelemetryLog(goals or GoalSet())
         self._baseline_reset_s = baseline_reset_s
         self._baseline: Optional[np.ndarray] = None
+        # The held baseline as the policy view carries it, built once
+        # per re-measurement rather than once per interval.
+        self._held: Tuple[float, ...] = ()
         self._next_reset = baseline_reset_s
         self._policy_view: Optional[Observation] = None
 
@@ -210,7 +213,10 @@ class ControlSession:
         measurement and continues mid-stream, bit-identically).
         """
         baseline = state.get("baseline")
-        self._baseline = None if baseline is None else np.array(baseline, dtype=float)
+        if baseline is None:
+            self._baseline, self._held = None, ()
+        else:
+            self._hold(np.array(baseline, dtype=float))
         next_reset = state.get("next_reset")
         self._next_reset = math.inf if next_reset is None else float(next_reset)
         view = state.get("policy_view")
@@ -226,13 +232,14 @@ class ControlSession:
         next ``decide`` sees the fresh baseline — this is what the
         churn driver needs right after a workload swap.
         """
-        self._baseline = self._server.measure_isolation(noisy=True)
+        self._hold(self._server.measure_isolation(noisy=True))
         if self._policy_view is not None:
-            self._policy_view = dataclasses.replace(
-                self._policy_view,
-                isolation_ips=tuple(float(b) for b in self._baseline),
-            )
+            self._policy_view = dataclasses.replace(self._policy_view, isolation_ips=self._held)
         return self._baseline
+
+    def _hold(self, baseline: np.ndarray) -> None:
+        self._baseline = baseline
+        self._held = tuple(float(b) for b in baseline)
 
     # -- the loop ------------------------------------------------------------
 
@@ -256,8 +263,16 @@ class ControlSession:
 
             # Policies act on the held baseline (Algorithm 1 resets it only
             # periodically); telemetry scores against the true current one.
-            self._policy_view = dataclasses.replace(
-                raw, isolation_ips=tuple(float(b) for b in self._baseline)
+            self._policy_view = Observation(
+                time_s=raw.time_s,
+                interval_s=raw.interval_s,
+                ips=raw.ips,
+                isolation_ips=self._held,
+                config=raw.config,
+                completed_runs=raw.completed_runs,
+                memory_bandwidth_bytes_s=raw.memory_bandwidth_bytes_s,
+                llc_occupancy_bytes=raw.llc_occupancy_bytes,
+                actuation_ok=raw.actuation_ok,
             )
             diag = self._policy.diagnostics()
             scored_ips = raw.ips
@@ -289,7 +304,7 @@ class ControlSession:
 
             if raw.time_s + 1e-9 >= self._next_reset:
                 with obs.span("baseline_refresh", "session"):
-                    self._baseline = self._server.measure_isolation(noisy=True)
+                    self._hold(self._server.measure_isolation(noisy=True))
                 self._next_reset += self._baseline_reset_s
         return raw
 

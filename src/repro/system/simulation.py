@@ -14,6 +14,7 @@ user-space service gets from hardware counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -194,6 +195,13 @@ class CoLocationSimulator:
         # changes, so this is exact, and it is bounded by the phases of
         # every workload this server has hosted.
         self._isolation: Dict[Phase, float] = {}
+        # The last interval boundary's time, each job's phase index
+        # then, and the isolation IPS those phases give (np.float64, the
+        # element type Observation.isolation_ips carries). One entry:
+        # step looks the phases up once per boundary, for the ending
+        # interval's observation and the next interval's solve key.
+        # Dropped when the mix or the clock is replaced.
+        self._boundary: Optional[Tuple[float, Tuple[int, ...], Tuple[np.float64, ...]]] = None
         self._interval = control_interval_s
         self._rng = make_rng(seed)
         self._monitor = PqosMonitor(
@@ -215,8 +223,8 @@ class CoLocationSimulator:
 
         self._time_s = 0.0
         self._config: Optional[Configuration] = None
-        self._instructions = np.zeros(len(mix), dtype=float)
-        self._completed_runs = np.zeros(len(mix), dtype=np.int64)
+        self._instructions = [0.0] * len(mix)
+        self._completed_runs = [0] * len(mix)
         self._prev_allocations: Optional[dict] = None
         # The last contention solve and its key: the installed
         # configuration and each job's phase index. The solve is a pure
@@ -232,7 +240,7 @@ class CoLocationSimulator:
         # observable injection counters.
         self._pending_failed_attempts = 0
         self._triggered_events: set = set()
-        self._last_reported_ips = np.full(len(mix), np.nan)
+        self._last_reported_ips = [math.nan] * len(mix)
         self._last_true_ips: Tuple[float, ...] = ()
         self._fault_counters: Dict[str, int] = {
             "actuation_failures": 0,
@@ -422,18 +430,27 @@ class CoLocationSimulator:
                 actuation_ok = False
 
         interval_start = self._time_s
-        key = (self._config, self.phase_key(interval_start))
+        key = (self._config, self._phases_now()[0])
         if self._solved is None or self._solved[0] != key:
             state = evaluate_system(self._mix, self._catalog, self._config, interval_start)
             self._solved = (key, state)
         state = self._solved[1]
-        ips = state.ips * self._reconfiguration_factors(state.allocations)
-        ips = ips * self._workload_fault_factors(interval_start)
+        # Per-job products on Python floats, in the order the factors
+        # apply (DESIGN.md "Interval bookkeeping").
+        ips = [
+            v * moved * faulted
+            for v, moved, faulted in zip(
+                state.ips.tolist(),
+                self._reconfiguration_factors(state.allocations),
+                self._workload_fault_factors(interval_start),
+            )
+        ]
         if self._pending_failed_attempts:
             penalty = min(0.5, ACTUATION_RETRY_PENALTY * self._pending_failed_attempts)
-            ips = ips * (1.0 - penalty)
+            ips = [v * (1.0 - penalty) for v in ips]
             self._pending_failed_attempts = 0
-        self._instructions += ips * self._interval
+        for j, v in enumerate(ips):
+            self._instructions[j] += v * self._interval
         self._account_completions()
         self._time_s += self._interval
 
@@ -444,17 +461,17 @@ class CoLocationSimulator:
             memory_bandwidth_bytes_s=state.memory_bandwidth_bytes_s,
         )
         true_sampled = [s.ips for s in samples]
-        reported_ips = self._apply_monitor_faults(list(true_sampled), interval_start)
         # Evaluators score the pre-corruption measurements (controllers
         # only ever see the reported, possibly corrupted, Observation).
-        self._last_true_ips = tuple(float(v) for v in true_sampled)
+        self._last_true_ips = tuple(true_sampled)
+        reported_ips = self._apply_monitor_faults(true_sampled, interval_start)
         return Observation(
             time_s=self._time_s,
             interval_s=self._interval,
             ips=tuple(reported_ips),
-            isolation_ips=tuple(self.measure_isolation()),
+            isolation_ips=self._phases_now()[1],
             config=self._config,
-            completed_runs=tuple(int(c) for c in self._completed_runs),
+            completed_runs=tuple(self._completed_runs),
             memory_bandwidth_bytes_s=tuple(s.memory_bandwidth_bytes_s for s in samples),
             llc_occupancy_bytes=tuple(s.llc_occupancy_bytes for s in samples),
             actuation_ok=actuation_ok,
@@ -487,6 +504,7 @@ class CoLocationSimulator:
         workloads[job_index] = workload
         self._mix = JobMix(tuple(workloads))
         self._solved = None
+        self._boundary = None
         self._instructions[job_index] = 0.0
         # The newcomer's phase clock starts fresh relative to wall time;
         # shift its schedule so phase_at(self._time_s) is its phase 0.
@@ -510,15 +528,34 @@ class CoLocationSimulator:
         call this at those points. ``noisy=True`` passes the values
         through the pqos noise model, as a real re-measurement would.
         """
-        t = self._time_s
-        iso = np.array([self._isolation_of(w, t) for w in self._mix], dtype=float)
+        iso = np.array(self._phases_now()[1], dtype=float)
         if not noisy:
             return iso
         samples = self._monitor.observe(iso, self._interval)
         return np.array([s.ips for s in samples])
 
-    def _isolation_of(self, workload: Workload, t: float) -> float:
-        phase = workload.phase_at(t)
+    def _phases_now(self) -> Tuple[Tuple[int, ...], Tuple[np.float64, ...]]:
+        """Each job's phase index and isolation IPS at the current time.
+
+        Looked up once per interval boundary. An unchanged phase tuple
+        reuses the previous boundary's isolation values.
+        """
+        t = self._time_s
+        last = self._boundary
+        if last is not None and last[0] == t:
+            return last[1], last[2]
+        phases = tuple(w.phase_index_at(t) for w in self._mix)
+        if last is not None and last[1] == phases:
+            isolation = last[2]
+        else:
+            isolation = tuple(
+                np.float64(self._isolation_of(w, w.schedule.segments[index][1], t))
+                for w, index in zip(self._mix, phases)
+            )
+        self._boundary = (t, phases, isolation)
+        return phases, isolation
+
+    def _isolation_of(self, workload: Workload, phase: Phase, t: float) -> float:
         value = self._isolation.get(phase)
         if value is None:
             value = self._isolation[phase] = workload.isolation_ips(self._catalog, t)
@@ -551,8 +588,9 @@ class CoLocationSimulator:
 
     def phase_key(self, at_time: float = None) -> Tuple[int, ...]:
         """The tuple of active phase indices (Oracle cache key)."""
-        t = self._time_s if at_time is None else at_time
-        return tuple(w.phase_index_at(t) for w in self._mix)
+        if at_time is None:
+            return self._phases_now()[0]
+        return tuple(w.phase_index_at(at_time) for w in self._mix)
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -591,7 +629,7 @@ class CoLocationSimulator:
             "pending_failed_attempts": int(self._pending_failed_attempts),
             "triggered_events": sorted(self._triggered_events),
             "last_reported_ips": [
-                float(v) if np.isfinite(v) else None for v in self._last_reported_ips
+                float(v) if math.isfinite(v) else None for v in self._last_reported_ips
             ],
             "last_true_ips": [float(v) for v in self._last_true_ips],
             "fault_counters": dict(self._fault_counters),
@@ -616,6 +654,7 @@ class CoLocationSimulator:
                 f"mix has {self.n_jobs}"
             )
         self._time_s = float(state["time_s"])
+        self._boundary = None
         self._rng = rng_from_state(state["rng"])
         self._monitor.rng = rng_from_state(state["monitor_rng"])
         config = state.get("config")
@@ -626,8 +665,8 @@ class CoLocationSimulator:
             self._config = restored
         else:
             self._config = None
-        self._instructions = np.array(state["instructions"], dtype=float)
-        self._completed_runs = np.array(state["completed_runs"], dtype=np.int64)
+        self._instructions = [float(v) for v in state["instructions"]]
+        self._completed_runs = [int(v) for v in state["completed_runs"]]
         prev = state.get("prev_allocations")
         self._prev_allocations = (
             None
@@ -636,16 +675,15 @@ class CoLocationSimulator:
         )
         self._pending_failed_attempts = int(state.get("pending_failed_attempts", 0))
         self._triggered_events = set(state.get("triggered_events", ()))
-        self._last_reported_ips = np.array(
-            [np.nan if v is None else float(v) for v in state["last_reported_ips"]],
-            dtype=float,
-        )
+        self._last_reported_ips = [
+            math.nan if v is None else float(v) for v in state["last_reported_ips"]
+        ]
         self._last_true_ips = tuple(float(v) for v in state.get("last_true_ips", ()))
         self._fault_counters = {
             str(k): int(v) for k, v in state.get("fault_counters", {}).items()
         }
 
-    def _workload_fault_factors(self, t: float) -> np.ndarray:
+    def _workload_fault_factors(self, t: float) -> List[float]:
         """Per-job IPS multipliers from crash / hang events at time ``t``.
 
         A crashed job makes no progress until its restart completes and
@@ -653,7 +691,7 @@ class CoLocationSimulator:
         many intervals the event spans). A hung job makes no progress
         but keeps its state.
         """
-        factors = np.ones(self.n_jobs)
+        factors = [1.0] * self.n_jobs
         if self._fault_schedule is None:
             return factors
         for job in range(self.n_jobs):
@@ -687,18 +725,18 @@ class CoLocationSimulator:
                         reported[job] = float("nan")
                         self._fault_counters["samples_nan"] += 1
                     elif event.kind == STUCK:
-                        if np.isfinite(self._last_reported_ips[job]):
+                        if math.isfinite(self._last_reported_ips[job]):
                             reported[job] = float(self._last_reported_ips[job])
                         self._fault_counters["samples_stuck"] += 1
                     elif event.kind == OUTLIER:
                         reported[job] = reported[job] * event.magnitude
                         self._fault_counters["samples_outlier"] += 1
         for job, value in enumerate(reported):
-            if np.isfinite(value):
+            if math.isfinite(value):
                 self._last_reported_ips[job] = value
         return reported
 
-    def _reconfiguration_factors(self, current: Dict[str, np.ndarray]) -> np.ndarray:
+    def _reconfiguration_factors(self, current: Dict[str, np.ndarray]) -> List[float]:
         """Per-job IPS multipliers for this interval's allocation change.
 
         A job whose allocation moved loses up to
@@ -710,18 +748,21 @@ class CoLocationSimulator:
         a reused solve hands back the previous interval's own, which
         moved nothing.
         """
-        if self._prev_allocations is None or current is self._prev_allocations:
-            self._prev_allocations = current
-            return np.ones(self.n_jobs)
+        previous, self._prev_allocations = self._prev_allocations, current
+        if previous is None or current is previous:
+            return [1.0] * self.n_jobs
 
-        moved = np.zeros(self.n_jobs)
+        moved = [0.0] * self.n_jobs
         for resource in self._catalog:
-            old = self._prev_allocations[resource.name]
-            new = current[resource.name]
-            moved += np.abs(new - old) / resource.units
-        moved /= len(self._catalog)
-        self._prev_allocations = current
-        return 1.0 - RECONFIGURATION_PENALTY * np.minimum(2.0 * moved, 1.0)
+            old = previous[resource.name].tolist()
+            new = current[resource.name].tolist()
+            moved = [
+                m + abs(b - a) / resource.units for m, a, b in zip(moved, old, new)
+            ]
+        return [
+            1.0 - RECONFIGURATION_PENALTY * min(2.0 * (m / len(self._catalog)), 1.0)
+            for m in moved
+        ]
 
     def _account_completions(self) -> None:
         """Fixed-work accounting: completing a run restarts the job.

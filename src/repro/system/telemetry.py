@@ -10,6 +10,7 @@ throughput/fairness, per-job mean speedups, worst-job performance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,7 +121,7 @@ class TelemetryLog:
         ips = list(ips)
         imputed = 0
         for j, value in enumerate(ips):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 ips[j] = self._last_finite_ips(j)
                 imputed += 1
         if imputed:
@@ -154,7 +155,7 @@ class TelemetryLog:
     def _last_finite_ips(self, job: int) -> float:
         """Most recent finite IPS recorded for ``job`` (0.0 if none)."""
         for rec in reversed(self._records):
-            if job < len(rec.ips) and np.isfinite(rec.ips[job]):
+            if job < len(rec.ips) and math.isfinite(rec.ips[job]):
                 return float(rec.ips[job])
         return 0.0
 

@@ -2,6 +2,7 @@
 the cluster simulator, and the sweep driver)."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -471,6 +472,66 @@ class TestPoolMatchesSerial:
         assert serial.resurrections > 0
         assert serial.migrations > 0
         assert serial.slo is not None and serial.jobs_lost == ()
+
+
+def result_sha(result) -> str:
+    """sha256 of a ``ClusterResult``'s canonical JSON (sorted keys)."""
+    data = json.dumps(dataclasses.asdict(result), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+class TestPinnedResults:
+    """Two small fleets pinned to their canonical result bytes. Every
+    node-epoch's noise streams, decisions and scores feed these hashes,
+    so any change to the interval, the record book or the pool path
+    that moves a bit shows here."""
+
+    def test_serial_satori_fleet(self):
+        # 70-interval node-epochs slide the 64-sample record window.
+        trace = poisson_trace(
+            n_epochs=3, arrival_rate=1.5, mean_residency=2.0, suites=("parsec",),
+            seed=5, initial_jobs=7,
+        )
+        with ExecutionEngine() as engine:
+            result = ClusterSimulator(
+                trace, n_nodes=3, placement="least_loaded", policy="SATORI",
+                catalog=experiment_catalog(), epoch_config=RunConfig(duration_s=7.0),
+                seed=1, node_capacity=4, engine=engine,
+            ).run()
+        assert result_sha(result) == (
+            "619935c89739560c25a9152d1ffaa21d338f099172672a0513df78d0d8ee5b68"
+        )
+
+    def test_pooled_bopf_fleet_with_every_feature(self):
+        """The fleet-chaos feature set on a 2-worker pool: crash with
+        rejoin, straggler, flaky telemetry, recovery, warm start,
+        migration, the trade broker and a qos SLO."""
+        trace = poisson_trace(
+            n_epochs=4, arrival_rate=1.0, mean_residency=4.0, suites=("parsec",),
+            seed=12, initial_jobs=8, qos_fraction=0.3,
+        )
+        plans = {
+            0: NodeFaultPlan(crash_epoch=1, crash_rejoin_epochs=2),
+            1: NodeFaultPlan(straggler_rate=0.3, straggler_slowdown=3.5),
+            2: NodeFaultPlan(flaky_rate=0.3, flaky_intensity=0.5),
+        }
+        with ExecutionEngine(workers=2) as engine:
+            result = ClusterSimulator(
+                trace, n_nodes=3, placement="slo_aware", policy="BoPF",
+                catalog=experiment_catalog(), epoch_config=RunConfig(duration_s=2.0),
+                seed=1, node_capacity=4, fleet_plans=plans,
+                recovery=RecoveryConfig(snapshot_cadence_epochs=1),
+                migration=MigrationConfig(), broker="trade", warm_start=True,
+                qos_slo=SLOSpec(min_speedup=0.55, window=2, attain_target=0.75),
+                engine=engine,
+            ).run()
+        assert result_sha(result) == (
+            "0aa1b1dd2f336483e86e6efa5e06110cdfc8557bda141947a5b052f26287c2ad"
+        )
+        assert any(record.warm_started for record in result.records)
+        assert result.migrations and result.budget_transfers
+        assert result.node_epoch_failures and result.node_rejoins
+        assert result.slo is not None
 
 
 class TestClusterSweep:

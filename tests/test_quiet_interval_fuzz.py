@@ -10,11 +10,16 @@ phase stay the same (DESIGN.md "Quiet intervals").
 :class:`ReferenceSimulator` below keeps the simulator as it was before
 those shortcuts: it re-validates and re-installs on every ``apply``,
 and re-solves contention and recomputes the reconfiguration penalty on
-every ``step``. Each draw runs the two side
-by side over one stream of operations and compares them after every
-operation: the observation (repr, so NaN samples compare equal and
-every float bit counts), ``last_true_ips``, the fault counters, the
-MSR register contents and the full ``snapshot_state()``.
+every ``step``. It also keeps the interval's bookkeeping as it was
+before it moved to Python floats (DESIGN.md "Interval bookkeeping"):
+progress, the penalty and fault factors and the monitor-fault pass on
+numpy arrays, the monitor's per-job scalar noise draws, and one phase
+lookup per job for every isolation measurement. Each draw runs the two
+side by side over one stream of operations and compares them after
+every operation: the observation (repr, so NaN samples compare equal
+and every float bit and element type counts), ``last_true_ips``, the
+fault counters, the MSR register contents and the full
+``snapshot_state()``.
 
 The streams are repeat-heavy: configurations come from a pool of one
 to three, each full or partial (the LLC-only dCAT shape or the LLC +
@@ -39,6 +44,7 @@ from repro.errors import ActuationError, ConfigurationError, ReproError
 from repro.experiments.extensions import power_catalog
 from repro.experiments.runner import experiment_catalog
 from repro.faults import FaultPlan, FaultSchedule
+from repro.faults.schedule import CRASH, DROP, NAN, OUTLIER, STUCK
 from repro.obs import active_collector
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
@@ -52,6 +58,7 @@ from repro.system.simulation import (
 )
 from repro.workloads.mixes import mix_from_names
 from repro.workloads.registry import default_registry
+from tests.test_bookkeeping_fuzz import per_job_observe
 
 REGISTRY = default_registry()
 WORKLOADS = tuple(
@@ -60,13 +67,28 @@ WORKLOADS = tuple(
 
 
 class ReferenceSimulator(CoLocationSimulator):
-    """The simulator without quiet-interval shortcuts.
+    """The simulator without quiet-interval shortcuts, on numpy.
 
     ``apply`` validates and installs every configuration it is given,
     and ``step`` solves contention and computes the reconfiguration
     penalty every interval, as the simulator did before it skipped
-    repeated work.
+    repeated work. Progress, completions and the last reported IPS are
+    numpy arrays, and every helper ``step`` calls is a copy of the
+    array version it had then.
     """
+
+    def __init__(self, mix, **kwargs):
+        super().__init__(mix, **kwargs)
+        self._to_arrays()
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        self._to_arrays()
+
+    def _to_arrays(self) -> None:
+        self._instructions = np.array(self._instructions, dtype=float)
+        self._completed_runs = np.array(self._completed_runs, dtype=np.int64)
+        self._last_reported_ips = np.array(self._last_reported_ips, dtype=float)
 
     def apply(self, config: Optional[Configuration]) -> None:
         with active_collector().span("actuation", "server"):
@@ -102,7 +124,9 @@ class ReferenceSimulator(CoLocationSimulator):
         self._account_completions()
         self._time_s += self._interval
 
-        samples = self._monitor.observe(
+        samples = per_job_observe(
+            self._monitor.rng,
+            self._monitor._noise_sigma,
             ips,
             self._interval,
             llc_occupancy_bytes=state.llc_occupancy_bytes,
@@ -115,13 +139,17 @@ class ReferenceSimulator(CoLocationSimulator):
             time_s=self._time_s,
             interval_s=self._interval,
             ips=tuple(reported_ips),
-            isolation_ips=tuple(self.measure_isolation()),
+            isolation_ips=tuple(self._isolation_array()),
             config=self._config,
             completed_runs=tuple(int(c) for c in self._completed_runs),
             memory_bandwidth_bytes_s=tuple(s.memory_bandwidth_bytes_s for s in samples),
             llc_occupancy_bytes=tuple(s.llc_occupancy_bytes for s in samples),
             actuation_ok=actuation_ok,
         )
+
+    def _isolation_array(self) -> np.ndarray:
+        t = self._time_s
+        return np.array([w.isolation_ips(self._catalog, t) for w in self._mix], dtype=float)
 
     def _reconfiguration_factors(self, current):
         if self._prev_allocations is None:
@@ -135,6 +163,51 @@ class ReferenceSimulator(CoLocationSimulator):
         moved /= len(self._catalog)
         self._prev_allocations = current
         return 1.0 - RECONFIGURATION_PENALTY * np.minimum(2.0 * moved, 1.0)
+
+    def _workload_fault_factors(self, t: float) -> np.ndarray:
+        factors = np.ones(self.n_jobs)
+        if self._fault_schedule is None:
+            return factors
+        for job in range(self.n_jobs):
+            for index, event in self._fault_schedule.workload_events(job, t):
+                if index not in self._triggered_events:
+                    self._triggered_events.add(index)
+                    if event.kind == CRASH:
+                        self._instructions[job] = 0.0
+                        self._fault_counters["crashes"] += 1
+                    else:
+                        self._fault_counters["hangs"] += 1
+                factors[job] = 0.0
+        return factors
+
+    def _apply_monitor_faults(self, reported, t):
+        if self._fault_schedule is not None:
+            for job in range(self.n_jobs):
+                for event in self._fault_schedule.monitor_events(job, t):
+                    if event.kind == DROP:
+                        reported[job] = float("nan")
+                        self._fault_counters["samples_dropped"] += 1
+                    elif event.kind == NAN:
+                        reported[job] = float("nan")
+                        self._fault_counters["samples_nan"] += 1
+                    elif event.kind == STUCK:
+                        if np.isfinite(self._last_reported_ips[job]):
+                            reported[job] = float(self._last_reported_ips[job])
+                        self._fault_counters["samples_stuck"] += 1
+                    elif event.kind == OUTLIER:
+                        reported[job] = reported[job] * event.magnitude
+                        self._fault_counters["samples_outlier"] += 1
+        for job, value in enumerate(reported):
+            if np.isfinite(value):
+                self._last_reported_ips[job] = value
+        return reported
+
+    def _account_completions(self) -> None:
+        for j, workload in enumerate(self._mix):
+            total = workload.total_instructions
+            while self._instructions[j] >= total:
+                self._instructions[j] -= total
+                self._completed_runs[j] += 1
 
 
 rates = st.sampled_from((0.0, 0.05, 0.2, 0.5))

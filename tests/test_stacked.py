@@ -112,6 +112,24 @@ class TestLengthscaleGridPairing:
         assert best_kernel.lengthscale == manual_best.lengthscale
         assert np.array_equal(best_chol, manual_chol)
 
+    def test_grid_renders_the_distance_matrix_once(self, monkeypatch):
+        """The five grid kernels share one distance matrix; the test
+        above pairs the result with one ``kernel(x, x)`` per scale."""
+        import repro.core.gp as gp_module
+
+        calls = []
+        render = gp_module.pairwise_distance
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return render(a, b)
+
+        monkeypatch.setattr(gp_module, "pairwise_distance", counting)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.0, 1.0, size=(9, 3))
+        GaussianProcess()._best_kernel(x, rng.standard_normal(9))
+        assert calls == [(9, 3)]
+
     def test_fit_with_optimization_unchanged_end_to_end(self):
         """fit(optimize_lengthscale=True) predictions match a manual fit
         with the manually-selected winning kernel."""
