@@ -116,8 +116,10 @@ class BayesianOptimizer:
         self._rng = make_rng(rng)
 
         self._iteration = 0
-        self._probes = space.sample_batch(max(2, n_probes), self._rng)
-        self._probe_x = space.encode_batch(self._probes)
+        # The probes stay rows; a snapshot renders them as
+        # configuration dicts.
+        self._probe_rows = space.sample_rows(max(2, n_probes), self._rng)
+        self._probe_x = space.encode_rows(self._probe_rows)
         self._last_probe_means: Optional[np.ndarray] = None
 
         # On small spaces the acquisition is maximized exactly over the
@@ -155,7 +157,7 @@ class BayesianOptimizer:
             "gp": self._gp.snapshot(),
             "rng": rng_state(self._rng),
             "iteration": self._iteration,
-            "probes": [config.to_dict() for config in self._probes],
+            "probes": self._space.row_dicts(self._probe_rows),
             "last_probe_means": None if means is None else means.tolist(),
             "version": STATE_VERSION,
         }
@@ -174,8 +176,8 @@ class BayesianOptimizer:
         for probe in probes:
             if not self._space.contains(probe):
                 raise ModelError(f"probe {probe!r} is outside this optimizer's space")
-        self._probes = probes
-        self._probe_x = self._space.encode_batch(probes)
+        self._probe_rows = self._space.to_rows(probes)
+        self._probe_x = self._space.encode_rows(self._probe_rows)
         means = state.get("last_probe_means")
         self._last_probe_means = None if means is None else np.asarray(means, dtype=float)
         return self

@@ -21,9 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Mapping, Tuple
-
-from typing import Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import EngineError
 from repro.experiments.runner import RunConfig
@@ -32,6 +30,7 @@ from repro.metrics.goals import GoalSet
 from repro.resources.types import Resource, ResourceCatalog, ResourceKind
 from repro.state import PolicyState
 from repro.workloads.mixes import JobMix
+from repro.workloads.model import Workload
 
 #: Derived seeds live in numpy's legal seed range.
 _SEED_SPACE = 2**63 - 1
@@ -86,6 +85,40 @@ def _listify(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_listify(v) for v in value]
     return value
+
+
+#: Workload payloads already rendered, by workload identity, least
+#: recently used first. Each entry holds its workload, so no other
+#: object can take its id while the entry lives.
+_WORKLOAD_PAYLOADS: Dict[int, Tuple[Workload, Dict[str, Any]]] = {}
+#: Enough for every job resident on a 12-node fleet of 4-job nodes.
+_WORKLOAD_PAYLOAD_LIMIT = 64
+
+
+def _workload_payload(workload: Workload) -> Dict[str, Any]:
+    """One workload's digest payload, rendered once per workload object.
+
+    A node keeps most of its jobs from epoch to epoch, and each epoch's
+    spec renders the same workload objects again. Keyed by identity,
+    not equality: equal workloads can still render differently (``1``
+    and ``1.0``, ``0.0`` and ``-0.0``). Treat the result as read-only.
+    """
+    key = id(workload)
+    entry = _WORKLOAD_PAYLOADS.pop(key, None)
+    if entry is None:
+        entry = (workload, _listify(dataclasses.asdict(workload)))
+        if len(_WORKLOAD_PAYLOADS) >= _WORKLOAD_PAYLOAD_LIMIT:
+            del _WORKLOAD_PAYLOADS[next(iter(_WORKLOAD_PAYLOADS))]
+    _WORKLOAD_PAYLOADS[key] = entry
+    return entry[1]
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -155,7 +188,14 @@ class RunSpec:
         results stay addressable), while a warm-start spec can never
         collide with its cold twin.
         """
-        content = {
+        content = self._cold_content()
+        if self.initial_state is not None:
+            content["initial_state"] = self.initial_state.to_dict()
+        return content
+
+    def _cold_content(self) -> Dict[str, Any]:
+        """:meth:`to_dict` without ``initial_state`` (a fresh dict)."""
+        return {
             "mix": self.mix_payload,
             "policy": self.policy,
             "policy_kwargs": _jsonable(self.policy_kwargs),
@@ -173,9 +213,6 @@ class RunSpec:
             "seed": self.seed,
             "faults": self.fault_plan.to_dict() if self.fault_plan is not None else None,
         }
-        if self.initial_state is not None:
-            content["initial_state"] = self.initial_state.to_dict()
-        return content
 
     @cached_property
     def mix_payload(self) -> Dict[str, Any]:
@@ -188,14 +225,26 @@ class RunSpec:
         """
         return {
             "label": self.mix.label,
-            "workloads": [_listify(dataclasses.asdict(w)) for w in self.mix],
+            "workloads": [_workload_payload(w) for w in self.mix],
         }
 
     @cached_property
     def digest(self) -> str:
-        """SHA-256 hex digest of the canonical representation."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """SHA-256 hex digest of the canonical representation.
+
+        The canonical JSON of :meth:`to_dict`, byte for byte, with the
+        warm-start state's stored text spliced in where rendering its
+        payload again would put it: a state that arrived from a worker
+        is hashed without being decoded.
+        """
+        content = self._cold_content()
+        if self.initial_state is None:
+            return _sha256(_canonical(content))
+        rendered = {key: _canonical(value) for key, value in content.items()}
+        rendered["initial_state"] = self.initial_state.to_json()
+        return _sha256(
+            "{" + ",".join(f"{_canonical(k)}:{v}" for k, v in sorted(rendered.items())) + "}"
+        )
 
     def __eq__(self, other: object) -> bool:
         """Content equality via digests.
@@ -226,10 +275,7 @@ class RunSpec:
         """
         if self.initial_state is None:
             return self.digest
-        content = self.to_dict()
-        del content["initial_state"]
-        payload = json.dumps(content, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _sha256(_canonical(self._cold_content()))
 
     @cached_property
     def environment_digest(self) -> str:
@@ -242,15 +288,13 @@ class RunSpec:
         comparisons under faults *paired* rather than merely
         statistically equivalent.
         """
-        content = self.to_dict()
-        for key in ("policy", "policy_kwargs", "goals"):
-            del content[key]
         # Warm-start state is policy baggage, not environment: a warm
         # and a cold run of the same mix/seed face identical fault
         # realizations, so their comparison is paired.
-        content.pop("initial_state", None)
-        payload = json.dumps(content, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        content = self._cold_content()
+        for key in ("policy", "policy_kwargs", "goals"):
+            del content[key]
+        return _sha256(_canonical(content))
 
     def seed_for(self, stream: str) -> int:
         """A deterministic seed for one named consumer of this spec.

@@ -15,7 +15,7 @@ formula (``np.std(s) / np.mean(s)`` for the CoV) bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ExperimentError
 from repro.metrics.summation import np_sum
@@ -24,7 +24,10 @@ from repro.metrics.throughput import checked_speedups
 
 def coefficient_of_variation(job_speedups: Sequence[float]) -> float:
     """Population CoV (std as a fraction of the mean) of the speedups."""
-    s = checked_speedups(job_speedups)
+    return _cov(checked_speedups(job_speedups))
+
+
+def _cov(s: List[float]) -> float:
     n = len(s)
     mean = np_sum(s) / n
     if mean <= 0:
@@ -35,7 +38,11 @@ def coefficient_of_variation(job_speedups: Sequence[float]) -> float:
 
 def jain_index(job_speedups: Sequence[float]) -> float:
     """Jain's Fairness Index: ``1 / (1 + CoV^2)``, in ``(0, 1]``."""
-    cov = coefficient_of_variation(job_speedups)
+    return _jain(checked_speedups(job_speedups))
+
+
+def _jain(s: List[float]) -> float:
+    cov = _cov(s)
     return 1.0 / (1.0 + cov * cov)
 
 
@@ -47,7 +54,11 @@ def one_minus_cov(job_speedups: Sequence[float]) -> float:
 def one_minus_cov_normalized(job_speedups: Sequence[float]) -> float:
     """``1 - CoV`` clipped into [0, 1] (the paper normalizes unbounded
     metrics into a common [0, 1] range before weighting, Sec. III-B)."""
-    value = one_minus_cov(job_speedups)
+    return _one_minus_cov_normalized(checked_speedups(job_speedups))
+
+
+def _one_minus_cov_normalized(s: List[float]) -> float:
+    value = 1.0 - _cov(s)
     if value < 0.0:
         return 0.0
     if value > 1.0:

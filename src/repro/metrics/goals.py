@@ -10,17 +10,17 @@ defaults "as these have been used by other competing techniques").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.metrics.fairness import jain_index, one_minus_cov_normalized
+from repro.metrics.fairness import _jain, _one_minus_cov_normalized
 from repro.metrics.throughput import (
-    geometric_mean_speedup,
-    harmonic_mean_speedup,
-    speedups,
-    weighted_mean_speedup,
+    _geometric_mean,
+    _harmonic_mean,
+    _measured_speedups,
+    _weighted_mean,
 )
 
 THROUGHPUT_CHOICES = ("sum_ips", "geometric_mean", "harmonic_mean")
@@ -76,14 +76,12 @@ class GoalSet:
     def scores(self, ips: Sequence[float], isolation_ips: Sequence[float]) -> GoalScores:
         """Normalized goal scores for one set of measurements.
 
-        Runs the metric functions themselves, on Python floats: the
+        Converts and checks the speedups once, then runs the metric
+        functions' own formulas on them, on Python floats: the
         controller and the telemetry log each score every interval.
         """
-        s = speedups(ips, isolation_ips)
-        return GoalScores(
-            throughput=self._throughput(s, isolation_ips),
-            fairness=self._fairness(s),
-        )
+        s, iso = _measured_speedups(ips, isolation_ips)
+        return GoalScores(throughput=self._throughput(s, iso), fairness=self._fairness(s))
 
     def scores_batch(self, ips: np.ndarray, isolation_ips: Sequence[float]):
         """Scores for many candidate evaluations, one :meth:`scores` per row.
@@ -105,14 +103,14 @@ class GoalSet:
             np.array([row.fairness for row in rows], dtype=float),
         )
 
-    def _throughput(self, s: Sequence[float], isolation_ips: Sequence[float]) -> float:
+    def _throughput(self, s: List[float], iso: List[float]) -> float:
         if self._throughput_metric == "sum_ips":
-            return weighted_mean_speedup(s, isolation_ips)
+            return _weighted_mean(s, iso)
         if self._throughput_metric == "geometric_mean":
-            return geometric_mean_speedup(s)
-        return harmonic_mean_speedup(s)
+            return _geometric_mean(s)
+        return _harmonic_mean(s)
 
-    def _fairness(self, s: Sequence[float]) -> float:
+    def _fairness(self, s: List[float]) -> float:
         if self._fairness_metric == "jain":
-            return jain_index(s)
-        return one_minus_cov_normalized(s)
+            return _jain(s)
+        return _one_minus_cov_normalized(s)

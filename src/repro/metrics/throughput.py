@@ -37,6 +37,14 @@ def speedups(ips: Sequence[float], isolation_ips: Sequence[float]) -> Tuple[floa
         ExperimentError: on length mismatch, non-positive baselines or
             negative IPS.
     """
+    return tuple(_speedups(ips, isolation_ips)[0])
+
+
+def _speedups(
+    ips: Sequence[float], isolation_ips: Sequence[float]
+) -> Tuple[List[float], List[float]]:
+    """The speedups and the baselines as float lists, checked as
+    :func:`speedups` checks them."""
     ips = [float(v) for v in ips]
     iso = [float(v) for v in isolation_ips]
     if len(ips) != len(iso):
@@ -45,18 +53,24 @@ def speedups(ips: Sequence[float], isolation_ips: Sequence[float]) -> Tuple[floa
         raise ExperimentError("isolation IPS must be positive")
     if any(v < 0 for v in ips):
         raise ExperimentError("IPS must be non-negative")
-    return tuple(value / base for value, base in zip(ips, iso))
+    return [value / base for value, base in zip(ips, iso)], iso
 
 
 def geometric_mean_speedup(job_speedups: Sequence[float]) -> float:
     """Geometric mean of the per-job speedups."""
-    s = checked_speedups(job_speedups)
+    return _geometric_mean(checked_speedups(job_speedups))
+
+
+def _geometric_mean(s: List[float]) -> float:
     return float(np.exp(np.mean(np.log(np.maximum(s, 1e-12)))))
 
 
 def harmonic_mean_speedup(job_speedups: Sequence[float]) -> float:
     """Harmonic mean of the per-job speedups."""
-    s = checked_speedups(job_speedups)
+    return _harmonic_mean(checked_speedups(job_speedups))
+
+
+def _harmonic_mean(s: List[float]) -> float:
     # np.maximum(v, 1e-12), which keeps a NaN (``nan < 1e-12`` is false).
     reciprocal_sum = np_sum([1.0 / (1e-12 if v < 1e-12 else v) for v in s])
     # Only all-infinite speedups sum to zero; numpy reads that as inf.
@@ -77,6 +91,10 @@ def weighted_mean_speedup(job_speedups: Sequence[float], isolation_ips: Sequence
     iso = [float(v) for v in isolation_ips]
     if len(iso) != len(s):
         raise ExperimentError(f"{len(s)} speedups for {len(iso)} baselines")
+    return _weighted_mean(s, iso)
+
+
+def _weighted_mean(s: List[float], iso: List[float]) -> float:
     iso_sum = np_sum(iso)
     if iso_sum == 0:
         raise ExperimentError("isolation IPS must not sum to zero")
@@ -108,3 +126,16 @@ def checked_speedups(job_speedups: Sequence[float]) -> List[float]:
     if any(v < 0 for v in s):
         raise ExperimentError(f"speedups must be non-negative, got {s}")
     return s
+
+
+def _measured_speedups(
+    ips: Sequence[float], isolation_ips: Sequence[float]
+) -> Tuple[List[float], List[float]]:
+    """The speedups of one measurement and its baselines, checked once
+    for every formula here: as :func:`speedups` and
+    :func:`checked_speedups` check them (measured speedups are never
+    negative)."""
+    s, iso = _speedups(ips, isolation_ips)
+    if not s:
+        raise ExperimentError("need at least one job")
+    return s, iso

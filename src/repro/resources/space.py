@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -316,6 +316,13 @@ class ConfigurationSpace:
         return Configuration(
             {name: row[r * j : (r + 1) * j] for r, name in enumerate(self._names)}
         )
+
+    def row_dicts(self, rows: np.ndarray) -> List[Dict[str, List[int]]]:
+        """Each row in its :meth:`Configuration.to_dict` form, built
+        without the configurations. The rows are not checked."""
+        j = self._n_jobs
+        columns = sorted((name, r * j) for r, name in enumerate(self._names))
+        return [{name: row[start : start + j] for name, start in columns} for row in rows.tolist()]
 
     def enumerate_rows(self) -> np.ndarray:
         """The whole space as rows, in :meth:`enumerate` order."""

@@ -22,10 +22,16 @@ Design constraints the representation answers to:
 * **Plain JSON data, held as given** — payloads are the dicts, lists
   and scalars the snapshots build. Construction checks them with one
   ``json.dumps(..., sort_keys=True)`` pass (anything else raises
-  :class:`~repro.errors.ExperimentError`); :class:`PolicyState`
-  equality and hashing use that canonical JSON, which is also what a
-  :class:`~repro.engine.RunSpec` digest covers for its
-  ``initial_state``.
+  :class:`~repro.errors.ExperimentError`).
+* **One encoding** — the canonical JSON that check renders is kept,
+  and it is the state's only encoding: equality and hashing compare
+  it, a :class:`~repro.engine.RunSpec` digest splices it in for its
+  ``initial_state`` (:meth:`PolicyState.to_json`), and a pickle ships
+  ``(policy, version, text)`` and nothing else. A state rebuilt from a
+  pickle decodes its payload from the text once, on first read
+  (``payload``, ``payload_dict()``, ``to_dict()``), so a process that
+  only forwards a state — the pool parent passing a node's snapshot to
+  its next epoch — never decodes it.
 * **Read-only** — ``to_dict()``/``payload_dict()`` return the stored
   data, not copies: snapshots build fresh containers and restores only
   read them, so a snapshot stays a value while controllers step on.
@@ -69,6 +75,11 @@ def _canonical_json(value: Any) -> str:
         ) from None
 
 
+def _decode(text: str) -> Any:
+    """A payload read back from its canonical JSON."""
+    return json.loads(text)
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyState:
     """A policy's complete serializable state at one instant.
@@ -79,7 +90,10 @@ class PolicyState:
             so a snapshot never silently lands in the wrong controller.
         payload: the policy-specific state as plain JSON data, held as
             given (checked on construction, never copied). Treat it as
-            read-only: it is shared with every ``to_dict`` caller.
+            read-only: it is shared with every ``to_dict`` caller, and
+            the canonical JSON rendered from it on construction stands
+            for it from then on. A state rebuilt from a pickle decodes
+            it from that JSON on first read.
         version: envelope version for forward-compatibility checks.
 
     Equality and hashing compare the policy tag, the version and the
@@ -93,10 +107,22 @@ class PolicyState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "policy", str(self.policy))
         object.__setattr__(self, "version", int(self.version))
-        _canonical_json(self.payload)
+        object.__setattr__(self, "_text", _canonical_json(self.payload))
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: the payload
+        # of a state rebuilt from its text, before its first read.
+        if name != "payload":
+            raise AttributeError(name)
+        payload = _decode(self._text)
+        object.__setattr__(self, "payload", payload)
+        return payload
+
+    def __reduce__(self):
+        return _from_text, (self.policy, self.version, self._text)
 
     def _key(self) -> Tuple[str, int, str]:
-        return self.policy, self.version, _canonical_json(self.payload)
+        return self.policy, self.version, self._text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolicyState):
@@ -118,6 +144,14 @@ class PolicyState:
         """JSON-compatible representation (lossless; payload not copied)."""
         return {"policy": self.policy, "version": self.version, "payload": self.payload}
 
+    def to_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON, byte for byte, built
+        around the stored payload text without decoding it."""
+        return (
+            f'{{"payload":{self._text},"policy":{json.dumps(self.policy)},'
+            f'"version":{self.version}}}'
+        )
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PolicyState":
         state = cls(
@@ -127,3 +161,16 @@ class PolicyState:
         )
         check_version("PolicyState", state.version)
         return state
+
+
+# The payload's default lives in the generated ``__init__``. Without a
+# class attribute of the same name, a state rebuilt by ``_from_text``
+# reaches ``__getattr__`` on its first payload read.
+del PolicyState.payload
+
+
+def _from_text(policy: str, version: int, text: str) -> PolicyState:
+    """Unpickle a state from its canonical payload text, undecoded."""
+    state = object.__new__(PolicyState)
+    vars(state).update(policy=policy, version=version, _text=text)
+    return state

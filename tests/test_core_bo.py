@@ -9,7 +9,7 @@ from repro.core.objective import GoalRecords
 from repro.errors import ModelError
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import default_catalog
-from repro.rng import make_rng
+from repro.rng import make_rng, rng_state
 
 
 @pytest.fixture
@@ -103,6 +103,26 @@ class TestBayesianOptimizer:
         best, best_value = records.best((0.5, 0.5))
         # Optimum gives job 0 everything: (4+4+4)/18 with min_units=1 -> 12/18.
         assert best_value >= 0.6
+
+    def test_probe_rows_pair_with_the_configuration_batch(self, space):
+        """The probes are drawn as rows: the same RNG stream, encodings
+        and snapshot JSON as drawing them as configurations."""
+        optimizer = BayesianOptimizer(space, n_probes=48, rng=21)
+        rng = make_rng(21)
+        probes = space.sample_batch(48, rng)
+        snapshot = optimizer.snapshot()
+        assert snapshot["probes"] == [config.to_dict() for config in probes]
+        assert snapshot["rng"] == rng_state(rng)
+        assert np.array_equal(optimizer._probe_x, space.encode_batch(probes))
+        restored = BayesianOptimizer(space, rng=99).restore(snapshot)
+        assert restored.snapshot()["probes"] == snapshot["probes"]
+        assert np.array_equal(restored._probe_x, optimizer._probe_x)
+
+    def test_restore_rejects_a_probe_outside_the_space(self, space):
+        snapshot = BayesianOptimizer(space, rng=1).snapshot()
+        other = ConfigurationSpace(default_catalog(6, 6, 6), 2)
+        with pytest.raises(ModelError, match="outside this optimizer's space"):
+            BayesianOptimizer(other, rng=1).restore(snapshot)
 
     def test_invalid_pool_size(self, space):
         with pytest.raises(ModelError):

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
+import pickle
 import threading
 import weakref
 
 import pytest
 
 import repro.engine.engine as engine_module
+import repro.engine.spec as spec_module
 from repro.engine import (
     CACHE_SCHEMA_VERSION,
     ExecutionEngine,
@@ -34,7 +37,7 @@ from repro.engine import (
 from repro.errors import EngineError, ExperimentError, PolicyError
 from repro.experiments.comparison import compare_on_mix, compare_on_mixes, seed_to_int
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
-from repro.workloads.mixes import suite_mixes
+from repro.workloads.mixes import JobMix, suite_mixes
 
 FAST = RunConfig(duration_s=2.0, interval_s=0.1, baseline_reset_s=1.0)
 
@@ -97,6 +100,39 @@ class TestRunSpec:
         s = spec(mixes[0], catalog)
         assert s.seed_for("policy") != s.seed_for("noise")
         assert s.seed_for("policy") == derive_seed(s.digest, "policy")
+
+    def test_workload_payloads_render_once_per_workload(self, mixes, catalog, monkeypatch):
+        """Specs over the same workload objects share each workload's
+        rendered payload; the memo is bounded, keyed by identity, and
+        leaves the workloads' pickles, ``asdict`` and equality alone."""
+        monkeypatch.setattr(spec_module, "_WORKLOAD_PAYLOADS", {})
+        monkeypatch.setattr(spec_module, "_WORKLOAD_PAYLOAD_LIMIT", 3)
+        mix = mixes[0]
+        pickled = [pickle.dumps(w) for w in mix]
+        first = spec(mix, catalog, seed=1)
+        second = spec(mix, catalog, seed=2)
+        for a, b, w in zip(first.mix_payload["workloads"], second.mix_payload["workloads"], mix):
+            assert a is b
+            assert a == spec_module._listify(dataclasses.asdict(w))
+        assert [pickle.dumps(w) for w in mix] == pickled
+        # Equal but not identical: rendered on its own (``2e11`` and
+        # ``200000000000`` are equal workloads with different JSON).
+        twin = dataclasses.replace(mix[0], total_instructions=int(mix[0].total_instructions))
+        assert twin == mix[0]
+        twin_spec = spec(JobMix((twin, mix[1])), catalog, seed=1)
+        assert type(twin_spec.mix_payload["workloads"][0]["total_instructions"]) is int
+        assert twin_spec.digest != first.digest
+        for other in mixes[1:]:
+            assert spec(other, catalog).digest
+        assert len(spec_module._WORKLOAD_PAYLOADS) == 3
+        full = json.dumps(
+            {**first.to_dict(), "mix": {
+                "label": mix.label,
+                "workloads": [spec_module._listify(dataclasses.asdict(w)) for w in mix],
+            }},
+            sort_keys=True, separators=(",", ":"),
+        )
+        assert first.digest == hashlib.sha256(full.encode()).hexdigest()
 
     def test_workers_validated(self):
         with pytest.raises(EngineError):

@@ -352,3 +352,39 @@ class TestFloatMetricsMatchNumpy:
     def test_rejected_inputs_raise(self, call):
         with pytest.raises(ExperimentError):
             call()
+
+    @pytest.mark.parametrize("throughput_metric", ["sum_ips", "geometric_mean", "harmonic_mean"])
+    @pytest.mark.parametrize("fairness_metric", ["jain", "one_minus_cov"])
+    @pytest.mark.parametrize(
+        "ips, iso",
+        [
+            ([], []),
+            ([1e9, 2e9], [1e9]),
+            ([1e9], [0.0]),
+            ([-1.0], [1e9]),
+            ([0.0, 0.0], [1e9, 1e9]),
+            ([0.0, 1e9], [1e9, float("inf")]),
+        ],
+    )
+    def test_scores_check_once_and_raise_as_the_metric_functions(
+        self, throughput_metric, fairness_metric, ips, iso
+    ):
+        """``GoalSet.scores`` checks the speedups once and then runs the
+        formulas; it rejects exactly what the metric functions, called
+        one after another on the same measurement, reject, with the
+        same message."""
+        throughput = {
+            "sum_ips": lambda s: weighted_mean_speedup(s, iso),
+            "geometric_mean": geometric_mean_speedup,
+            "harmonic_mean": harmonic_mean_speedup,
+        }[throughput_metric]
+        fairness = {"jain": jain_index, "one_minus_cov": one_minus_cov_normalized}[
+            fairness_metric
+        ]
+        with pytest.raises(ExperimentError) as expected:
+            s = speedups(ips, iso)
+            throughput(s)
+            fairness(s)
+        with pytest.raises(ExperimentError) as raised:
+            GoalSet(throughput_metric, fairness_metric).scores(ips, iso)
+        assert str(raised.value) == str(expected.value)

@@ -13,7 +13,7 @@ from repro.resources.space import (
     iter_compositions,
     sample_composition,
 )
-from repro.resources.types import CORES, default_catalog
+from repro.resources.types import CORES, ResourceCatalog, default_catalog
 from repro.rng import make_rng
 
 
@@ -159,6 +159,20 @@ class TestConfigurationSpace:
         batch = space.sample_batch(4, make_rng(3))
         encoded = space.encode_batch(batch)
         assert encoded.shape == (4, space.dimensions)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_row_dicts_are_the_configuration_dicts(self, n_jobs, reverse):
+        resources = tuple(default_catalog())
+        catalog = ResourceCatalog(resources[::-1] if reverse else resources)
+        space = ConfigurationSpace(catalog, n_jobs)
+        rows = space.sample_rows(40, make_rng(n_jobs))
+        dicts = space.row_dicts(rows)
+        expected = [space.from_row(row).to_dict() for row in rows]
+        assert dicts == expected
+        assert [list(d) for d in dicts] == [list(d) for d in expected]
+        assert {type(u) for d in dicts for units in d.values() for u in units} == {int}
+        assert space.row_dicts(space.sample_rows(0)) == []
 
     def test_encode_batch_empty(self, space):
         assert space.encode_batch([]).shape == (0, space.dimensions)
