@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, run_policy
@@ -41,6 +40,10 @@ def confidence_interval(values: Sequence[float]) -> ReplicatedScore:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ExperimentError("need at least two replications for a confidence interval")
+    # Imported here, by its one caller: loading ``scipy.special`` costs
+    # every process that imports the program about 18 MB and 0.2 s.
+    from scipy import special
+
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     # The Student-t quantile, as SciPy's ``t.ppf`` evaluates it for finite df.

@@ -236,7 +236,7 @@ class GaussianProcess:
             new = x[old_n:]
             k12 = self.kernel(self._x, new)
             k22 = self.kernel(new, new)
-            k22[np.diag_indices_from(k22)] += self.noise + _JITTER
+            k22.flat[:: k22.shape[0] + 1] += self.noise + _JITTER
             l21t = np.linalg.solve(self._chol, k12)  # L11 @ l21t = K12
             schur = k22 - l21t.T @ l21t
             try:
@@ -254,7 +254,7 @@ class GaussianProcess:
 
         active_collector().metrics.counter("gp.chol_full").inc()
         k = self.kernel(x, x)
-        k[np.diag_indices_from(k)] += self.noise + _JITTER
+        k.flat[:: x.shape[0] + 1] += self.noise + _JITTER
         try:
             return np.linalg.cholesky(k)
         except np.linalg.LinAlgError as exc:
@@ -305,8 +305,11 @@ class GaussianProcess:
 
         The grid's kernel matrices are factored as one stacked Cholesky
         (one gufunc call for the whole grid instead of one LAPACK trip
-        per length scale); the factors are bit-identical to per-matrix
-        calls, so the winner and its evidence are unchanged.
+        per length scale), and every factorized grid point's dual
+        weights come from one :func:`stacked_cho_solve`. LAPACK still
+        works matrix by matrix, so every factor and dual-weight vector
+        is bit-identical to per-matrix calls, and the winner and its
+        evidence are unchanged.
 
         Returns the winning kernel together with its Cholesky factor so
         the caller can reuse it instead of refactorizing (``None`` only
@@ -322,17 +325,17 @@ class GaussianProcess:
         stack = np.empty((len(kernels), n, n))
         for i, kernel in enumerate(kernels):
             k = kernel.at_distance(distance)
-            k[np.diag_indices_from(k)] += self.noise + _JITTER
+            k.flat[:: n + 1] += self.noise + _JITTER
             stack[i] = k
         chols, ok = stacked_cholesky(stack)
+        factorized = np.flatnonzero(ok)
+        chols = chols[factorized]
+        alphas = stacked_cho_solve(chols, z)
 
         best_kernel = self.kernel
         best_chol: Optional[np.ndarray] = None
         best_evidence = -np.inf
-        for kernel, chol, factorized in zip(kernels, chols, ok):
-            if not factorized:
-                continue
-            alpha = _cho_solve(chol, z)
+        for i, chol, alpha in zip(factorized, chols, alphas):
             evidence = (
                 -0.5 * z @ alpha
                 - np.sum(np.log(np.diag(chol)))
@@ -340,7 +343,7 @@ class GaussianProcess:
             )
             if evidence > best_evidence:
                 best_evidence = evidence
-                best_kernel = kernel
+                best_kernel = kernels[i]
                 best_chol = chol
         return best_kernel, best_chol
 
@@ -376,6 +379,16 @@ def stacked_cholesky(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                 continue
             ok[i] = True
         return chols, ok
+
+
+def stacked_cho_solve(chols: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``K_i x_i = b`` for a ``(B, n, n)`` stack of lower Cholesky factors.
+
+    Two stacked ``np.linalg.solve`` calls; LAPACK solves each stack
+    entry as :func:`_cho_solve` does, so row i of the ``(B, n)`` result
+    is bit-identical to ``_cho_solve(chols[i], b)``.
+    """
+    return np.linalg.solve(chols.transpose(0, 2, 1), np.linalg.solve(chols, b[:, None]))[..., 0]
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -132,6 +132,11 @@ class ConfigurationSpace:
             self._key_columns.append((slots, start, start + slots))
             start += slots
         self._total_key_columns = start
+        # The slot count every resource shares, if any (the experiment
+        # catalog's case): sample_rows() then splits every resource's
+        # keys in one argsort over the (n * resources, slots) block.
+        counts = {slots for slots, _, _ in self._key_columns}
+        self._shared_slots = counts.pop() if n_jobs > 1 and len(counts) == 1 else None
         # Row-form layout: resource r owns columns [r * n_jobs, (r + 1) * n_jobs).
         self._names = catalog.names
         self._column_units = np.repeat([r.units for r in catalog], n_jobs)
@@ -240,9 +245,11 @@ class ConfigurationSpace:
 
         One vectorized pass: a single ``(n, total_slots)`` block of
         uniform keys, one row per configuration, then a batched
-        stars-and-bars decode per resource. Choosing the ``parts - 1``
-        smallest keys of a slot range is a uniform random cut-point
-        subset, so the distribution matches the classical per-config
+        stars-and-bars decode: one argsort over every resource's keys
+        when all resources have the same slot count, else one per
+        resource. Choosing the ``parts - 1`` smallest keys of a slot
+        range is a uniform random cut-point subset, so the distribution
+        matches the classical per-config
         ``rng.choice(..., replace=False)`` draw — and because numpy
         fills the block row-major from the bit stream, splitting the
         batch (or looping :meth:`sample`) consumes the identical
@@ -252,24 +259,27 @@ class ConfigurationSpace:
         if n <= 0:
             return np.empty((0, self.dimensions), dtype=np.int64)
         keys = rng.random((n, self._total_key_columns))
-        shares: List[np.ndarray] = []
+        slots = self._shared_slots
+        if slots is not None:
+            shares = self._split_keys(keys.reshape(n * len(self._catalog), slots), slots)
+            return shares.reshape(n, self.dimensions) + self._column_floors
+        blocks: List[np.ndarray] = []
         for resource, (slots, start, stop) in zip(self._catalog, self._key_columns):
             if self._n_jobs == 1:
-                shares.append(np.full((n, 1), resource.units, dtype=np.int64))
-                continue
-            cut_count = self._n_jobs - 1
-            order = np.argsort(keys[:, start:stop], axis=1, kind="stable")
-            cuts = np.sort(order[:, :cut_count], axis=1)
-            bounds = np.concatenate(
-                [
-                    np.full((n, 1), -1, dtype=np.int64),
-                    cuts,
-                    np.full((n, 1), slots, dtype=np.int64),
-                ],
-                axis=1,
-            )
-            shares.append(np.diff(bounds, axis=1) - 1 + resource.min_units)
-        return np.concatenate(shares, axis=1)
+                blocks.append(np.full((n, 1), resource.units, dtype=np.int64))
+            else:
+                blocks.append(self._split_keys(keys[:, start:stop], slots) + resource.min_units)
+        return np.concatenate(blocks, axis=1)
+
+    def _split_keys(self, keys: np.ndarray, slots: int) -> np.ndarray:
+        """Units above ``min_units`` per job, one row per row of ``keys``.
+
+        The ``n_jobs - 1`` smallest of a row's ``slots`` keys are its
+        cut points; each job gets the slots between two cuts.
+        """
+        order = np.argsort(keys, axis=1, kind="stable")
+        cuts = np.sort(order[:, : self._n_jobs - 1], axis=1)
+        return np.diff(cuts, axis=1, prepend=-1, append=slots) - 1
 
     def contains(self, config: Configuration) -> bool:
         """Whether ``config`` is a valid member of this space."""

@@ -35,6 +35,7 @@ from repro.resources.types import (
     POWER,
     Resource,
     ResourceCatalog,
+    ResourceKind,
     default_catalog,
 )
 from repro.rng import rng_from_state, rng_state
@@ -282,6 +283,34 @@ class TestCandidatePoolPairing:
             assert np.array_equal(rows, as_rows(space, reference_sample_batch(space, 50, b)))
             assert np.array_equal(rows, as_rows(space, space.sample_batch(50, c)))
             assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    @given(
+        n_jobs=st.integers(1, 5),
+        floors=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        spare=st.lists(st.integers(0, 9), min_size=4, max_size=4),
+        shared=st.booleans(),
+        n=st.integers(0, 130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_sampler_pairs_the_per_resource_decode(
+        self, n_jobs, floors, spare, shared, n, seed
+    ):
+        """Shared slot counts (one argsort for every resource) and mixed
+        ones (one per resource) both decode the reference's rows and
+        read the same RNG stream."""
+        kinds = (CORES, LLC_WAYS, MEMORY_BANDWIDTH, POWER)
+        catalog = ResourceCatalog(
+            Resource(ResourceKind(kind), n_jobs * floor + (spare[0] if shared else extra),
+                     min_units=floor)
+            for kind, floor, extra in zip(kinds, floors, spare)
+        )
+        space = ConfigurationSpace(catalog, n_jobs)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = space.sample_rows(n, a)
+        assert rows.shape == (n, space.dimensions) and rows.dtype == np.int64
+        assert np.array_equal(rows, as_rows(space, reference_sample_batch(space, n, b)))
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_exact_path_is_the_enumeration(self):
         """Spaces of at most 2048 members score every row, in enumerate() order."""

@@ -3,8 +3,9 @@
 :func:`repro.core.gp.stacked_cholesky` promises that batching B
 same-shape kernel factorizations into one gufunc call never changes a
 result bit — the stacked factors equal per-matrix
-``np.linalg.cholesky`` calls exactly, and the BO length-scale grid
-search built on it picks the identical winner. These tests pin both
+``np.linalg.cholesky`` calls exactly, the stacked solves equal
+per-matrix ``_cho_solve`` calls exactly, and the BO length-scale grid
+search built on them picks the identical winner. These tests pin the
 pairings.
 """
 
@@ -20,6 +21,7 @@ from repro.core.gp import (
     _LENGTHSCALE_GRID,
     GaussianProcess,
     _cho_solve,
+    stacked_cho_solve,
     stacked_cholesky,
 )
 from repro.errors import ModelError
@@ -74,6 +76,50 @@ class TestStackedCholesky:
         assert hist.sum == 5.0
 
 
+class TestStackedChoSolve:
+    @given(seed=seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_matrix_cho_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        b = int(rng.integers(0, 7))
+        n = int(rng.integers(1, 65))
+        chols, _ = stacked_cholesky(spd_stack(rng, b, n))
+        z = rng.standard_normal(n)
+        alphas = stacked_cho_solve(chols, z)
+        assert alphas.shape == (b, n)
+        for i in range(b):
+            assert np.array_equal(alphas[i], _cho_solve(chols[i], z))
+
+
+def manual_search(gp, x, z, failed=()):
+    """A literal per-kernel grid search; ``failed`` grid indices are skipped."""
+    n = x.shape[0]
+    manual_best = gp.kernel
+    manual_evidence = -np.inf
+    manual_chol = None
+    for i, ls in enumerate(_LENGTHSCALE_GRID):
+        kernel = gp.kernel.with_params(lengthscale=ls)
+        k = kernel(x, x)
+        k[np.diag_indices_from(k)] += gp.noise + _JITTER
+        if i in failed:
+            continue
+        try:
+            chol = np.linalg.cholesky(k)
+        except np.linalg.LinAlgError:
+            continue
+        alpha = _cho_solve(chol, z)
+        evidence = (
+            -0.5 * z @ alpha
+            - np.sum(np.log(np.diag(chol)))
+            - 0.5 * n * np.log(2.0 * np.pi)
+        )
+        if evidence > manual_evidence:
+            manual_evidence = evidence
+            manual_best = kernel
+            manual_chol = chol
+    return manual_best, manual_chol
+
+
 class TestLengthscaleGridPairing:
     @given(seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -87,30 +133,37 @@ class TestLengthscaleGridPairing:
         gp = GaussianProcess()
         z = (y - np.mean(y)) / max(np.std(y), 1e-12)
         best_kernel, best_chol = gp._best_kernel(x, z)
-
-        manual_best = None
-        manual_evidence = -np.inf
-        manual_chol = None
-        for ls in _LENGTHSCALE_GRID:
-            kernel = gp.kernel.with_params(lengthscale=ls)
-            k = kernel(x, x)
-            k[np.diag_indices_from(k)] += gp.noise + _JITTER
-            try:
-                chol = np.linalg.cholesky(k)
-            except np.linalg.LinAlgError:
-                continue
-            alpha = _cho_solve(chol, z)
-            evidence = (
-                -0.5 * z @ alpha
-                - np.sum(np.log(np.diag(chol)))
-                - 0.5 * n * np.log(2.0 * np.pi)
-            )
-            if evidence > manual_evidence:
-                manual_evidence = evidence
-                manual_best = kernel
-                manual_chol = chol
+        manual_best, manual_chol = manual_search(gp, x, z)
         assert best_kernel.lengthscale == manual_best.lengthscale
         assert np.array_equal(best_chol, manual_chol)
+
+    @pytest.mark.parametrize("failed", [(1,), (0, 2, 4), (0, 1, 2, 3, 4)])
+    def test_failed_grid_points_drop_out(self, monkeypatch, failed):
+        """Grid points that fail to factorize leave the stacked solve;
+        the others still pair with the per-kernel loop, and with none
+        left the current kernel stays, with no factor."""
+        import repro.core.gp as gp_module
+
+        factor = gp_module.stacked_cholesky
+
+        def failing(stack):
+            chols, ok = factor(stack)
+            chols[list(failed)] = 0.0
+            ok[list(failed)] = False
+            return chols, ok
+
+        monkeypatch.setattr(gp_module, "stacked_cholesky", failing)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, 1.0, size=(11, 3))
+        z = rng.standard_normal(11)
+        gp = GaussianProcess()
+        best_kernel, best_chol = gp._best_kernel(x, z)
+        manual_best, manual_chol = manual_search(gp, x, z, failed)
+        assert best_kernel.lengthscale == manual_best.lengthscale
+        if manual_chol is None:
+            assert best_chol is None and best_kernel is gp.kernel
+        else:
+            assert np.array_equal(best_chol, manual_chol)
 
     def test_grid_renders_the_distance_matrix_once(self, monkeypatch):
         """The five grid kernels share one distance matrix; the test
