@@ -21,10 +21,6 @@ themselves. Its contract:
   :class:`~repro.cluster.simulator.ClusterSimulator` re-validates both
   and raises on violation, so a buggy scheme fails loudly instead of
   silently leaking capacity.
-* ``snapshot``/``restore`` round-trip the broker's mutable state
-  through the same versioned :class:`~repro.state.PolicyState`
-  envelope node policies use, so a cluster run can pause and resume
-  bit-identically at any epoch boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from repro.cluster.budget import ResourceBudget
 from repro.errors import ClusterError
-from repro.state import PolicyState
 
 
 @dataclass(frozen=True)
@@ -97,37 +92,6 @@ class GlobalBroker(abc.ABC):
             node present, conservation and floors respected).
         """
 
-    # -- state ------------------------------------------------------------
-
-    @property
-    def state_kind(self) -> str:
-        """The :class:`~repro.state.PolicyState` tag this broker uses."""
-        return f"broker.{self.name}"
-
-    def snapshot(self) -> PolicyState:
-        """The broker's mutable state as a versioned value.
-
-        The base implementation snapshots nothing beyond the kind tag;
-        stateful schemes override :meth:`_payload`/:meth:`_restore_payload`.
-        """
-        return PolicyState(policy=self.state_kind, payload=self._payload())
-
-    def restore(self, state: PolicyState) -> "GlobalBroker":
-        """Resume from a :meth:`snapshot`; returns self for chaining."""
-        if state.policy != self.state_kind:
-            raise ClusterError(
-                f"cannot restore {state.policy!r} state into a "
-                f"{self.state_kind!r} broker"
-            )
-        self._restore_payload(state.payload_dict())
-        return self
-
-    def _payload(self) -> dict:
-        return {}
-
-    def _restore_payload(self, payload: dict) -> None:
-        del payload  # stateless by default
-
     # -- shared helpers ----------------------------------------------------
 
     @staticmethod
@@ -164,7 +128,7 @@ def broker_names() -> Tuple[str, ...]:
     return tuple(sorted(_BROKERS))
 
 
-def make_broker(name: str, **kwargs) -> GlobalBroker:
+def make_broker(name: str) -> GlobalBroker:
     """A fresh broker instance from its registry id."""
     try:
         factory = _BROKERS[name]
@@ -172,4 +136,4 @@ def make_broker(name: str, **kwargs) -> GlobalBroker:
         raise ClusterError(
             f"unknown broker scheme {name!r}; registered: {', '.join(broker_names())}"
         ) from None
-    return factory(**kwargs)
+    return factory()

@@ -21,7 +21,7 @@ Two fleet-level wrinkles the node-level loop does not have:
   rejected, so the optimizer still learns from (the feasible
   projection of) every suggestion.
 * **Each sample costs an epoch.** The broker starts suggesting only
-  after ``warmup_epochs`` observed samples; before that it leaves
+  after ``_WARMUP_EPOCHS`` observed samples; before that it leaves
   budgets alone, mirroring SATORI's initial-set phase.
 """
 
@@ -41,45 +41,35 @@ from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import Resource, ResourceCatalog
 
+#: Seed of the optimizer's candidate sampling: the only randomness in
+#: the scheme, so the budget trajectory is deterministic.
+_SEED = 0
+
+#: Fixed (throughput, fairness) objective weights. The node-level
+#: controller's *dynamic* weight scheduler reacts every 100 ms; at one
+#: sample per multi-second epoch there is no short-term/long-term split
+#: to exploit yet, so the broker optimizes the balanced objective.
+_WEIGHTS = (0.5, 0.5)
+
+#: Observed samples before the first suggestion.
+_WARMUP_EPOCHS = 2
+
+#: BO candidate pool per suggestion (the budget space is far too large
+#: to enumerate).
+_CANDIDATE_POOL_SIZE = 64
+
+#: Retained (vector, scores) samples: bounds the GP fit cost and ages
+#: out observations from old fleet load.
+_MAX_SAMPLES = 32
+
 
 @register_broker
 class BudgetOptimizerBroker(GlobalBroker):
-    """BO-over-budget-vectors: the meta-policy arm of the broker sweep.
-
-    Args:
-        seed: RNG seed for the optimizer's candidate sampling (the only
-            randomness in the scheme; a fixed seed makes the budget
-            trajectory deterministic).
-        weights: fixed (throughput, fairness) objective weights. The
-            node-level controller's *dynamic* weight scheduler reacts
-            every 100 ms; at one sample per multi-second epoch there is
-            no short-term/long-term split to exploit yet, so the broker
-            optimizes the balanced objective.
-        warmup_epochs: observed samples before the first suggestion.
-        candidate_pool_size: BO candidate pool per suggestion (the
-            budget space is far too large to enumerate).
-        max_samples: retained (vector, scores) samples — bounds the
-            GP fit cost and ages out observations from old fleet load.
-    """
+    """BO-over-budget-vectors: the meta-policy arm of the broker sweep."""
 
     name = "bo"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        weights: Tuple[float, float] = (0.5, 0.5),
-        warmup_epochs: int = 2,
-        candidate_pool_size: int = 64,
-        max_samples: int = 32,
-    ):
-        if warmup_epochs < 1:
-            raise ClusterError(f"warmup_epochs must be >= 1, got {warmup_epochs}")
-        self._seed = int(seed)
-        self._weights = (float(weights[0]), float(weights[1]))
-        self._warmup = int(warmup_epochs)
-        self._pool_size = int(candidate_pool_size)
-        self._max_samples = int(max_samples)
-        self._epochs_seen = 0
+    def __init__(self) -> None:
         # Built lazily from the first views (the broker learns the
         # fleet's pool totals and node count by observing it).
         self._space: Optional[ConfigurationSpace] = None
@@ -102,12 +92,10 @@ class BudgetOptimizerBroker(GlobalBroker):
         )
         self._bo = BayesianOptimizer(
             self._space,
-            candidate_pool_size=self._pool_size,
-            rng=self._seed,
+            candidate_pool_size=_CANDIDATE_POOL_SIZE,
+            rng=_SEED,
         )
-        self._records = GoalRecords(
-            ("throughput", "fairness"), max_samples=self._max_samples
-        )
+        self._records = GoalRecords(("throughput", "fairness"), max_samples=_MAX_SAMPLES)
 
     @staticmethod
     def _meta_catalog(views: Sequence[BrokerView]) -> ResourceCatalog:
@@ -137,7 +125,6 @@ class BudgetOptimizerBroker(GlobalBroker):
 
     def decide(self, epoch: int, views: Sequence[BrokerView]) -> Dict[int, ResourceBudget]:
         self._ensure_space(views)
-        self._epochs_seen += 1
         assert self._records is not None and self._bo is not None and self._space is not None
 
         # Score the vector that was in force during the finished epoch.
@@ -146,10 +133,10 @@ class BudgetOptimizerBroker(GlobalBroker):
         fairness = jain_index([view.mean_speedup for view in views])
         self._records.add(config, self._space.encode(config), (throughput, fairness))
 
-        if len(self._records) < self._warmup:
+        if len(self._records) < _WARMUP_EPOCHS:
             return self._unchanged(views)
 
-        suggestion = self._bo.suggest(self._records, self._weights)
+        suggestion = self._bo.suggest(self._records, _WEIGHTS)
         repaired = self._repair(suggestion.config, views)
         return {
             view.node_id: ResourceBudget(
@@ -196,61 +183,6 @@ class BudgetOptimizerBroker(GlobalBroker):
                     alloc[donor] -= 1
                     alloc[i] += 1
         return Configuration({name: tuple(a) for name, a in allocations.items()})
-
-    # -- state -------------------------------------------------------------
-
-    def _payload(self) -> dict:
-        payload = {
-            "seed": self._seed,
-            "weights": list(self._weights),
-            "warmup_epochs": self._warmup,
-            "candidate_pool_size": self._pool_size,
-            "max_samples": self._max_samples,
-            "epochs_seen": self._epochs_seen,
-            "node_ids": list(self._node_ids),
-            "space": None,
-            "bo": None,
-            "records": None,
-        }
-        if self._space is not None:
-            assert self._bo is not None and self._records is not None
-            payload["space"] = {
-                "catalog": [
-                    {"kind": r.kind.value, "units": r.units, "min_units": r.min_units}
-                    for r in self._space.catalog
-                ],
-            }
-            payload["bo"] = self._bo.snapshot()
-            payload["records"] = self._records.snapshot()
-        return payload
-
-    def _restore_payload(self, payload: dict) -> None:
-        self._seed = int(payload["seed"])
-        self._weights = tuple(float(w) for w in payload["weights"])
-        self._warmup = int(payload["warmup_epochs"])
-        self._pool_size = int(payload["candidate_pool_size"])
-        self._max_samples = int(payload["max_samples"])
-        self._epochs_seen = int(payload["epochs_seen"])
-        self._node_ids = tuple(int(n) for n in payload["node_ids"])
-        self._space = self._bo = self._records = None
-        if payload.get("space") is not None:
-            from repro.resources.types import ResourceKind
-
-            catalog = ResourceCatalog(
-                Resource(
-                    kind=ResourceKind(entry["kind"]),
-                    units=int(entry["units"]),
-                    min_units=int(entry["min_units"]),
-                )
-                for entry in payload["space"]["catalog"]
-            )
-            self._space = ConfigurationSpace(catalog, n_jobs=len(self._node_ids))
-            self._bo = BayesianOptimizer(
-                self._space, candidate_pool_size=self._pool_size, rng=self._seed
-            ).restore(payload["bo"])
-            self._records = GoalRecords(
-                ("throughput", "fairness"), max_samples=self._max_samples
-            ).restore(payload["records"])
 
 
 def _kind_ordered(names: Sequence[str]):

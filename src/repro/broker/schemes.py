@@ -1,9 +1,9 @@
 """The deterministic broker schemes: ``static``, ``harvest``, ``trade``.
 
 All three are pure functions of the observed views plus a small amount
-of carried state (epoch counters, trade cooldowns); none draws random
-numbers, so a fixed trace yields a bit-identical budget trajectory —
-the property the determinism and snapshot-resume tests pin.
+of carried state (trade cooldowns); none draws random numbers, so a
+fixed trace yields a bit-identical budget trajectory — the property
+the determinism tests pin.
 
 * ``static``  — never moves anything: today's fixed-capacity fleet,
   kept as the paired control every broker study compares against.
@@ -28,7 +28,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.base import BrokerView, GlobalBroker, register_broker
 from repro.cluster.budget import ResourceBudget
-from repro.errors import ClusterError
+
+#: The trade scheme's guards: the minimum observed-speedup gap before a
+#: trade happens (below it the fleet is considered level, so near-tied
+#: nodes do not swap units back and forth every epoch), and the epochs
+#: during which the exact reverse of an executed exchange is suppressed
+#: (one noisy epoch cannot immediately undo a trade).
+_TRADE_HYSTERESIS = 0.05
+_TRADE_COOLDOWN = 2
 
 
 @register_broker
@@ -37,41 +44,22 @@ class StaticBroker(GlobalBroker):
 
     name = "static"
 
-    def __init__(self) -> None:
-        self._epochs_seen = 0
-
     def decide(self, epoch: int, views: Sequence[BrokerView]) -> Dict[int, ResourceBudget]:
-        self._epochs_seen += 1
         return self._unchanged(views)
-
-    def _payload(self) -> dict:
-        return {"epochs_seen": self._epochs_seen}
-
-    def _restore_payload(self, payload: dict) -> None:
-        self._epochs_seen = int(payload.get("epochs_seen", 0))
 
 
 @register_broker
 class HarvestBroker(GlobalBroker):
     """Take from the best-off node, give to the worst-off node.
 
-    Args:
-        step: most units of each resource moved per epoch.
-        min_gap: minimum observed-speedup gap between donor and
-            recipient before anything moves; the default moves on any
-            strict gap but leaves a perfectly level fleet alone.
+    Moves at most one unit of each resource per epoch, and only on a
+    strict observed-speedup gap between donor and recipient: a
+    perfectly level fleet is left alone.
     """
 
     name = "harvest"
 
-    def __init__(self, step: int = 1, min_gap: float = 0.0):
-        if step < 1:
-            raise ClusterError(f"harvest step must be >= 1, got {step}")
-        if min_gap < 0.0:
-            raise ClusterError(f"min_gap must be >= 0, got {min_gap}")
-        self._step = int(step)
-        self._min_gap = float(min_gap)
-        self._epochs_seen = 0
+    def __init__(self) -> None:
         self._moved_units = 0
 
     @property
@@ -80,7 +68,6 @@ class HarvestBroker(GlobalBroker):
         return self._moved_units
 
     def decide(self, epoch: int, views: Sequence[BrokerView]) -> Dict[int, ResourceBudget]:
-        self._epochs_seen += 1
         budgets = self._unchanged(views)
         ranked = self._by_need(views)
         recipient = ranked[0]
@@ -94,71 +81,45 @@ class HarvestBroker(GlobalBroker):
                 break
         if donor is None:
             return budgets
-        if donor.mean_speedup - recipient.mean_speedup <= self._min_gap:
+        if donor.mean_speedup - recipient.mean_speedup <= 0.0:
             return budgets
         moved = False
         donor_budget = budgets[donor.node_id]
         recipient_budget = budgets[recipient.node_id]
         for resource in donor.budget.names:
-            units = min(self._step, donor.slack(resource))
-            if units < 1:
+            if donor.slack(resource) < 1:
                 continue
-            donor_budget = donor_budget.transfer(resource, -units)
-            recipient_budget = recipient_budget.transfer(resource, units)
-            self._moved_units += units
+            donor_budget = donor_budget.transfer(resource, -1)
+            recipient_budget = recipient_budget.transfer(resource, 1)
+            self._moved_units += 1
             moved = True
         if moved:
             budgets[donor.node_id] = donor_budget
             budgets[recipient.node_id] = recipient_budget
         return budgets
 
-    def _payload(self) -> dict:
-        return {"epochs_seen": self._epochs_seen, "moved_units": self._moved_units}
-
-    def _restore_payload(self, payload: dict) -> None:
-        self._epochs_seen = int(payload.get("epochs_seen", 0))
-        self._moved_units = int(payload.get("moved_units", 0))
-
 
 @register_broker
 class TradeBroker(GlobalBroker):
-    """Pairwise resource exchange between the worst- and best-off nodes.
-
-    Args:
-        hysteresis: minimum observed-speedup gap before a trade
-            happens. Below it the fleet is considered level and units
-            stay put — the guard that keeps near-tied nodes from
-            swapping units back and forth every epoch.
-        cooldown: epochs during which the exact reverse of an executed
-            exchange is suppressed (the second anti-ping-pong guard:
-            one noisy epoch cannot immediately undo a trade).
-    """
+    """Pairwise resource exchange between the worst- and best-off nodes."""
 
     name = "trade"
 
-    def __init__(self, hysteresis: float = 0.05, cooldown: int = 2):
-        if hysteresis < 0.0:
-            raise ClusterError(f"hysteresis must be >= 0, got {hysteresis}")
-        if cooldown < 0:
-            raise ClusterError(f"cooldown must be >= 0, got {cooldown}")
-        self._hysteresis = float(hysteresis)
-        self._cooldown = int(cooldown)
-        self._epochs_seen = 0
+    def __init__(self) -> None:
         #: Executed exchanges as (epoch, source, target, resource) — one
         #: entry per direction, pruned to the cooldown window.
         self._recent: List[Tuple[int, int, int, str]] = []
 
     def decide(self, epoch: int, views: Sequence[BrokerView]) -> Dict[int, ResourceBudget]:
-        self._epochs_seen += 1
         self._recent = [
-            move for move in self._recent if epoch - move[0] <= self._cooldown
+            move for move in self._recent if epoch - move[0] <= _TRADE_COOLDOWN
         ]
         budgets = self._unchanged(views)
         ranked = self._by_need(views)
         worst, best = ranked[0], ranked[-1]
         if worst.node_id == best.node_id:
             return budgets
-        if best.mean_speedup - worst.mean_speedup <= self._hysteresis:
+        if best.mean_speedup - worst.mean_speedup <= _TRADE_HYSTERESIS:
             return budgets
         want = self._scarcest(worst, giver=best)
         if want is None:

@@ -234,7 +234,6 @@ class ServerNode:
         run_config: RunConfig,
         seed: int,
         policy_kwargs: Optional[dict] = None,
-        goals: Tuple[str, str] = ("sum_ips", "jain"),
         fault_plan: Optional[FaultPlan] = None,
         initial_state: Optional[PolicyState] = None,
     ) -> RunSpec:
@@ -260,7 +259,6 @@ class ServerNode:
             catalog=self.effective_catalog,
             policy_kwargs=tuple(sorted((policy_kwargs or {}).items())),
             run_config=run_config,
-            goals=goals,
             seed=seed,
             fault_plan=fault_plan,
             initial_state=initial_state,

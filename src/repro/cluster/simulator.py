@@ -434,8 +434,6 @@ class ClusterSimulator:
             ``duration_s`` is the epoch length. ``phase_offset_s`` is
             overwritten per epoch to keep workload phases continuous
             across epoch boundaries.
-        policy_kwargs: kwargs for the partitioning-policy factory.
-        goals: ``(throughput_metric, fairness_metric)`` for node runs.
         seed: cluster base seed; node-epoch seeds derive from it and
             the (node, epoch) coordinates only.
         node_fault_plans: optional ``node_id -> FaultPlan`` mapping
@@ -506,8 +504,6 @@ class ClusterSimulator:
         policy: str = "SATORI",
         catalog: Optional[ResourceCatalog] = None,
         epoch_config: Optional[RunConfig] = None,
-        policy_kwargs: Optional[dict] = None,
-        goals: Tuple[str, str] = ("sum_ips", "jain"),
         seed: int = 0,
         node_fault_plans: Optional[Mapping[int, FaultPlan]] = None,
         fleet_plans: Optional[Mapping[int, NodeFaultPlan]] = None,
@@ -528,9 +524,7 @@ class ClusterSimulator:
             make_placement(placement) if isinstance(placement, str) else placement
         )
         self._policy = policy
-        self._policy_kwargs = dict(policy_kwargs or {})
         self._epoch_config = epoch_config or RunConfig(duration_s=5.0)
-        self._goals = goals
         self._seed = int(seed)
         self._fault_plans = dict(node_fault_plans or {})
         unknown = set(self._fault_plans) - set(range(n_nodes))
@@ -678,27 +672,27 @@ class ClusterSimulator:
             return None
 
     def _node_policy_kwargs(self, node: ServerNode) -> dict:
-        """Per-node policy kwargs, with qos context injected when due.
+        """Per-node policy kwargs: qos context, injected when due.
 
         When an SLO is active, the partitioning policy is qos-aware
         (see :func:`repro.policies.registry.policy_is_qos_aware`), and
         the node hosts at least one qos job, the factory receives the
         node's qos slot indices and the SLO floor. Everything else —
-        no SLO, unaware policy, all-batch node — gets the shared
-        kwargs object unchanged, so spec digests are bit-identical to
-        a simulator without the feature.
+        no SLO, unaware policy, all-batch node — gets no kwargs, so
+        spec digests are bit-identical to a simulator without the
+        feature.
         """
         if self._slo_tracker is None or not policy_is_qos_aware(self._policy):
-            return self._policy_kwargs
+            return {}
         qos_slots = tuple(
             slot for slot, kind in enumerate(node.job_kinds) if kind == KIND_QOS
         )
         if not qos_slots:
-            return self._policy_kwargs
-        merged = dict(self._policy_kwargs)
-        merged["qos_jobs"] = qos_slots
-        merged["qos_min_speedup"] = self._slo_tracker.spec.min_speedup
-        return merged
+            return {}
+        return {
+            "qos_jobs": qos_slots,
+            "qos_min_speedup": self._slo_tracker.spec.min_speedup,
+        }
 
     # -- epoch phases ------------------------------------------------------
 
@@ -852,7 +846,6 @@ class ClusterSimulator:
                     run_config=config,
                     seed=derive_seed(self._seed, "node", node.node_id, "epoch", epoch),
                     policy_kwargs=self._node_policy_kwargs(node),
-                    goals=self._goals,
                     fault_plan=fault_plan,
                     initial_state=initial_state,
                 )

@@ -141,10 +141,7 @@ class AcquisitionFunction(abc.ABC):
 class ExpectedImprovement(AcquisitionFunction):
     """EI with an exploration margin ``xi``."""
 
-    def __init__(self, xi: float = 0.003):
-        if xi < 0:
-            raise ModelError(f"xi must be >= 0, got {xi}")
-        self.xi = float(xi)
+    xi = 0.003
 
     def __call__(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
         mean = np.asarray(mean, dtype=float)
@@ -158,10 +155,7 @@ class ExpectedImprovement(AcquisitionFunction):
 class ProbabilityOfImprovement(AcquisitionFunction):
     """PI: chance the candidate beats the incumbent by ``xi``."""
 
-    def __init__(self, xi: float = 0.01):
-        if xi < 0:
-            raise ModelError(f"xi must be >= 0, got {xi}")
-        self.xi = float(xi)
+    xi = 0.01
 
     def __call__(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
         mean = np.asarray(mean, dtype=float)
@@ -172,10 +166,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
 class UpperConfidenceBound(AcquisitionFunction):
     """UCB: ``mean + kappa * std`` (ignores the incumbent)."""
 
-    def __init__(self, kappa: float = 2.0):
-        if kappa < 0:
-            raise ModelError(f"kappa must be >= 0, got {kappa}")
-        self.kappa = float(kappa)
+    kappa = 2.0
 
     def __call__(self, mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
         return np.asarray(mean, dtype=float) + self.kappa * np.asarray(std, dtype=float)
@@ -188,7 +179,7 @@ _ACQUISITIONS = {
 }
 
 
-def make_acquisition(name: str, **kwargs: float) -> AcquisitionFunction:
+def make_acquisition(name: str) -> AcquisitionFunction:
     """Construct an acquisition function by name (``ei``/``pi``/``ucb``)."""
     try:
         factory = _ACQUISITIONS[name]
@@ -196,4 +187,4 @@ def make_acquisition(name: str, **kwargs: float) -> AcquisitionFunction:
         raise ModelError(
             f"unknown acquisition {name!r}; choices: {sorted(_ACQUISITIONS)}"
         ) from None
-    return factory(**kwargs)
+    return factory()

@@ -40,6 +40,13 @@ from repro.state import STATE_VERSION, check_version
 #: Spaces up to this size get exact acquisition maximization.
 _EXACT_ACQUISITION_LIMIT = 2048
 
+#: GP observation-noise variance (standardized units).
+_NOISE = 5e-2
+
+#: Size of the fixed probe set that reports the proxy-model change
+#: metric of Fig. 17(b).
+_N_PROBES = 48
+
 
 @dataclass(frozen=True)
 class Suggestion:
@@ -61,10 +68,7 @@ class BayesianOptimizer:
         acquisition: acquisition function or name (default the paper's
             Expected Improvement).
         kernel: GP kernel (default the paper's Matérn 5/2).
-        noise: GP observation-noise variance (standardized units).
         candidate_pool_size: uniform random candidates per iteration.
-        include_neighbors: add one-unit-move neighbors of the incumbent
-            to the pool (local refinement).
         lengthscale_refit_every: re-select the kernel length scale by
             marginal likelihood after every N *new samples* (0 pins the
             initial length scale forever). Between refits the incumbent
@@ -78,8 +82,6 @@ class BayesianOptimizer:
             starts to chase GoalRecords window churn (transient grid
             winners) and measurably hurts adaptation after workload-mix
             changes.
-        n_probes: size of the fixed probe set used to report the
-            proxy-model change metric of Fig. 17(b).
         rng: seed or generator for candidate sampling.
     """
 
@@ -88,11 +90,8 @@ class BayesianOptimizer:
         space: ConfigurationSpace,
         acquisition: "AcquisitionFunction | str" = "ei",
         kernel: Optional[Kernel] = None,
-        noise: float = 5e-2,
         candidate_pool_size: int = 96,
-        include_neighbors: bool = True,
         lengthscale_refit_every: int = 10,
-        n_probes: int = 48,
         rng: SeedLike = None,
     ):
         if candidate_pool_size < 1:
@@ -101,16 +100,14 @@ class BayesianOptimizer:
         self._acquisition = (
             make_acquisition(acquisition) if isinstance(acquisition, str) else acquisition
         )
-        self._noise = noise
         self._pool_size = candidate_pool_size
-        self._include_neighbors = include_neighbors
         self._refit_every = max(0, lengthscale_refit_every)
         # One persistent GP: reusing the instance is what lets fit()
         # extend its Cholesky factor as samples accumulate instead of
         # refactorizing from scratch each control interval.
         self._gp = GaussianProcess(
             kernel=kernel or Matern52(),
-            noise=noise,
+            noise=_NOISE,
             lengthscale_refit_every=max(1, self._refit_every),
         )
         self._rng = make_rng(rng)
@@ -118,7 +115,7 @@ class BayesianOptimizer:
         self._iteration = 0
         # The probes stay rows; a snapshot renders them as
         # configuration dicts.
-        self._probe_rows = space.sample_rows(max(2, n_probes), self._rng)
+        self._probe_rows = space.sample_rows(_N_PROBES, self._rng)
         self._probe_x = space.encode_rows(self._probe_rows)
         self._last_probe_means: Optional[np.ndarray] = None
 
@@ -244,10 +241,12 @@ class BayesianOptimizer:
         if self._full_space is not None:
             return self._full_space
         space = self._space
-        blocks = [space.sample_rows(self._pool_size, self._rng)]
-        if self._include_neighbors:
-            best = space.decode_rows(x[[int(np.argmax(y))]])
-            blocks += [space.neighbor_rows(best[0]), best]
+        best = space.decode_rows(x[[int(np.argmax(y))]])
+        blocks = [
+            space.sample_rows(self._pool_size, self._rng),
+            space.neighbor_rows(best[0]),
+            best,
+        ]
         # Previously sampled configurations stay eligible (re-evaluation
         # keeps the model honest across phase changes).
         blocks.append(space.decode_rows(x[-8:]))

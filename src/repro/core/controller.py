@@ -52,6 +52,26 @@ from repro.system.simulation import Observation
 
 MODES = ("dynamic", "static", "throughput", "fairness")
 
+#: Intervals the incumbent-best configuration must hold before the
+#: controller goes idle, and the relative drift of the held objective
+#: that wakes it (Sec. V's overhead optimization).
+_IDLE_PATIENCE = 4
+_IDLE_TOLERANCE = 0.12
+
+#: Consecutive actuation failures before the watchdog stops exploring
+#: and holds the installed configuration; BO re-engages as soon as
+#: actuation recovers.
+_WATCHDOG_THRESHOLD = 3
+
+#: An isolated per-job speedup drop by more than this factor is
+#: rejected once; if it persists the next interval it is accepted as a
+#: real level shift (crash).
+_SPIKE_FACTOR = 4.0
+
+#: Per-job co-located/isolation speedups above this are physically
+#: impossible and rejected (upward counter glitches).
+_SPEEDUP_CEILING = 2.0
+
 
 def _optional_dataclass(cls, codecs=None) -> serialize.FieldCodec:
     """Codec for an optional dataclass field, encoded field by field."""
@@ -149,12 +169,11 @@ class SatoriController(PartitioningPolicy):
         goals: throughput/fairness metric choices.
         mode: ``"dynamic"`` (full SATORI), ``"static"``,
             ``"throughput"``, or ``"fairness"`` (see module docstring).
-        interval_s: control interval (0.1 s in the paper).
         prioritization_period_s / equalization_period_s: the T_P / T_E
-            knobs (1 s and 10 s paper defaults).
+            knobs (1 s and 10 s paper defaults), counted in 0.1 s
+            control intervals.
         favor_weaker_goal: Eq. 4 orientation; ``False`` is the paper's
             measured-worse alternative, kept for the Fig. 19 ablation.
-        n_initial_random: extra random configurations in the initial set.
         idle_detection: hold the best-known configuration and skip BO
             work while the objective is stable (the paper's overhead
             optimization: SATORI "is invoked only when the performance
@@ -165,16 +184,6 @@ class SatoriController(PartitioningPolicy):
             they reach the GP), actuation-aware attribution, and the
             actuation watchdog. Disable to get the naive controller the
             resilience experiments compare against.
-        watchdog_threshold: consecutive actuation failures before the
-            watchdog stops exploring and holds the installed
-            configuration; BO re-engages as soon as actuation
-            recovers.
-        spike_factor: an isolated per-job speedup drop by more than
-            this factor is rejected once; if it persists the next
-            interval it is accepted as a real level shift (crash).
-        speedup_ceiling: per-job co-located/isolation speedups above
-            this are physically impossible and rejected (upward
-            counter glitches).
         rng: seed or generator.
 
     Additional keyword arguments are forwarded to
@@ -189,34 +198,21 @@ class SatoriController(PartitioningPolicy):
         space: ConfigurationSpace,
         goals: Optional[GoalSet] = None,
         mode: str = "dynamic",
-        interval_s: float = 0.1,
         prioritization_period_s: float = 1.0,
         equalization_period_s: float = 10.0,
         favor_weaker_goal: bool = True,
-        n_initial_random: int = 2,
         idle_detection: bool = True,
-        idle_patience: int = 4,
-        idle_tolerance: float = 0.12,
         hardening: bool = True,
-        watchdog_threshold: int = 3,
-        spike_factor: float = 4.0,
-        speedup_ceiling: float = 2.0,
         rng: SeedLike = None,
         **bo_kwargs,
     ):
         super().__init__(space, goals)
         if mode not in MODES:
             raise PolicyError(f"unknown mode {mode!r}; choices: {MODES}")
-        if watchdog_threshold < 1:
-            raise PolicyError(f"watchdog_threshold must be >= 1, got {watchdog_threshold}")
-        if spike_factor <= 1 or speedup_ceiling <= 1:
-            raise PolicyError("spike_factor and speedup_ceiling must exceed 1")
         self._mode = mode
         self._rng = make_rng(rng)
-        self._interval = interval_s
         self._scheduler = self._make_scheduler(
             mode,
-            interval_s,
             prioritization_period_s,
             equalization_period_s,
             favor_weaker_goal,
@@ -226,15 +222,10 @@ class SatoriController(PartitioningPolicy):
         # The last recorded configuration and its encoding, a pure
         # function of the space (so not snapshot state). One entry.
         self._encoded: Optional[Tuple[Configuration, Tuple[float, ...]]] = None
-        self._initial_set = good_initial_set(space, n_initial_random, spawn_rng(self._rng))
+        self._initial_set = good_initial_set(space, spawn_rng(self._rng))
         self._loop = _Loop()
         self._idle_detection = idle_detection
-        self._idle_patience = max(2, idle_patience)
-        self._idle_tolerance = idle_tolerance
         self._hardening = hardening
-        self._watchdog_threshold = watchdog_threshold
-        self._spike_factor = spike_factor
-        self._speedup_ceiling = speedup_ceiling
         self._decision_seconds = 0.0
         if mode == "throughput":
             self.name = "Throughput SATORI"
@@ -596,7 +587,7 @@ class SatoriController(PartitioningPolicy):
     def _watchdog_gate(self, observation: Observation) -> Optional[Configuration]:
         """Track actuation health; stop exploring during an outage.
 
-        After ``watchdog_threshold`` consecutive failed installs the
+        After ``_WATCHDOG_THRESHOLD`` consecutive failed installs the
         controller stops exploring — every suggestion is bouncing off a
         dead actuator — and repeatedly requests the configuration that
         is actually installed (the last-known-good one the observation
@@ -612,7 +603,7 @@ class SatoriController(PartitioningPolicy):
             loop.watchdog_active = False
             return None
         loop.actuation_failures += 1
-        if loop.actuation_failures >= self._watchdog_threshold:
+        if loop.actuation_failures >= _WATCHDOG_THRESHOLD:
             if not loop.watchdog_active:
                 active_collector().event(
                     "watchdog_engaged", "controller", failures=loop.actuation_failures
@@ -635,9 +626,9 @@ class SatoriController(PartitioningPolicy):
         bit-for-bit once measurement noise has been observed (with
         noise present, exact float repeats only come from a stuck
         counter; on a noise-free deterministic run the check stays
-        dormant); per-job speedups above ``speedup_ceiling``
+        dormant); per-job speedups above ``_SPEEDUP_CEILING``
         (physically impossible, an upward counter glitch); and
-        isolated speedup drops by more than ``spike_factor`` (rejected
+        isolated speedup drops by more than ``_SPIKE_FACTOR`` (rejected
         once — if the drop persists it is a real level shift and is
         accepted).
         """
@@ -662,11 +653,11 @@ class SatoriController(PartitioningPolicy):
             if loop.noise_seen and any(v == p and v > 0 for v, p in zip(ips, last)):
                 return False
         speedup = tuple(v / b if b > 0 else 0.0 for v, b in zip(ips, iso))
-        if any(s > self._speedup_ceiling for s in speedup):
+        if any(s > _SPEEDUP_CEILING for s in speedup):
             return False
         ref = loop.last_good_speedups
         if ref is not None and len(ref) == len(speedup):
-            suspect = any(r > 0 and s < r / self._spike_factor for s, r in zip(speedup, ref))
+            suspect = any(r > 0 and s < r / _SPIKE_FACTOR for s, r in zip(speedup, ref))
             if suspect and not loop.spike_pending:
                 loop.spike_pending = True
                 return False
@@ -703,9 +694,9 @@ class SatoriController(PartitioningPolicy):
         """The paper's overhead optimization: hold the optimum once found.
 
         SATORI enters idle once its incumbent-best configuration has
-        been stable for ``idle_patience`` iterations, and wakes as soon
+        been stable for ``_IDLE_PATIENCE`` iterations, and wakes as soon
         as the measured objective of the held configuration deviates
-        from its level at idle entry by more than ``idle_tolerance``
+        from its level at idle entry by more than ``_IDLE_TOLERANCE``
         (relative) — i.e. "when the performance of a specific job
         changes significantly", Sec. V.
         """
@@ -713,14 +704,14 @@ class SatoriController(PartitioningPolicy):
         if loop.idle:
             reference = loop.idle_entry_objective
             loop.idle_ema = 0.7 * loop.idle_ema + 0.3 * loop.last_objective
-            if reference > 0 and abs(loop.idle_ema - reference) / reference > self._idle_tolerance:
+            if reference > 0 and abs(loop.idle_ema - reference) / reference > _IDLE_TOLERANCE:
                 loop.idle = False
                 loop.best_streak = 0
                 loop.stable_best = None
                 active_collector().event("idle_exit", "controller")
             return loop.idle
 
-        if loop.best_streak >= self._idle_patience:
+        if loop.best_streak >= _IDLE_PATIENCE:
             loop.idle = True
             active_collector().event("idle_enter", "controller")
             loop.idle_entry_objective = loop.last_objective
@@ -736,14 +727,12 @@ class SatoriController(PartitioningPolicy):
     @staticmethod
     def _make_scheduler(
         mode: str,
-        interval_s: float,
         t_p: float,
         t_e: float,
         favor_weaker_goal: bool,
     ) -> Union[DynamicWeightScheduler, StaticWeights]:
         if mode == "dynamic":
             return DynamicWeightScheduler(
-                interval_s=interval_s,
                 prioritization_period_s=t_p,
                 equalization_period_s=t_e,
                 favor_weaker_goal=favor_weaker_goal,

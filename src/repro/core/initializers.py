@@ -39,22 +39,18 @@ def tilt_toward(space: ConfigurationSpace, base: Configuration, job: int) -> Con
     return config
 
 
-def good_initial_set(
-    space: ConfigurationSpace,
-    n_random: int = 2,
-    rng: SeedLike = None,
-) -> List[Configuration]:
+def good_initial_set(space: ConfigurationSpace, rng: SeedLike = None) -> List[Configuration]:
     """The paper's "good" initial configurations for a space.
 
     Returns the equal partition first (it is also what the controller
     installs while measuring baselines), then one tilt per job, then
-    ``n_random`` uniform samples, deduplicated in order.
+    two uniform samples, deduplicated in order.
     """
     rng = make_rng(rng)
     equal = space.equal_partition()
     candidates = [equal]
     candidates.extend(tilt_toward(space, equal, job) for job in range(space.n_jobs))
-    candidates.extend(space.sample(rng) for _ in range(max(0, n_random)))
+    candidates.extend(space.sample(rng) for _ in range(2))
 
     seen = set()
     result = []

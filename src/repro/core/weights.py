@@ -43,6 +43,9 @@ WEIGHT_UPPER_BOUND = 0.75
 DEFAULT_PRIORITIZATION_PERIOD_S = 1.0
 DEFAULT_EQUALIZATION_PERIOD_S = 10.0
 
+#: The control interval the periods are counted in (0.1 s, Sec. IV).
+_CONTROL_INTERVAL_S = 0.1
+
 
 @dataclass(frozen=True)
 class WeightState:
@@ -112,8 +115,9 @@ class DynamicWeightScheduler:
     measured in that interval; it returns the weights to use for the
     *next* objective-function reconstruction.
 
+    The periods are counted in 0.1 s control intervals.
+
     Args:
-        interval_s: control interval (0.1 s in the paper).
         prioritization_period_s: ``T_P`` (1 s default).
         equalization_period_s: ``T_E`` (10 s default).
         favor_weaker_goal: the paper's chosen design — prioritize the
@@ -124,39 +128,34 @@ class DynamicWeightScheduler:
 
     def __init__(
         self,
-        interval_s: float = 0.1,
         prioritization_period_s: float = DEFAULT_PRIORITIZATION_PERIOD_S,
         equalization_period_s: float = DEFAULT_EQUALIZATION_PERIOD_S,
         favor_weaker_goal: bool = True,
     ):
-        if interval_s <= 0:
-            raise PolicyError(f"interval must be positive, got {interval_s}")
-        if prioritization_period_s < interval_s:
+        if prioritization_period_s < _CONTROL_INTERVAL_S:
             raise PolicyError("prioritization period must cover at least one interval")
         if equalization_period_s < prioritization_period_s:
             raise PolicyError("equalization period must cover the prioritization period")
-        self._interval = interval_s
-        self._steps_per_tp = max(1, round(prioritization_period_s / interval_s))
-        self._steps_per_te = max(self._steps_per_tp, round(equalization_period_s / interval_s))
+        self._steps_per_tp = max(1, round(prioritization_period_s / _CONTROL_INTERVAL_S))
+        self._steps_per_te = max(
+            self._steps_per_tp, round(equalization_period_s / _CONTROL_INTERVAL_S)
+        )
         self._favor_weaker = favor_weaker_goal
-        self.reset()
-
-    @property
-    def prioritization_period_s(self) -> float:
-        return self._steps_per_tp * self._interval
-
-    @property
-    def equalization_period_s(self) -> float:
-        return self._steps_per_te * self._interval
-
-    def reset(self) -> None:
-        """Start a fresh equalization period (e.g. on workload change)."""
+        # A fresh equalization period.
         self._step_in_te = 0
         self._sum_w_t = 0.0
         self._sum_w_f = 0.0
         self._w_tp = 0.5
         self._w_fp = 0.5
         self._period_scores: list = []
+
+    @property
+    def prioritization_period_s(self) -> float:
+        return self._steps_per_tp * _CONTROL_INTERVAL_S
+
+    @property
+    def equalization_period_s(self) -> float:
+        return self._steps_per_te * _CONTROL_INTERVAL_S
 
     def snapshot(self) -> dict:
         """The scheduler's position inside the current equalization period.

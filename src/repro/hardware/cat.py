@@ -28,32 +28,28 @@ def is_contiguous_mask(mask: int) -> bool:
     return (shifted & (shifted + 1)) == 0
 
 
+#: Classes of service the hardware supports (Skylake server exposes 16
+#: for L3 CAT).
+N_COS = 16
+
+
 class CacheAllocationTechnology:
     """Programs per-COS LLC way masks into the MSR file.
 
     Args:
         msr: the register file to program.
         n_ways: number of allocatable LLC ways.
-        n_cos: number of classes of service the hardware supports
-            (Skylake server exposes 16 for L3 CAT).
     """
 
-    def __init__(self, msr: MsrFile, n_ways: int, n_cos: int = 16):
+    def __init__(self, msr: MsrFile, n_ways: int):
         if n_ways < 1:
             raise HardwareError(f"n_ways must be >= 1, got {n_ways}")
-        if n_cos < 1:
-            raise HardwareError(f"n_cos must be >= 1, got {n_cos}")
         self._msr = msr
         self._n_ways = n_ways
-        self._n_cos = n_cos
 
     @property
     def n_ways(self) -> int:
         return self._n_ways
-
-    @property
-    def n_cos(self) -> int:
-        return self._n_cos
 
     def set_mask(self, cos: int, mask: int) -> None:
         """Program a raw way bitmask for one COS.
@@ -98,10 +94,10 @@ class CacheAllocationTechnology:
             HardwareError: if counts exceed the way total, any count is
                 below 1, or there are more jobs than classes of service.
         """
-        if len(way_counts) > self._n_cos:
+        if len(way_counts) > N_COS:
             raise HardwareError(
                 f"IA32_L3_QOS_MASK: {len(way_counts)} jobs exceed "
-                f"the {self._n_cos} classes of service"
+                f"the {N_COS} classes of service"
             )
         if any(count < 1 for count in way_counts):
             raise HardwareError(
@@ -122,7 +118,7 @@ class CacheAllocationTechnology:
         return masks
 
     def _check_cos(self, cos: int) -> None:
-        if not 0 <= cos < self._n_cos:
+        if not 0 <= cos < N_COS:
             raise HardwareError(
-                f"IA32_L3_QOS_MASK: COS {cos} out of range [0, {self._n_cos})"
+                f"IA32_L3_QOS_MASK: COS {cos} out of range [0, {N_COS})"
             )

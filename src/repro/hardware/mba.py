@@ -20,6 +20,10 @@ from repro.hardware.msr import IA32_L2_QOS_EXT_BW_THRTL_BASE, MsrFile
 THROTTLE_STEP = 10
 
 
+#: Classes of service supported (8 for MBA on Skylake).
+N_COS = 8
+
+
 class MemoryBandwidthAllocator:
     """Programs per-COS MBA throttle values into the MSR file.
 
@@ -28,25 +32,17 @@ class MemoryBandwidthAllocator:
         total_units: number of bandwidth units the server exposes to
             partitioning policies (10 in the paper's setup, matching
             MBA's 10 % granularity).
-        n_cos: classes of service supported (8 for MBA on Skylake).
     """
 
-    def __init__(self, msr: MsrFile, total_units: int = 10, n_cos: int = 8):
+    def __init__(self, msr: MsrFile, total_units: int = 10):
         if total_units < 1:
             raise HardwareError(f"total_units must be >= 1, got {total_units}")
-        if n_cos < 1:
-            raise HardwareError(f"n_cos must be >= 1, got {n_cos}")
         self._msr = msr
         self._total_units = total_units
-        self._n_cos = n_cos
 
     @property
     def total_units(self) -> int:
         return self._total_units
-
-    @property
-    def n_cos(self) -> int:
-        return self._n_cos
 
     def set_throttle(self, cos: int, throttle_percent: int) -> None:
         """Program a raw throttle value (percent slowdown) for a COS.
@@ -90,10 +86,10 @@ class MemoryBandwidthAllocator:
                 is below 1, or there are more jobs than classes of
                 service.
         """
-        if len(unit_counts) > self._n_cos:
+        if len(unit_counts) > N_COS:
             raise HardwareError(
                 f"IA32_L2_QOS_EXT_BW_THRTL: {len(unit_counts)} jobs exceed "
-                f"the {self._n_cos} classes of service"
+                f"the {N_COS} classes of service"
             )
         if any(count < 1 for count in unit_counts):
             raise HardwareError(
@@ -116,7 +112,7 @@ class MemoryBandwidthAllocator:
         return throttles
 
     def _check_cos(self, cos: int) -> None:
-        if not 0 <= cos < self._n_cos:
+        if not 0 <= cos < N_COS:
             raise HardwareError(
-                f"IA32_L2_QOS_EXT_BW_THRTL: COS {cos} out of range [0, {self._n_cos})"
+                f"IA32_L2_QOS_EXT_BW_THRTL: COS {cos} out of range [0, {N_COS})"
             )

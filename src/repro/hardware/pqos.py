@@ -40,48 +40,26 @@ class PqosSample:
 class PqosMonitor:
     """Produces noisy per-job monitoring samples from true rates.
 
+    Counter glitches are not drawn here: the fault model
+    (``FaultPlan.sample_outlier_rate``) injects them into the reported
+    samples.
+
     Args:
         noise_sigma: standard deviation of the lognormal multiplicative
             measurement noise (0.02 means roughly +/-2 % jitter).
-        sample_hz: nominal sampling rate; recorded on samples so
-            consumers can check they honour the 10 Hz methodology.
-        outlier_rate: probability per job per interval of a counter
-            glitch — a grossly wrong sample, as real RDT monitoring
-            occasionally produces on RMID reassignment or overflow.
-            Defaults to 0 (clean monitoring); robustness tests raise
-            it. An interval draws its glitches after its noise factors.
-        outlier_scale: multiplicative range of a glitch; the faulty
-            sample is the true value scaled by a factor drawn
-            log-uniformly from ``[1/outlier_scale, outlier_scale]``.
         rng: seed or generator for the noise stream.
     """
 
-    def __init__(
-        self,
-        noise_sigma: float = 0.02,
-        sample_hz: float = DEFAULT_SAMPLE_HZ,
-        outlier_rate: float = 0.0,
-        outlier_scale: float = 5.0,
-        rng: SeedLike = None,
-    ):
+    def __init__(self, noise_sigma: float = 0.02, rng: SeedLike = None):
         if noise_sigma < 0:
             raise HardwareError(f"noise_sigma must be >= 0, got {noise_sigma}")
-        if sample_hz <= 0:
-            raise HardwareError(f"sample_hz must be positive, got {sample_hz}")
-        if not 0.0 <= outlier_rate < 1.0:
-            raise HardwareError(f"outlier_rate must be in [0, 1), got {outlier_rate}")
-        if outlier_scale < 1.0:
-            raise HardwareError(f"outlier_scale must be >= 1, got {outlier_scale}")
         self._noise_sigma = noise_sigma
-        self._sample_hz = sample_hz
-        self._outlier_rate = outlier_rate
-        self._outlier_scale = outlier_scale
         self._rng = make_rng(rng)
 
     @property
     def sample_interval_s(self) -> float:
         """Length of one nominal sampling interval in seconds."""
-        return 1.0 / self._sample_hz
+        return 1.0 / DEFAULT_SAMPLE_HZ
 
     @property
     def rng(self) -> np.random.Generator:
@@ -121,10 +99,6 @@ class PqosMonitor:
             raise HardwareError("per-job monitoring inputs must have equal lengths")
 
         noise = self._noise_factors(3 * n)
-        if self._outlier_rate:
-            for job in range(n):
-                if self._rng.random() < self._outlier_rate:
-                    noise[3 * job] *= self._outlier_factor()
         samples = []
         for job in range(n):
             ips = max(0.0, float(true_ips[job]) * noise[3 * job])
@@ -153,8 +127,3 @@ class PqosMonitor:
         if self._noise_sigma == 0:
             return [1.0] * count
         return self._rng.lognormal(mean=0.0, sigma=self._noise_sigma, size=count).tolist()
-
-    def _outlier_factor(self) -> float:
-        """A glitch factor, log-uniform in [1/scale, scale]."""
-        log_scale = np.log(self._outlier_scale)
-        return float(np.exp(self._rng.uniform(-log_scale, log_scale)))

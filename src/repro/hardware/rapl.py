@@ -22,21 +22,17 @@ from repro.hardware.msr import MSR_PKG_POWER_LIMIT, MsrFile
 #: RAPL power unit: 1/8 watt.
 POWER_UNIT_WATTS = 0.125
 
+#: The package's thermal design power, the highest cap it accepts.
+TDP_WATTS = 85.0
+
 
 class PowerCapController:
     """Package power cap plus logical per-job power-share accounting."""
 
-    def __init__(self, msr: MsrFile, tdp_watts: float = 85.0):
-        if tdp_watts <= 0:
-            raise HardwareError(f"tdp_watts must be positive, got {tdp_watts}")
+    def __init__(self, msr: MsrFile):
         self._msr = msr
-        self._tdp_watts = tdp_watts
         self._job_units: Dict[int, int] = {}
-        self.set_package_limit(tdp_watts)
-
-    @property
-    def tdp_watts(self) -> float:
-        return self._tdp_watts
+        self.set_package_limit(TDP_WATTS)
 
     def set_package_limit(self, watts: float) -> None:
         """Program the package power cap.
@@ -44,10 +40,10 @@ class PowerCapController:
         Raises:
             HardwareError: if the cap is non-positive or above TDP.
         """
-        if not 0 < watts <= self._tdp_watts:
+        if not 0 < watts <= TDP_WATTS:
             raise HardwareError(
                 f"MSR_PKG_POWER_LIMIT: package limit {watts} W outside "
-                f"(0, {self._tdp_watts}] W"
+                f"(0, {TDP_WATTS}] W"
             )
         self._msr.write(MSR_PKG_POWER_LIMIT, int(round(watts / POWER_UNIT_WATTS)))
 

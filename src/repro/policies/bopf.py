@@ -8,7 +8,7 @@ of the SATORI controller:
 * **Guarantee phase** — while a qos job's smoothed speedup sits below
   its SLO floor, the policy escalates a bounded *priority tilt*: the
   inner controller scores every sample as if the qos jobs' isolation
-  baselines were inflated by ``1 + level * boost_step`` (see
+  baselines were inflated by ``1 + level * _BOOST_STEP`` (see
   :meth:`~repro.core.controller.SatoriController.set_baseline_tilt`).
   Under SATORI's own equalization objective a job that looks further
   from parity draws resources, so the controller itself reallocates
@@ -20,7 +20,7 @@ of the SATORI controller:
   every configuration shifts atomically, and the acquisition argmax
   moves immediately instead of waiting to re-visit old points. The
   tilt escalates one level per control interval and is capped at
-  ``boost_budget`` levels: qos jobs get priority, never capture.
+  ``_BOOST_BUDGET`` levels: qos jobs get priority, never capture.
 * **Fairness phase** — once the worst qos job clears the floor with
   hysteresis headroom, the tilt decays one level per interval back to
   zero; the record book is rescored back to the untilted objective
@@ -50,6 +50,14 @@ from repro.resources.space import ConfigurationSpace
 from repro.rng import SeedLike
 from repro.state import STATE_VERSION, PolicyState, check_version
 from repro.system.simulation import Observation
+
+#: Maximum tilt levels the guarantee phase may escalate to (the bound
+#: in "bounded priority"), and the priority each level adds: at level
+#: ``k`` the qos baselines are inflated by ``1 + k * _BOOST_STEP``, so
+#: equalization targets roughly that multiple of the batch jobs'
+#: speedup for the violators.
+_BOOST_BUDGET = 3
+_BOOST_STEP = 0.2
 
 #: Violation threshold relative to the floor. Exactly 1.0: the tilt is
 #: a corrective mechanism, not a cushion — engaging while the floor is
@@ -107,12 +115,6 @@ class BoPFPolicy(PartitioningPolicy):
             degenerates to plain SATORI.
         min_speedup: the SLO floor boosted jobs are held to (see
             :class:`repro.qos.SLOSpec`).
-        boost_budget: maximum tilt levels the guarantee phase may
-            escalate to — the bound in "bounded priority".
-        boost_step: priority added per tilt level; at level ``k`` the
-            qos baselines are inflated by ``1 + k * boost_step``, so
-            equalization targets roughly that multiple of the batch
-            jobs' speedup for the violators.
         rng: seed for the inner controller.
 
     Remaining keyword arguments are forwarded to
@@ -128,8 +130,6 @@ class BoPFPolicy(PartitioningPolicy):
         goals: Optional[GoalSet] = None,
         qos_jobs: Sequence[int] = (),
         min_speedup: float = 0.7,
-        boost_budget: int = 3,
-        boost_step: float = 0.2,
         rng: SeedLike = None,
         **satori_kwargs,
     ):
@@ -138,10 +138,6 @@ class BoPFPolicy(PartitioningPolicy):
         from repro.core.controller import SatoriController
 
         super().__init__(space, goals)
-        if boost_budget < 0:
-            raise PolicyError(f"boost_budget must be >= 0, got {boost_budget}")
-        if boost_step <= 0:
-            raise PolicyError(f"boost_step must be > 0, got {boost_step}")
         if not 0.0 < min_speedup <= 1.0:
             raise PolicyError(f"min_speedup must be in (0, 1], got {min_speedup}")
         qos = tuple(sorted(int(j) for j in qos_jobs))
@@ -151,8 +147,6 @@ class BoPFPolicy(PartitioningPolicy):
             )
         self._qos_jobs = qos
         self._min_speedup = float(min_speedup)
-        self._boost_budget = int(boost_budget)
-        self._boost_step = float(boost_step)
         self._inner = SatoriController(space, goals, rng=rng, **satori_kwargs)
         self._tick = 0
         self._level = 0
@@ -196,7 +190,7 @@ class BoPFPolicy(PartitioningPolicy):
                     self._cooldown -= 1
                 elif self._violating_streak < _PATIENCE:
                     pass
-                elif self._level < self._boost_budget:
+                elif self._level < _BOOST_BUDGET:
                     # Escalate on a fixed cadence so the optimizer gets
                     # a few intervals to chase each objective shift.
                     if (self._violating_streak - _PATIENCE) % _ESCALATE_EVERY == 0:
@@ -252,7 +246,7 @@ class BoPFPolicy(PartitioningPolicy):
         """Install the current tilt level as the inner scoring context.
 
         At tilt level ``k`` every qos job's isolation baseline is
-        scored inflated by ``1 + k * boost_step``: its speedup *as
+        scored inflated by ``1 + k * _BOOST_STEP``: its speedup *as
         scored by the controller* shrinks by that factor, so
         equalization pulls resources toward it until the measured
         speedup sits near the tilt multiple of the batch jobs'. The
@@ -262,7 +256,7 @@ class BoPFPolicy(PartitioningPolicy):
         if self._level <= 0 or not self._qos_jobs:
             self._inner.set_baseline_tilt(None)
             return
-        factor = 1.0 + self._level * self._boost_step
+        factor = 1.0 + self._level * _BOOST_STEP
         qos = set(self._qos_jobs)
         self._inner.set_baseline_tilt(
             tuple(

@@ -63,9 +63,6 @@ class CoPartPolicy(PartitioningPolicy):
                 f"CoPart controls exactly {expected}; build its space from "
                 f"catalog.subset([LLC_WAYS, MEMORY_BANDWIDTH]) (got {space.resource_names})"
             )
-        self.reset()
-
-    def reset(self) -> None:
         self._current: Optional[Configuration] = None
         self._fsms = [_FsmState(LLC_WAYS), _FsmState(MEMORY_BANDWIDTH)]
         self._turn = 0

@@ -56,9 +56,6 @@ class DCatPolicy(PartitioningPolicy):
                 f"catalog.subset([LLC_WAYS]) (got {space.resource_names})"
             )
         self._rng = make_rng(rng)
-        self.reset()
-
-    def reset(self) -> None:
         self._current: Optional[Configuration] = None
         self._trial: Optional[Tuple[Configuration, int, int]] = None
         self._last_score: Optional[float] = None

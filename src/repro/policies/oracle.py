@@ -60,7 +60,9 @@ class OracleSearch:
         mix: the co-located workloads.
         catalog: the server's resources (cores + LLC + bandwidth).
         goals: metric choices (same normalized scores as policies use).
-        max_configs: safety cap on the space size.
+
+    Raises:
+        PolicyError: if the space is larger than ``DEFAULT_MAX_CONFIGS``.
     """
 
     def __init__(
@@ -68,7 +70,6 @@ class OracleSearch:
         mix: JobMix,
         catalog: ResourceCatalog,
         goals: Optional[GoalSet] = None,
-        max_configs: int = DEFAULT_MAX_CONFIGS,
     ):
         self._mix = mix
         self._catalog = catalog
@@ -77,10 +78,10 @@ class OracleSearch:
             catalog.subset([CORES, LLC_WAYS, MEMORY_BANDWIDTH]), len(mix)
         )
         size = self._space.size()
-        if size > max_configs:
+        if size > DEFAULT_MAX_CONFIGS:
             raise PolicyError(
-                f"configuration space has {size} points, above the cap of {max_configs}; "
-                "reduce resource units or raise max_configs"
+                f"configuration space has {size} points, above the cap of "
+                f"{DEFAULT_MAX_CONFIGS}; reduce resource units"
             )
         self._matrices = self._space.per_resource_matrices()
         # Scalar result cache: (phase_key, weights) -> OracleResult.
@@ -247,7 +248,6 @@ class OraclePolicy(PartitioningPolicy):
     Args:
         search: a (shareable) :class:`OracleSearch` for the mix.
         w_throughput / w_fairness: the variant's weights.
-        label: display name; defaults describe the variant.
     """
 
     def __init__(
@@ -255,16 +255,12 @@ class OraclePolicy(PartitioningPolicy):
         search: OracleSearch,
         w_throughput: float = 0.5,
         w_fairness: float = 0.5,
-        label: Optional[str] = None,
-        goals: Optional[GoalSet] = None,
     ):
-        super().__init__(search.space, goals or search.goals)
+        super().__init__(search.space, search.goals)
         self._search = search
         self._w_t = w_throughput
         self._w_f = w_fairness
-        if label:
-            self.name = label
-        elif w_fairness == 0:
+        if w_fairness == 0:
             self.name = "Throughput Oracle"
         elif w_throughput == 0:
             self.name = "Fairness Oracle"
@@ -280,6 +276,6 @@ class OraclePolicy(PartitioningPolicy):
         return self._search.best(t, self._w_t, self._w_f).config
 
 
-def balanced_oracle(mix: JobMix, catalog: ResourceCatalog, goals: GoalSet = None) -> OraclePolicy:
+def balanced_oracle(mix: JobMix, catalog: ResourceCatalog) -> OraclePolicy:
     """Convenience constructor for the Balanced Oracle policy."""
-    return OraclePolicy(OracleSearch(mix, catalog, goals), 0.5, 0.5)
+    return OraclePolicy(OracleSearch(mix, catalog), 0.5, 0.5)

@@ -31,31 +31,19 @@ from repro.resources.space import ConfigurationSpace
 from repro.system.simulation import Observation
 
 
+#: Monitoring intervals (0.1 s each) between adjustments: the original
+#: PARTIES' 0.5 s upsize/downsize cadence, which waits for an
+#: adjustment's effect to stabilize before judging it.
+DECISION_EVERY = 5
+
+
 class PartiesPolicy(PartitioningPolicy):
     """One-dimension-at-a-time gradient descent on ``0.5*T + 0.5*F``."""
 
     name = "PARTIES"
 
-    def __init__(
-        self,
-        space: ConfigurationSpace,
-        goals: GoalSet = None,
-        w_throughput: float = 0.5,
-        w_fairness: float = 0.5,
-        decision_every: int = 5,
-    ):
-        """``decision_every`` is the number of 0.1 s monitoring intervals
-        between adjustments (default 5 = the original PARTIES' 0.5 s
-        upsize/downsize cadence; it waits for an adjustment's effect to
-        stabilize before judging it)."""
+    def __init__(self, space: ConfigurationSpace, goals: GoalSet = None):
         super().__init__(space, goals)
-        total = w_throughput + w_fairness
-        self._w_t = w_throughput / total
-        self._w_f = w_fairness / total
-        self._decision_every = max(1, decision_every)
-        self.reset()
-
-    def reset(self) -> None:
         self._current: Optional[Configuration] = None
         self._trial: Optional[Configuration] = None
         self._last_score: Optional[float] = None
@@ -74,11 +62,11 @@ class PartiesPolicy(PartitioningPolicy):
         # Hold between decision points so each adjustment's effect
         # stabilizes before it is judged (original PARTIES cadence).
         self._tick += 1
-        if self._tick % self._decision_every != 0:
+        if self._tick % DECISION_EVERY != 0:
             return self._trial if self._trial is not None else self._current
 
         scores = self._scores(observation)
-        objective = scores.weighted(self._w_t, self._w_f)
+        objective = scores.weighted(0.5, 0.5)
         job_speedups = np.asarray(observation.ips) / np.asarray(observation.isolation_ips)
 
         if self._trial is not None:

@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import PolicyError
 from repro.metrics.goals import GoalSet
 from repro.policies.base import PartitioningPolicy
+from repro.policies.parties import DECISION_EVERY
 from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
 from repro.system.simulation import Observation
@@ -43,16 +44,11 @@ class QosPartiesPolicy(PartitioningPolicy):
         space: ConfigurationSpace,
         jobs: Sequence[LatencyCriticalJob],
         goals: Optional[GoalSet] = None,
-        decision_every: int = 5,
     ):
         super().__init__(space, goals)
         if len(jobs) != space.n_jobs:
             raise PolicyError(f"{len(jobs)} LC jobs but the space hosts {space.n_jobs}")
         self._jobs = list(jobs)
-        self._decision_every = max(1, decision_every)
-        self.reset()
-
-    def reset(self) -> None:
         self._current: Optional[Configuration] = None
         self._cursor: Dict[int, int] = {}
         self._tick = 0
@@ -75,7 +71,7 @@ class QosPartiesPolicy(PartitioningPolicy):
             self._ips_ema = 0.6 * self._ips_ema + 0.4 * measured
 
         self._tick += 1
-        if self._tick % self._decision_every != 0:
+        if self._tick % DECISION_EVERY != 0:
             return self._current
 
         t = observation.time_s

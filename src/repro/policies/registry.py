@@ -151,8 +151,8 @@ def _build_copart(mix, catalog, goals, rng, n_jobs, **kwargs):
 
 
 @register_policy("PARTIES")
-def _build_parties(mix, catalog, goals, rng, n_jobs, **kwargs):
-    return PartiesPolicy(_space(catalog, n_jobs), goals, **kwargs)
+def _build_parties(mix, catalog, goals, rng, n_jobs):
+    return PartiesPolicy(_space(catalog, n_jobs), goals)
 
 
 @register_policy("EqualPartition")
@@ -211,7 +211,7 @@ def _build_bopf(mix, catalog, goals, rng, n_jobs, resources=None, qos_jobs=(),
 
 @register_policy("QoSPARTIES", qos_aware=True)
 def _build_qos_parties(mix, catalog, goals, rng, n_jobs, qos_jobs=(),
-                       qos_min_speedup=0.7, target_p99_ms=20.0, **kwargs):
+                       qos_min_speedup=0.7):
     """QoS-PARTIES driven by synthesized request profiles.
 
     The native :class:`~repro.policies.qos_parties.QosPartiesPolicy`
@@ -225,6 +225,7 @@ def _build_qos_parties(mix, catalog, goals, rng, n_jobs, qos_jobs=(),
     from repro.policies.qos_parties import QosPartiesPolicy
     from repro.workloads.latency_critical import (
         _P99_FACTOR,
+        TARGET_P99_MS,
         LatencyCriticalJob,
         RequestProfile,
     )
@@ -232,7 +233,7 @@ def _build_qos_parties(mix, catalog, goals, rng, n_jobs, qos_jobs=(),
     if mix is None:
         raise PolicyError("the QoSPARTIES factory needs the job mix, not just n_jobs")
     qos_slots = {int(j) for j in qos_jobs}
-    target_s = target_p99_ms / 1000.0
+    target_s = TARGET_P99_MS / 1000.0
     ipr = 2e6
     jobs = []
     for slot, workload in enumerate(mix):
@@ -255,13 +256,11 @@ def _build_qos_parties(mix, catalog, goals, rng, n_jobs, qos_jobs=(),
             profile = RequestProfile.constant(ipr, 10.0, 0.05 * equal_share_ips / ipr)
         jobs.append(LatencyCriticalJob(workload=workload, profile=profile))
     space = _space(catalog, n_jobs)
-    return QosPartiesPolicy(space, jobs, goals, **kwargs)
+    return QosPartiesPolicy(space, jobs, goals)
 
 
 @register_policy("Oracle")
-def _build_oracle(mix, catalog, goals, rng, n_jobs, w_throughput=0.5, w_fairness=0.5,
-                  label=None, **kwargs):
+def _build_oracle(mix, catalog, goals, rng, n_jobs, w_throughput=0.5, w_fairness=0.5):
     if mix is None:
         raise PolicyError("the Oracle factory needs the job mix, not just n_jobs")
-    search = OracleSearch(mix, catalog, goals, **kwargs)
-    return OraclePolicy(search, w_throughput, w_fairness, label=label)
+    return OraclePolicy(OracleSearch(mix, catalog, goals), w_throughput, w_fairness)

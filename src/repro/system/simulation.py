@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from repro.resources.types import (
     default_catalog,
 )
 from repro.rng import SeedLike, make_rng, rng_from_state, rng_state, spawn_rng
+# Nothing here calls evaluate_system_batch: the perf ladder
+# (perfbench/layers.py) rebinds both solves on this module by name.
 from repro.system.contention import SystemState, evaluate_system, evaluate_system_batch
 from repro.workloads.mixes import JobMix
 from repro.workloads.model import Phase, Workload
@@ -145,8 +147,6 @@ class CoLocationSimulator:
             setup (10 cores, 10 LLC way units, 10 bandwidth units).
         control_interval_s: seconds per control interval.
         noise_sigma: pqos measurement noise (lognormal sigma).
-        outlier_rate: probability of a monitoring glitch per job per
-            interval (fault injection; 0 = clean counters).
         seed: RNG seed for measurement noise.
         phase_offset_s: initial offset added to every workload's phase
             clock (staggered per job), so repeated experiments on the
@@ -168,7 +168,6 @@ class CoLocationSimulator:
         catalog: Optional[ResourceCatalog] = None,
         control_interval_s: float = DEFAULT_CONTROL_INTERVAL_S,
         noise_sigma: float = 0.02,
-        outlier_rate: float = 0.0,
         seed: SeedLike = None,
         phase_offset_s: float = 0.0,
         fault_schedule: Optional[FaultSchedule] = None,
@@ -204,9 +203,7 @@ class CoLocationSimulator:
         self._boundary: Optional[Tuple[float, Tuple[int, ...], Tuple[np.float64, ...]]] = None
         self._interval = control_interval_s
         self._rng = make_rng(seed)
-        self._monitor = PqosMonitor(
-            noise_sigma=noise_sigma, outlier_rate=outlier_rate, rng=spawn_rng(self._rng)
-        )
+        self._monitor = PqosMonitor(noise_sigma=noise_sigma, rng=spawn_rng(self._rng))
 
         # Hardware actuators over a shared register file. With fault
         # injection enabled the register file can refuse writes; the
@@ -570,21 +567,6 @@ class CoLocationSimulator:
         target = self._config if config is None else config
         t = self._time_s if at_time is None else at_time
         return evaluate_system(self._mix, self._catalog, target, t).ips
-
-    def true_ips_batch(
-        self, configs: Sequence[Optional[Configuration]], at_time: float = None
-    ) -> np.ndarray:
-        """Noise-free IPS for many configurations, one row each.
-
-        Returns a ``(len(configs), n_jobs)`` array: :meth:`true_ips`
-        per configuration, stacked — including the ``None``
-        convention: a ``None`` entry means the currently installed
-        configuration, exactly as in :meth:`true_ips` (which may itself
-        be ``None``, the unmanaged server, before any :meth:`apply`).
-        """
-        t = self._time_s if at_time is None else at_time
-        resolved = [self._config if c is None else c for c in configs]
-        return evaluate_system_batch(self._mix, self._catalog, resolved, t).ips
 
     def phase_key(self, at_time: float = None) -> Tuple[int, ...]:
         """The tuple of active phase indices (Oracle cache key)."""

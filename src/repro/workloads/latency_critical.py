@@ -33,6 +33,9 @@ from repro.workloads.model import Workload
 #: -ln(1 - 0.99): the M/M/1 99th-percentile factor.
 _P99_FACTOR = -math.log(1.0 - 0.99)
 
+#: The p99 latency target of every latency-critical service here.
+TARGET_P99_MS = 20.0
+
 
 @dataclass(frozen=True)
 class RequestProfile:
@@ -132,16 +135,13 @@ class LatencyCriticalJob:
         return mu * self.profile.instructions_per_request * slack
 
 
-def latency_critical_suite(
-    registry=None,
-    load_fraction: float = 0.5,
-    target_p99_ms: float = 20.0,
-) -> Sequence[LatencyCriticalJob]:
+def latency_critical_suite(registry=None) -> Sequence[LatencyCriticalJob]:
     """LC versions of the interactive CloudSuite services.
 
-    Each job's offered load is set to ``load_fraction`` of the service
-    capacity it would have with an equal share of the machine — the
-    regime where allocations decide QoS, as in the PARTIES evaluation.
+    Each job's offered load is half the service capacity it would have
+    with an equal share of the machine, against a p99 target of
+    ``TARGET_P99_MS`` — the regime where allocations decide QoS, as in
+    the PARTIES evaluation.
     """
     from repro.resources.types import default_catalog
     from repro.workloads.registry import default_registry
@@ -169,11 +169,11 @@ def latency_critical_suite(
             bandwidth_units=catalog.get("memory_bandwidth").units / len(services),
         )
         ipr = instructions_per_request[name]
-        load = load_fraction * equal_share_ips / ipr
+        load = 0.5 * equal_share_ips / ipr
         jobs.append(
             LatencyCriticalJob(
                 workload=workload,
-                profile=RequestProfile.constant(ipr, target_p99_ms / 1000.0, load),
+                profile=RequestProfile.constant(ipr, TARGET_P99_MS / 1000.0, load),
             )
         )
     return jobs

@@ -30,16 +30,10 @@ def random_phase(rng: SeedLike = None) -> Phase:
     )
 
 
-def random_workload(
-    name: str = "synthetic",
-    n_phases: int = 3,
-    rng: SeedLike = None,
-) -> Workload:
-    """Draw one random workload with ``n_phases`` cyclic phases."""
+def random_workload(name: str = "synthetic", rng: SeedLike = None) -> Workload:
+    """Draw one random workload with three cyclic phases."""
     rng = make_rng(rng)
-    segments = tuple(
-        (float(rng.uniform(1.5, 6.0)), random_phase(rng)) for _ in range(max(1, n_phases))
-    )
+    segments = tuple((float(rng.uniform(1.5, 6.0)), random_phase(rng)) for _ in range(3))
     return Workload(
         name=name,
         suite="synthetic",

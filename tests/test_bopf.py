@@ -76,10 +76,6 @@ class TestConstruction:
         assert not policy_is_qos_aware("SATORI")
 
     def test_validation(self, space):
-        with pytest.raises(PolicyError, match="boost_budget"):
-            BoPFPolicy(space, qos_jobs=(0,), boost_budget=-1)
-        with pytest.raises(PolicyError, match="boost_step"):
-            BoPFPolicy(space, qos_jobs=(0,), boost_step=0.0)
         with pytest.raises(PolicyError, match="min_speedup"):
             BoPFPolicy(space, qos_jobs=(0,), min_speedup=1.5)
         with pytest.raises(PolicyError, match="out of range"):
@@ -102,10 +98,7 @@ class TestSatoriEquivalence:
 
 class TestGuaranteePhase:
     def make(self, space, **kwargs):
-        defaults = dict(
-            qos_jobs=(0,), min_speedup=0.6, boost_budget=3,
-            boost_step=0.2, rng=0,
-        )
+        defaults = dict(qos_jobs=(0,), min_speedup=0.6, rng=0)
         defaults.update(kwargs)
         return BoPFPolicy(space, **defaults)
 

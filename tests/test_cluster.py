@@ -46,6 +46,7 @@ from repro.workloads.arrivals import (
     workload_to_dict,
 )
 from repro.workloads.registry import default_registry
+from tests.platform_fingerprint import numeric_platform
 
 #: Tiny methodology for fast simulator tests.
 TINY = RunConfig(duration_s=1.0, baseline_reset_s=0.5)
@@ -500,7 +501,7 @@ class TestPinnedResults:
             ).run()
         assert result_sha(result) == (
             "619935c89739560c25a9152d1ffaa21d338f099172672a0513df78d0d8ee5b68"
-        )
+        ), numeric_platform()
 
     def test_pooled_bopf_fleet_with_every_feature(self):
         """The fleet-chaos feature set on a 2-worker pool: crash with
@@ -527,7 +528,7 @@ class TestPinnedResults:
             ).run()
         assert result_sha(result) == (
             "0aa1b1dd2f336483e86e6efa5e06110cdfc8557bda141947a5b052f26287c2ad"
-        )
+        ), numeric_platform()
         assert any(record.warm_started for record in result.records)
         assert result.migrations and result.budget_transfers
         assert result.node_epoch_failures and result.node_rejoins

@@ -41,7 +41,7 @@ class TestInitializers:
         assert len(set(initial)) == len(initial)
 
     def test_size_includes_tilts_and_randoms(self, space):
-        initial = good_initial_set(space, n_random=2, rng=0)
+        initial = good_initial_set(space, rng=0)
         # equal + up to n_jobs tilts + 2 randoms, deduplicated
         assert len(initial) <= 1 + space.n_jobs + 2
         assert len(initial) >= space.n_jobs  # tilts are distinct from equal
@@ -107,7 +107,7 @@ class TestBayesianOptimizer:
     def test_probe_rows_pair_with_the_configuration_batch(self, space):
         """The probes are drawn as rows: the same RNG stream, encodings
         and snapshot JSON as drawing them as configurations."""
-        optimizer = BayesianOptimizer(space, n_probes=48, rng=21)
+        optimizer = BayesianOptimizer(space, rng=21)
         rng = make_rng(21)
         probes = space.sample_batch(48, rng)
         snapshot = optimizer.snapshot()

@@ -37,7 +37,7 @@ class TestLifecycle:
         assert controller.decide(None) == space.equal_partition()
 
     def test_initial_set_drained_in_order(self, space, make_simulator):
-        controller = SatoriController(space, rng=0, n_initial_random=1)
+        controller = SatoriController(space, rng=0)
         initial = controller.initial_configurations
         sim = make_simulator()
         observation = None
@@ -114,9 +114,7 @@ class TestDiagnostics:
 
     def test_idle_detection_engages_on_stable_objective(self, space, parsec_mix3, catalog6):
         """With zero noise and a repeating config, idleness should trigger."""
-        controller = SatoriController(
-            space, rng=0, idle_detection=True, idle_patience=5, idle_tolerance=0.5
-        )
+        controller = SatoriController(space, rng=0, idle_detection=True)
         sim = CoLocationSimulator(parsec_mix3, catalog6, noise_sigma=0.0, seed=0)
         drive(controller, sim, 60)
         assert controller.idle_fraction > 0
@@ -213,7 +211,7 @@ class ArrayGateController(SatoriController):
     """SATORI with the numpy gate, holding its loop fields as arrays."""
 
     def _validate_observation(self, observation):
-        return array_gate(self._loop, observation, self._spike_factor, self._speedup_ceiling)[0]
+        return array_gate(self._loop, observation)[0]
 
 
 #: How the numpy gate's array fields were written into snapshots.

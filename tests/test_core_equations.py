@@ -19,7 +19,6 @@ class TestEquation4Prioritization:
     def make(self):
         # One-step prioritization period isolates Eq. 4 exactly.
         return DynamicWeightScheduler(
-            interval_s=0.1,
             prioritization_period_s=0.1,
             equalization_period_s=1000.0,  # equalization negligible early
         )
@@ -57,7 +56,7 @@ class TestEquation3Equalization:
 
     def test_equalization_corrects_accumulated_imbalance(self):
         scheduler = DynamicWeightScheduler(
-            interval_s=0.1, prioritization_period_s=0.2, equalization_period_s=2.0
+            prioritization_period_s=0.2, equalization_period_s=2.0
         )
         # Feed scores that keep fairness improving, biasing weight
         # toward throughput early in the period.
@@ -70,7 +69,7 @@ class TestEquation3Equalization:
 
     def test_late_period_weights_counteract_early_bias(self):
         scheduler = DynamicWeightScheduler(
-            interval_s=0.1, prioritization_period_s=0.2, equalization_period_s=2.0
+            prioritization_period_s=0.2, equalization_period_s=2.0
         )
         weights = [scheduler.update(0.4, 0.5 + 0.02 * i).w_throughput for i in range(20)]
         early = np.mean(weights[:10])
@@ -91,11 +90,11 @@ class TestExpectedImprovementClosedForm:
     )
     @settings(max_examples=30, deadline=None)
     def test_ei_matches_monte_carlo(self, mean, std, best):
-        ei = ExpectedImprovement(xi=0.0)
+        ei = ExpectedImprovement()
         closed = ei(np.array([mean]), np.array([std]), best)[0]
         rng = np.random.default_rng(42)
         draws = rng.normal(mean, std, size=200_000)
-        monte_carlo = np.maximum(draws - best, 0.0).mean()
+        monte_carlo = np.maximum(draws - best - ei.xi, 0.0).mean()
         assert closed == pytest.approx(monte_carlo, abs=0.01)
 
     @given(
@@ -105,11 +104,11 @@ class TestExpectedImprovementClosedForm:
     @settings(max_examples=20, deadline=None)
     def test_pi_matches_monte_carlo(self, mean, std):
         best = 0.5
-        pi = ProbabilityOfImprovement(xi=0.0)
+        pi = ProbabilityOfImprovement()
         closed = pi(np.array([mean]), np.array([std]), best)[0]
         rng = np.random.default_rng(7)
         draws = rng.normal(mean, std, size=200_000)
-        assert closed == pytest.approx((draws > best).mean(), abs=0.01)
+        assert closed == pytest.approx((draws > best + pi.xi).mean(), abs=0.01)
 
 
 def _posterior_draw(rng):
@@ -120,7 +119,7 @@ def _posterior_draw(rng):
     best = float(rng.normal())
     z = rng.uniform(-40.0, 40.0, size=n) * rng.uniform(size=n) ** 2
     mean = best + z * np.maximum(std, 1e-3)
-    return mean, std, best, float(rng.uniform(0.0, 0.05))
+    return mean, std, best
 
 
 class TestAcquisitionMatchesScipyStats:
@@ -131,20 +130,22 @@ class TestAcquisitionMatchesScipyStats:
     def test_ei_bit_identical(self):
         rng = np.random.default_rng(2021)
         for draw in range(self.DRAWS):
-            mean, std, best, xi = _posterior_draw(rng)
+            mean, std, best = _posterior_draw(rng)
             floored = np.maximum(std, 1e-12)
-            improvement = mean - best - xi
+            improvement = mean - best - ExpectedImprovement.xi
             z = improvement / floored
             expected = improvement * norm.cdf(z) + floored * norm.pdf(z)
-            got = ExpectedImprovement(xi=xi)(mean, std, best)
+            got = ExpectedImprovement()(mean, std, best)
             assert np.array_equal(got, expected), f"draw {draw}"
 
     def test_pi_bit_identical(self):
         rng = np.random.default_rng(2022)
         for draw in range(self.DRAWS):
-            mean, std, best, xi = _posterior_draw(rng)
-            expected = norm.cdf((mean - best - xi) / np.maximum(std, 1e-12))
-            got = ProbabilityOfImprovement(xi=xi)(mean, std, best)
+            mean, std, best = _posterior_draw(rng)
+            expected = norm.cdf(
+                (mean - best - ProbabilityOfImprovement.xi) / np.maximum(std, 1e-12)
+            )
+            got = ProbabilityOfImprovement()(mean, std, best)
             assert np.array_equal(got, expected), f"draw {draw}"
 
 

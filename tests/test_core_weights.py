@@ -15,7 +15,7 @@ from repro.errors import PolicyError
 
 
 def make_scheduler(**kwargs):
-    defaults = dict(interval_s=0.1, prioritization_period_s=1.0, equalization_period_s=10.0)
+    defaults = dict(prioritization_period_s=1.0, equalization_period_s=10.0)
     defaults.update(kwargs)
     return DynamicWeightScheduler(**defaults)
 
@@ -110,12 +110,8 @@ class TestDynamicScheduler:
         assert fractions[0] < fractions[50] < fractions[99]
         assert fractions[99] == pytest.approx(1.0)
 
-    def test_reset_clears_state(self):
-        scheduler = make_scheduler()
-        for _ in range(37):
-            scheduler.update(0.3, 0.9)
-        scheduler.reset()
-        state = scheduler.update(0.3, 0.9)
+    def test_starts_a_fresh_equalization_period(self):
+        state = make_scheduler().update(0.3, 0.9)
         assert state.equalization_fraction == pytest.approx(0.01)
 
     def test_invalid_periods_rejected(self):
@@ -123,8 +119,6 @@ class TestDynamicScheduler:
             make_scheduler(prioritization_period_s=0.01)
         with pytest.raises(PolicyError):
             make_scheduler(equalization_period_s=0.5)
-        with pytest.raises(PolicyError):
-            DynamicWeightScheduler(interval_s=0.0)
 
     @given(
         t_seq=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=30, max_size=60),

@@ -321,7 +321,7 @@ def make_observation(config, ips, iso, ok=True, t=0.1):
 
 @pytest.fixture
 def satori(space6x3):
-    return SatoriController(space6x3, rng=0, watchdog_threshold=3)
+    return SatoriController(space6x3, rng=0)
 
 
 class TestControllerHardening:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import HardwareError
 from repro.hardware.affinity import CoreAffinityController
-from repro.hardware.cat import CacheAllocationTechnology, is_contiguous_mask
+from repro.hardware.cat import N_COS, CacheAllocationTechnology, is_contiguous_mask
 from repro.hardware.mba import THROTTLE_STEP, MemoryBandwidthAllocator
 from repro.hardware.msr import (
     IA32_L2_QOS_EXT_BW_THRTL_BASE,
@@ -105,9 +105,9 @@ class TestCat:
             cat.apply_partition([0, 10])
 
     def test_more_jobs_than_cos_rejected(self):
-        cat = CacheAllocationTechnology(MsrFile(), n_ways=10, n_cos=2)
+        cat = CacheAllocationTechnology(MsrFile(), n_ways=2 * N_COS)
         with pytest.raises(HardwareError):
-            cat.apply_partition([3, 3, 4])
+            cat.apply_partition([1] * (N_COS + 1))
 
 
 class TestMba:
@@ -185,18 +185,18 @@ class TestAffinity:
 
 class TestRapl:
     def test_package_limit_roundtrip(self):
-        rapl = PowerCapController(MsrFile(), tdp_watts=85.0)
+        rapl = PowerCapController(MsrFile())
         rapl.set_package_limit(60.0)
         assert rapl.package_limit() == pytest.approx(60.0, abs=POWER_UNIT_WATTS)
 
     def test_limit_above_tdp_rejected(self):
-        rapl = PowerCapController(MsrFile(), tdp_watts=85.0)
+        rapl = PowerCapController(MsrFile())
         with pytest.raises(HardwareError):
             rapl.set_package_limit(100.0)
 
     def test_msr_encoding(self):
         msr = MsrFile()
-        rapl = PowerCapController(msr, tdp_watts=85.0)
+        rapl = PowerCapController(msr)
         rapl.set_package_limit(10.0)
         assert msr.read(MSR_PKG_POWER_LIMIT) == 80  # 10 W / (1/8 W)
 

@@ -96,10 +96,9 @@ class TestDCat:
         drive(policy, make_simulator(), 30)
         assert any(k.startswith("utility_job") for k in policy.diagnostics())
 
-    def test_reset(self, llc_space, make_simulator):
+    def test_restart_returns_the_equal_partition(self, llc_space, make_simulator):
         policy = DCatPolicy(llc_space, rng=0)
         drive(policy, make_simulator(), 12)
-        policy.reset()
         assert policy.decide(None) == llc_space.equal_partition()
 
 
@@ -163,9 +162,9 @@ class TestParties:
             assert len(changed) <= 1
 
     def test_holds_between_decision_points(self, space, make_simulator):
-        policy = PartiesPolicy(space, decision_every=5)
+        policy = PartiesPolicy(space)
         configs = drive(policy, make_simulator(), 20)
-        # Configuration may only change at multiples of decision_every.
+        # Configuration may only change at multiples of DECISION_EVERY (5).
         for i, (prev, nxt) in enumerate(zip(configs, configs[1:])):
             if (i + 1) % 5 != 0:
                 assert prev == nxt

@@ -82,8 +82,9 @@ class TestOracleSearch:
         assert f == pytest.approx(result.fairness, rel=1e-9)
 
     def test_space_size_guard(self, mix):
+        # 406 compositions of 30 units per resource: 66.9M points.
         with pytest.raises(PolicyError, match="above the cap"):
-            OracleSearch(mix, default_catalog(), max_configs=10)
+            OracleSearch(mix, default_catalog(30, 30, 30))
 
     def test_n_configs_reported(self, search):
         assert search.best(0.0, 0.5, 0.5).n_configs == search.space.size()

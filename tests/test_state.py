@@ -30,6 +30,7 @@ from repro.workloads.registry import default_registry
 
 from repro.core.controller import SatoriController
 from repro.system.simulation import CoLocationSimulator
+from tests.platform_fingerprint import numeric_platform
 
 FAST = RunConfig(duration_s=2.0, interval_s=0.1, baseline_reset_s=1.0)
 
@@ -360,17 +361,17 @@ class TestSpecIdentity:
         warm_result = ExecutionEngine().run_one(warm)
         assert cold.digest == (
             "690f4ffdcc7455ef4e2ed7d07bb61019764dcca063a9de14eff75e6a07df5389"
-        )
+        ), numeric_platform()
         assert warm.digest == (
             "b575e032cb8e11fac41edecb0d9b0a205741614b2f86d287d00e439c86921287"
-        )
+        ), numeric_platform()
         assert warm.cold_digest == cold.digest
         assert sha(cold_result.to_dict()) == (
             "d6538c8296fdc09b0ec34fc0a0914dda9e7d566c5c9976f6bd7676be1041f5c2"
-        )
+        ), numeric_platform()
         assert sha(warm_result.to_dict()) == (
             "0417223a18015a7831e3f7b61a399f6bb8e847d48cf6ddf3f5d161a3ccdc74ab"
-        )
+        ), numeric_platform()
         # The result codec reproduces those bytes exactly.
         rebuilt = RunResult.from_dict(json.loads(canonical(warm_result.to_dict())))
         assert canonical(rebuilt.to_dict()) == canonical(warm_result.to_dict())
@@ -391,13 +392,13 @@ class TestSpecIdentity:
         warm_result = ExecutionEngine().run_one(warm)
         assert sha(state.to_dict()) == (
             "9583607cf0675530c03808e5d55a2d119323e02e8417e9380cba2caa9bf63dcd"
-        )
+        ), numeric_platform()
         assert warm.digest == (
             "d207babf7cc4bc1f4d34a9ed5f7280b365f89649b6128979c51395b1a6b0e28b"
-        )
+        ), numeric_platform()
         assert sha(warm_result.to_dict()) == (
             "c64497cdc3ffc75f70846ad67dae9e949cfaab02c9126173cad7bc0c09f626bb"
-        )
+        ), numeric_platform()
 
     @pytest.mark.parametrize(
         "policy, digest",
@@ -415,7 +416,9 @@ class TestSpecIdentity:
         unchanged-configuration shortcut between the faults."""
         spec = _spec(mix, catalog, policy=policy, fault_plan=PINNED_FAULTS)
         result = ExecutionEngine().run_one(spec)
-        assert hashlib.sha256(canonical(result.to_dict()).encode()).hexdigest() == digest
+        assert (
+            hashlib.sha256(canonical(result.to_dict()).encode()).hexdigest() == digest
+        ), numeric_platform()
         # The outage fails three installs in a row.
         ok = [record.extra["actuation_ok"] for record in result.telemetry.records]
         assert ok == [1.0] * 8 + [0.0] * 3 + [1.0] * 9

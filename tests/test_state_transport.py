@@ -53,6 +53,7 @@ from repro.workloads.arrivals import (
 )
 from repro.workloads.mixes import mix_from_names
 from repro.workloads.registry import default_registry
+from tests.platform_fingerprint import numeric_platform
 
 #: Decisions compared after the restore.
 TAIL = 15
@@ -395,7 +396,7 @@ def test_pooled_fleet_parent_decodes_no_payload(monkeypatch):
         assert digests(spec) == full_render_digests(spec)
     assert sha(digest_lines(specs)) == (
         "4f48e375640f5b2ee813411e75363dd87d74bbbb017bca6d1540ee0f9b80f7fa"
-    )
+    ), numeric_platform()
 
 
 def test_serial_fleet_digests_are_unchanged():

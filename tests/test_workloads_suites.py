@@ -176,5 +176,5 @@ class TestSynthetic:
         assert a.ips_per_core == b.ips_per_core
 
     def test_phase_count(self):
-        w = random_workload(n_phases=4, rng=2)
-        assert len(w.schedule.segments) == 4
+        w = random_workload(rng=2)
+        assert len(w.schedule.segments) == 3
