@@ -11,7 +11,7 @@ online runs per policy per mix.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.experiments import (
     MixComparison,

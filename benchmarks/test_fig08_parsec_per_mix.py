@@ -5,8 +5,6 @@ Paper findings: SATORI outperforms the competition for every job mix
 never worse than the competing techniques.
 """
 
-import numpy as np
-
 from repro.experiments import STANDARD_POLICY_ORDER, format_table
 
 from common import run_once, suite_comparisons

@@ -6,8 +6,6 @@ other technique at least 1.3x farther; (b) SATORI tracks the optimum
 across phase changes better than PARTIES.
 """
 
-import numpy as np
-
 from repro.experiments import distance_to_oracle, experiment_catalog, format_table
 from repro.experiments.runner import RunConfig
 from repro.workloads.mixes import suite_mixes

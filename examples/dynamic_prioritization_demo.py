@@ -10,8 +10,6 @@ Run:
     python examples/dynamic_prioritization_demo.py
 """
 
-import numpy as np
-
 from repro import RunConfig, experiment_catalog, suite_mixes
 from repro.experiments import dynamic_vs_static, format_table, weight_trace
 

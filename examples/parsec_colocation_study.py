@@ -13,8 +13,6 @@ Run:
 
 import argparse
 
-import numpy as np
-
 from repro import RunConfig, experiment_catalog, suite_mixes
 from repro.experiments import (
     STANDARD_POLICY_ORDER,

@@ -49,7 +49,6 @@ from repro.experiments import (
     experiment_catalog,
     full_space,
     run_policy,
-    standard_policies,
 )
 from repro.metrics import GoalScores, GoalSet, jain_index
 from repro.policies import (
@@ -61,7 +60,6 @@ from repro.policies import (
     PartiesPolicy,
     PartitioningPolicy,
     RandomSearchPolicy,
-    UnmanagedPolicy,
     balanced_oracle,
 )
 from repro.resources import (
@@ -70,7 +68,6 @@ from repro.resources import (
     Resource,
     ResourceCatalog,
     ResourceKind,
-    configuration_distance,
     default_catalog,
 )
 from repro.system import CoLocationSimulator, Observation, TelemetryLog
@@ -124,14 +121,12 @@ __all__ = [
     "SpaceError",
     "StaticWeights",
     "TelemetryLog",
-    "UnmanagedPolicy",
     "Workload",
     "WorkloadError",
     "aggregate",
     "balanced_oracle",
     "compare_on_mix",
     "compare_on_mixes",
-    "configuration_distance",
     "default_catalog",
     "default_registry",
     "experiment_catalog",
@@ -140,6 +135,5 @@ __all__ = [
     "jain_index",
     "mix_from_names",
     "run_policy",
-    "standard_policies",
     "suite_mixes",
 ]

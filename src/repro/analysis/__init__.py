@@ -1,35 +1,15 @@
-"""Analysis utilities: telemetry export and replication statistics."""
+"""Analysis utilities: replication statistics and terminal plots."""
 
-from repro.analysis.export import (
-    engine_summary,
-    engine_summary_json,
-    run_summary,
-    run_summary_json,
-    telemetry_rows,
-    telemetry_to_csv,
-)
 from repro.analysis.stats import (
     PairedDelta,
-    ReplicatedRun,
     ReplicatedScore,
     confidence_interval,
-    convergence_time_s,
     paired_deltas,
-    replicate_policy,
 )
 
 __all__ = [
     "PairedDelta",
-    "ReplicatedRun",
     "ReplicatedScore",
     "confidence_interval",
-    "convergence_time_s",
     "paired_deltas",
-    "engine_summary",
-    "engine_summary_json",
-    "replicate_policy",
-    "run_summary",
-    "run_summary_json",
-    "telemetry_rows",
-    "telemetry_to_csv",
 ]

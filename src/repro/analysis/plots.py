@@ -2,8 +2,9 @@
 
 Matplotlib is not assumed (and not installed in offline reproduction
 environments); these renderers cover the shapes the paper's figures
-use — time series (weights, objective traces), grouped bars
-(policy comparisons), and compact sparklines for tables.
+use — horizontal bars (policy comparisons), compact sparklines for
+time series in tables, and a per-node sparkline dashboard for
+cluster runs.
 """
 
 from __future__ import annotations
@@ -142,44 +143,3 @@ def bar_chart(
         lines.append(f"{label.rjust(label_width)}  {bar} {value:.1f}{unit}")
     return "\n".join(lines)
 
-
-def line_chart(
-    series: Dict[str, Sequence[float]],
-    height: int = 10,
-    width: int = 72,
-) -> str:
-    """Multi-series ASCII line chart (each series gets its own glyph)."""
-    if not series:
-        raise ExperimentError("nothing to chart")
-    glyphs = "*+ox#@"
-    arrays = {name: np.asarray(list(v), dtype=float) for name, v in series.items()}
-    lengths = {a.size for a in arrays.values()}
-    if 0 in lengths:
-        raise ExperimentError("cannot chart an empty series")
-
-    all_values = np.concatenate([a[np.isfinite(a)] for a in arrays.values()])
-    if all_values.size == 0:
-        raise ExperimentError("no finite values to chart")
-    lo, hi = float(all_values.min()), float(all_values.max())
-    if hi - lo < 1e-12:
-        hi = lo + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for index, (name, values) in enumerate(arrays.items()):
-        glyph = glyphs[index % len(glyphs)]
-        xs = np.linspace(0, width - 1, values.size).astype(int)
-        for x, v in zip(xs, values):
-            if not np.isfinite(v):
-                continue
-            y = int((v - lo) / (hi - lo) * (height - 1) + 0.5)
-            grid[height - 1 - y][x] = glyph
-
-    lines = [f"{hi:10.3f} ┤" + "".join(grid[0])]
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + "".join(row))
-    lines.append(f"{lo:10.3f} ┤" + "".join(grid[-1]))
-    legend = "   ".join(
-        f"{glyphs[i % len(glyphs)]} {name}" for i, name in enumerate(arrays)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)

@@ -1,24 +1,19 @@
-"""Replication statistics: multi-seed runs, confidence intervals,
-convergence-time estimation.
+"""Replication statistics: confidence intervals and paired comparisons.
 
 Single runs of an online controller carry measurement-noise and
-exploration variance; credible comparisons replicate over seeds. This
-module provides the replication loop and the summary statistics the
-examples and extension benches report.
+exploration variance; credible comparisons replicate over seeds or
+pair runs that share a trace. This module provides the summary
+statistics the sweeps, the examples and the extension benches report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import RunConfig, RunResult, run_policy
-from repro.policies.base import PartitioningPolicy
-from repro.resources.types import ResourceCatalog
-from repro.workloads.mixes import JobMix
 
 
 @dataclass(frozen=True)
@@ -54,44 +49,6 @@ def confidence_interval(values: Sequence[float]) -> ReplicatedScore:
         ci_low=mean - t * sem,
         ci_high=mean + t * sem,
         n=int(values.size),
-    )
-
-
-@dataclass(frozen=True)
-class ReplicatedRun:
-    """Replicated policy run with per-goal statistics."""
-
-    policy_name: str
-    mix_label: str
-    throughput: ReplicatedScore
-    fairness: ReplicatedScore
-    results: Tuple[RunResult, ...]
-
-
-def replicate_policy(
-    policy_factory: Callable[[], PartitioningPolicy],
-    mix: JobMix,
-    catalog: ResourceCatalog,
-    run_config: Optional[RunConfig] = None,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-) -> ReplicatedRun:
-    """Run a fresh policy instance once per seed and summarize.
-
-    ``policy_factory`` must build a *new* (or fully reset) policy each
-    call — policies are stateful.
-    """
-    if len(seeds) < 2:
-        raise ExperimentError("replication needs at least two seeds")
-    results: List[RunResult] = []
-    for seed in seeds:
-        policy = policy_factory()
-        results.append(run_policy(policy, mix, catalog, run_config, seed=seed))
-    return ReplicatedRun(
-        policy_name=results[0].policy_name,
-        mix_label=mix.label,
-        throughput=confidence_interval([r.throughput for r in results]),
-        fairness=confidence_interval([r.fairness for r in results]),
-        results=tuple(results),
     )
 
 
@@ -151,26 +108,3 @@ def paired_deltas(a: Mapping[Any, float], b: Mapping[Any, float]) -> PairedDelta
         n_only_b=len(set(b) - set(a)),
     )
 
-
-def convergence_time_s(result: RunResult) -> float:
-    """Time at which the weighted objective first reaches its final level.
-
-    The final level is the mean objective over the run's last quarter;
-    convergence is the first instant a 1-second moving average reaches
-    95% of it. Returns the run duration if the run never converges.
-    """
-    telemetry = result.telemetry
-    objective = 0.5 * telemetry.series("throughput") + 0.5 * telemetry.series("fairness")
-    times = telemetry.series("time")
-    tail = max(1, int(round(len(objective) * 0.25)))
-    final_level = float(np.mean(objective[-tail:]))
-    if final_level <= 0:
-        raise ExperimentError("degenerate run: non-positive final objective")
-
-    window = max(1, round(1.0 / result.run_config.interval_s))
-    smoothed = np.convolve(objective, np.ones(window) / window, mode="valid")
-    threshold = 0.95 * final_level
-    hits = np.nonzero(smoothed >= threshold)[0]
-    if hits.size == 0:
-        return float(times[-1])
-    return float(times[hits[0] + window - 1])

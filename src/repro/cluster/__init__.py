@@ -11,7 +11,6 @@ engine. See DESIGN.md ("Cluster architecture").
 
 from repro.cluster.budget import (
     BudgetLike,
-    BudgetTransfer,
     ResourceBudget,
     coerce_budget,
     pool_totals,
@@ -48,7 +47,6 @@ from repro.cluster.simulator import (
 
 __all__ = [
     "BudgetLike",
-    "BudgetTransfer",
     "ClusterResult",
     "ClusterSimulator",
     "ContentionAwarePlacement",

@@ -141,40 +141,6 @@ class ResourceBudget:
         return cls(tuple((r.name, int(units)) for r in catalog))
 
 
-@dataclass(frozen=True)
-class BudgetTransfer:
-    """One unit movement the broker decided: the budget-flow ledger entry.
-
-    Emitted as a ``budget_transfer`` trace event and kept countable so
-    conservation is auditable: every transfer has a source and a
-    target, units never appear or vanish.
-    """
-
-    epoch: int
-    resource: str
-    units: int
-    source: int
-    target: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "epoch", int(self.epoch))
-        object.__setattr__(self, "resource", str(self.resource))
-        object.__setattr__(self, "units", int(self.units))
-        object.__setattr__(self, "source", int(self.source))
-        object.__setattr__(self, "target", int(self.target))
-        if self.units < 1:
-            raise ClusterError(f"a transfer moves >= 1 unit, got {self.units}")
-        if self.source == self.target:
-            raise ClusterError(f"transfer from node {self.source} to itself")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return serialize.dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BudgetTransfer":
-        return serialize.dataclass_from_dict(cls, data)
-
-
 def scaled_catalog(catalog: ResourceCatalog, budget: ResourceBudget) -> ResourceCatalog:
     """``catalog`` with unit counts overridden by ``budget``.
 

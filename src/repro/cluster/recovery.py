@@ -39,12 +39,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.budget import ResourceBudget
 from repro.cluster.node import ServerNode
-from repro.engine.spec import derive_seed
 from repro.errors import ClusterError, ExperimentError
 from repro.faults.nodes import NodeFaultPlan, NodeFaultSchedule
 from repro.faults.plan import FaultPlan
 from repro.obs import active_collector
 from repro.resources.types import ResourceCatalog
+from repro.rng import derive_seed
 from repro.state import PolicyState
 from repro.workloads.arrivals import JobArrival
 
@@ -250,10 +250,6 @@ class FleetSupervisor:
     @property
     def recovery(self) -> Optional[RecoveryConfig]:
         return self._recovery
-
-    @property
-    def schedules(self) -> Dict[int, NodeFaultSchedule]:
-        return dict(self._schedules)
 
     @property
     def down_nodes(self) -> Tuple[int, ...]:

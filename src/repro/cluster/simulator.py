@@ -115,16 +115,16 @@ from repro.cluster.recovery import (
     RecoveryConfig,
 )
 from repro.engine import ExecutionEngine, RunError, RunSpec
-from repro.engine.spec import derive_seed
 from repro.errors import ClusterError
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
-from repro.faults.nodes import NodeFaultPlan, NodeFaultSchedule
+from repro.faults.nodes import NodeFaultPlan
 from repro.faults.plan import FaultPlan
 from repro.metrics.fairness import jain_index
 from repro.obs import active_collector
 from repro.policies.registry import policy_is_qos_aware
 from repro.qos.slo import SLOSpec, SLOSummary, SLOTracker
 from repro.resources.types import ResourceCatalog
+from repro.rng import derive_seed
 from repro.workloads.arrivals import KIND_QOS, ArrivalTrace
 
 
@@ -621,11 +621,6 @@ class ClusterSimulator:
     def recovery(self) -> Optional[RecoveryConfig]:
         """The supervised-recovery policy (``None`` = ablation)."""
         return self._supervisor.recovery
-
-    @property
-    def fleet_schedules(self) -> Dict[int, NodeFaultSchedule]:
-        """Realized fleet weather per node (empty without fleet plans)."""
-        return self._supervisor.schedules
 
     @property
     def down_nodes(self) -> Tuple[int, ...]:

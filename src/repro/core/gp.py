@@ -288,18 +288,6 @@ class GaussianProcess:
         """Posterior mean in target units, from the cross kernel."""
         return (k_star @ self._alpha) * self._y_std + self._y_mean
 
-    def log_marginal_likelihood(self) -> float:
-        """Log evidence of the fitted data under the current kernel."""
-        if not self.is_fitted:
-            raise ModelError("log_marginal_likelihood() before fit()")
-        z_fit = self._chol @ (self._chol.T @ self._alpha)  # reconstruct z
-        n = self._x.shape[0]
-        return float(
-            -0.5 * z_fit @ self._alpha
-            - np.sum(np.log(np.diag(self._chol)))
-            - 0.5 * n * np.log(2.0 * np.pi)
-        )
-
     def _best_kernel(self, x: np.ndarray, z: np.ndarray) -> Tuple[Kernel, Optional[np.ndarray]]:
         """Grid-search the length scale by marginal likelihood.
 

@@ -21,7 +21,8 @@ layout contracts.
 
 from repro.engine.cache import CACHE_SCHEMA_VERSION, RunCache, default_cache_salt
 from repro.engine.engine import EngineStats, ExecutionEngine, RunError, execute_run
-from repro.engine.spec import RunSpec, derive_seed
+from repro.engine.spec import RunSpec
+from repro.rng import derive_seed
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",

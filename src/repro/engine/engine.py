@@ -37,11 +37,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.cache import RunCache
-from repro.engine.spec import RunSpec, derive_seed
+from repro.engine.spec import RunSpec
 from repro.errors import EngineError
 from repro.experiments.runner import RunResult, run_policy
 from repro.obs import TraceCollector, TraceEvent, active_collector, use_collector
 from repro.policies.registry import make_policy
+from repro.rng import derive_seed
 
 
 def execute_run(spec: RunSpec) -> RunResult:

@@ -28,22 +28,10 @@ from repro.experiments.runner import RunConfig
 from repro.faults.plan import FaultPlan
 from repro.metrics.goals import GoalSet
 from repro.resources.types import Resource, ResourceCatalog, ResourceKind
+from repro.rng import derive_seed
 from repro.state import PolicyState
 from repro.workloads.mixes import JobMix
 from repro.workloads.model import Workload
-
-#: Derived seeds live in numpy's legal seed range.
-_SEED_SPACE = 2**63 - 1
-
-
-def derive_seed(*parts: Any) -> int:
-    """A stable 63-bit seed from arbitrary string-able parts.
-
-    Used wherever a deterministic child seed is needed outside a spec
-    (e.g. legacy in-process policies that bypass the registry).
-    """
-    text = "/".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") % _SEED_SPACE
 
 
 def _freeze(value: Any) -> Any:

@@ -21,11 +21,10 @@ import numpy as np
 from repro.engine import ExecutionEngine, RunSpec
 from repro.errors import ExperimentError
 from repro.metrics.goals import GoalSet
-from repro.policies.base import PartitioningPolicy
-from repro.policies.registry import make_policy, policy_names
+from repro.policies.registry import policy_names
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH, ResourceCatalog
-from repro.rng import SeedLike, make_rng, spawn_rng
+from repro.rng import SeedLike, make_rng
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.workloads.mixes import JobMix
 
@@ -114,32 +113,6 @@ def comparison_specs(
     )
     oracle = RunSpec(policy="Oracle", policy_kwargs=_ORACLE_KWARGS, **base)
     return oracle, {name: RunSpec(policy=name, **base) for name in include}
-
-
-def standard_policies(
-    catalog: ResourceCatalog,
-    n_jobs: int,
-    seed: SeedLike = None,
-    include: Sequence[str] = STANDARD_POLICY_ORDER,
-) -> Dict[str, PartitioningPolicy]:
-    """Fresh instances of the paper's competing policies.
-
-    Construction goes through the policy-factory registry
-    (:mod:`repro.policies.registry`) — the same factories the engine's
-    worker processes use — rather than ad-hoc closures.
-
-    Args:
-        include: which of the standard policy names to build.
-    """
-    rng = make_rng(seed)
-    known = set(policy_names())
-    unknown = set(include) - known
-    if unknown:
-        raise ExperimentError(f"unknown policies {sorted(unknown)}; have {sorted(known)}")
-    return {
-        name: make_policy(name, None, catalog, rng=spawn_rng(rng), n_jobs=n_jobs)
-        for name in include
-    }
 
 
 def compare_on_mix(

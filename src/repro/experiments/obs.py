@@ -83,20 +83,10 @@ class DecisionBudget:
         return self.suggest_ms + self.actuation_ms
 
     @property
-    def total_overhead_ms(self) -> float:
-        """Everything controller-side: decide (incl. bookkeeping) + actuation."""
-        return self.decide_ms + self.actuation_ms
-
-    @property
     def bookkeeping_ms(self) -> float:
         """Decide time outside the BO suggestion: sample validation,
         record keeping, and weight scheduling (monitoring-side work)."""
         return max(0.0, self.decide_ms - self.suggest_ms)
-
-    @property
-    def other_decision_ms(self) -> float:
-        """Suggest time not captured by the GP-fit/acquisition spans."""
-        return max(0.0, self.suggest_ms - self.gp_fit_ms - self.acquisition_ms)
 
     @property
     def component_ms(self) -> float:

@@ -67,11 +67,10 @@ def _tail_level(series: np.ndarray) -> float:
 def _series_recovery(series: np.ndarray, reference_level: float, window: int) -> int:
     """Intervals until a 1 s moving average reaches 95% of the reference level.
 
-    Local (step-indexed) variant of
-    :func:`repro.analysis.stats.convergence_time_s`: epoch telemetry
-    starts at a nonzero phase offset, so wall-clock times would need
-    de-offsetting anyway — counting intervals sidesteps that. Never
-    reaching the level counts as the full series length (censored).
+    Counted in intervals, not seconds: epoch telemetry starts at a
+    nonzero phase offset, so wall-clock times would need de-offsetting
+    — counting intervals sidesteps that. Never reaching the level
+    counts as the full series length (censored).
     """
     smoothed = np.convolve(series, np.ones(window) / window, mode="valid")
     hits = np.nonzero(smoothed >= 0.95 * reference_level)[0]

@@ -35,13 +35,13 @@ beyond the last epoch is unobservable by construction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.rng import derive_seed
 
 #: Node-level event kinds.
 NODE_DOWN = "down"            # node unavailable: crash or blackout window
@@ -55,12 +55,6 @@ _RATE_FIELDS = ("blackout_rate", "straggler_rate", "flaky_rate")
 
 #: Fields that are window lengths in epochs (validated to >= 1).
 _EPOCH_FIELDS = ("blackout_epochs", "straggler_epochs", "flaky_epochs")
-
-
-def _stream_seed(seed: int, stream: str) -> int:
-    """A stable 63-bit child seed for one named fleet-fault stream."""
-    digest = hashlib.sha256(f"fleet/{int(seed)}/{stream}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -338,9 +332,9 @@ class NodeFaultSchedule:
             raise ExperimentError(f"n_epochs must be >= 1, got {n_epochs}")
         plan.validate_horizon(n_epochs)
 
-        rng_down = np.random.default_rng(_stream_seed(seed, "blackout"))
-        rng_slow = np.random.default_rng(_stream_seed(seed, "straggler"))
-        rng_flky = np.random.default_rng(_stream_seed(seed, "flaky"))
+        rng_down = np.random.default_rng(derive_seed("fleet", int(seed), "blackout"))
+        rng_slow = np.random.default_rng(derive_seed("fleet", int(seed), "straggler"))
+        rng_flky = np.random.default_rng(derive_seed("fleet", int(seed), "flaky"))
 
         end_window = n_epochs if plan.end_epoch is None else min(plan.end_epoch, n_epochs)
         events: List[NodeFaultEvent] = []

@@ -19,7 +19,6 @@ timeline of late events does not depend on early ones.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.faults.plan import FaultPlan
+from repro.rng import derive_seed
 
 #: Event kinds.
 ACTUATION = "actuation"  # MSR writes fail (magnitude = failing attempts)
@@ -42,12 +42,6 @@ _KINDS = (ACTUATION, DROP, NAN, STUCK, OUTLIER, CRASH, HANG)
 #: Magnitude marking a persistent outage: more failing attempts than
 #: any bounded retry budget, so retry alone can never rescue it.
 OUTAGE_ATTEMPTS = 10**9
-
-
-def _stream_seed(seed: int, stream: str) -> int:
-    """A stable 63-bit child seed for one named fault stream."""
-    digest = hashlib.sha256(f"faults/{int(seed)}/{stream}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") % (2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ class FaultSchedule:
         if interval_s <= 0 or duration_s <= 0:
             raise ExperimentError("duration and interval must be positive")
 
-        rng_act = np.random.default_rng(_stream_seed(seed, "actuation"))
-        rng_mon = np.random.default_rng(_stream_seed(seed, "monitoring"))
-        rng_wrk = np.random.default_rng(_stream_seed(seed, "workload"))
+        rng_act = np.random.default_rng(derive_seed("faults", int(seed), "actuation"))
+        rng_mon = np.random.default_rng(derive_seed("faults", int(seed), "monitoring"))
+        rng_wrk = np.random.default_rng(derive_seed("faults", int(seed), "workload"))
 
         start, end = plan.window(duration_s)
         n_steps = int(round(duration_s / interval_s))

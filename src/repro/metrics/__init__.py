@@ -1,36 +1,14 @@
 """Throughput and fairness metrics, and the GoalSet evaluator."""
 
-from repro.metrics.fairness import (
-    FAIRNESS_METRICS,
-    coefficient_of_variation,
-    jain_index,
-    one_minus_cov,
-    one_minus_cov_normalized,
-)
+from repro.metrics.fairness import jain_index
 from repro.metrics.goals import FAIRNESS_CHOICES, THROUGHPUT_CHOICES, GoalScores, GoalSet
-from repro.metrics.throughput import (
-    THROUGHPUT_METRICS,
-    geometric_mean_speedup,
-    harmonic_mean_speedup,
-    speedups,
-    total_ips,
-    weighted_mean_speedup,
-)
+from repro.metrics.throughput import speedups
 
 __all__ = [
     "FAIRNESS_CHOICES",
-    "FAIRNESS_METRICS",
     "GoalScores",
     "GoalSet",
     "THROUGHPUT_CHOICES",
-    "THROUGHPUT_METRICS",
-    "coefficient_of_variation",
-    "geometric_mean_speedup",
-    "harmonic_mean_speedup",
     "jain_index",
-    "one_minus_cov",
-    "one_minus_cov_normalized",
     "speedups",
-    "total_ips",
-    "weighted_mean_speedup",
 ]

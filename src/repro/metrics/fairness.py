@@ -6,6 +6,8 @@ speedups, ``1 / (1 + CoV^2)``, which is 1 when every job suffers the
 same relative slowdown and approaches 0 as the slowdowns diverge.
 ``1 - CoV`` is provided as the alternative metric the paper discusses
 (unbounded below, hence the normalization note in Sec. III-B).
+:class:`~repro.metrics.goals.GoalSet` names them ``"jain"`` and
+``"one_minus_cov"``.
 
 The metrics run on Python floats and sum in numpy's order
 (:func:`~repro.metrics.summation.np_sum`), so each equals its numpy
@@ -15,19 +17,15 @@ formula (``np.std(s) / np.mean(s)`` for the CoV) bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import ExperimentError
 from repro.metrics.summation import np_sum
 from repro.metrics.throughput import checked_speedups
 
 
-def coefficient_of_variation(job_speedups: Sequence[float]) -> float:
-    """Population CoV (std as a fraction of the mean) of the speedups."""
-    return _cov(checked_speedups(job_speedups))
-
-
 def _cov(s: List[float]) -> float:
+    """Population CoV (std as a fraction of the mean) of the speedups."""
     n = len(s)
     mean = np_sum(s) / n
     if mean <= 0:
@@ -46,28 +44,12 @@ def _jain(s: List[float]) -> float:
     return 1.0 / (1.0 + cov * cov)
 
 
-def one_minus_cov(job_speedups: Sequence[float]) -> float:
-    """The ``1 - CoV`` fairness metric (1 when perfectly fair; can be < 0)."""
-    return 1.0 - coefficient_of_variation(job_speedups)
-
-
-def one_minus_cov_normalized(job_speedups: Sequence[float]) -> float:
+def _one_minus_cov_normalized(s: List[float]) -> float:
     """``1 - CoV`` clipped into [0, 1] (the paper normalizes unbounded
     metrics into a common [0, 1] range before weighting, Sec. III-B)."""
-    return _one_minus_cov_normalized(checked_speedups(job_speedups))
-
-
-def _one_minus_cov_normalized(s: List[float]) -> float:
     value = 1.0 - _cov(s)
     if value < 0.0:
         return 0.0
     if value > 1.0:
         return 1.0
     return value  # NaN passes through, as np.clip lets it
-
-
-#: Named fairness metrics for metric-sweep experiments.
-FAIRNESS_METRICS: Dict[str, Callable[[Sequence[float]], float]] = {
-    "jain": jain_index,
-    "one_minus_cov": one_minus_cov_normalized,
-}

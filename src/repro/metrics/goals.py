@@ -76,9 +76,9 @@ class GoalSet:
     def scores(self, ips: Sequence[float], isolation_ips: Sequence[float]) -> GoalScores:
         """Normalized goal scores for one set of measurements.
 
-        Converts and checks the speedups once, then runs the metric
-        functions' own formulas on them, on Python floats: the
-        controller and the telemetry log each score every interval.
+        Converts and checks the speedups once, then runs the chosen
+        formulas on them, on Python floats: the controller and the
+        telemetry log each score every interval.
         """
         s, iso = _measured_speedups(ips, isolation_ips)
         return GoalScores(throughput=self._throughput(s, iso), fairness=self._fairness(s))

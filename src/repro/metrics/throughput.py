@@ -12,6 +12,9 @@ second*; normalized by the sum of isolation IPS it equals the
 IPS-weighted mean speedup. Geometric and harmonic mean speedups are
 provided because Sec. II lists them as common alternatives and the
 paper confirms SATORI's improvements hold for them.
+:class:`~repro.metrics.goals.GoalSet` is the one caller of these
+formulas and names them (``"sum_ips"``, ``"geometric_mean"``,
+``"harmonic_mean"``).
 
 Every metric but the geometric mean runs on Python floats and sums in
 numpy's order (:func:`~repro.metrics.summation.np_sum`), so it equals
@@ -22,7 +25,7 @@ its numpy formula bit for bit; the geometric mean keeps numpy's
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,66 +59,29 @@ def _speedups(
     return [value / base for value, base in zip(ips, iso)], iso
 
 
-def geometric_mean_speedup(job_speedups: Sequence[float]) -> float:
-    """Geometric mean of the per-job speedups."""
-    return _geometric_mean(checked_speedups(job_speedups))
-
-
 def _geometric_mean(s: List[float]) -> float:
+    """Geometric mean of the per-job speedups."""
     return float(np.exp(np.mean(np.log(np.maximum(s, 1e-12)))))
 
 
-def harmonic_mean_speedup(job_speedups: Sequence[float]) -> float:
-    """Harmonic mean of the per-job speedups."""
-    return _harmonic_mean(checked_speedups(job_speedups))
-
-
 def _harmonic_mean(s: List[float]) -> float:
+    """Harmonic mean of the per-job speedups."""
     # np.maximum(v, 1e-12), which keeps a NaN (``nan < 1e-12`` is false).
     reciprocal_sum = np_sum([1.0 / (1e-12 if v < 1e-12 else v) for v in s])
     # Only all-infinite speedups sum to zero; numpy reads that as inf.
     return len(s) / reciprocal_sum if reciprocal_sum else math.inf
 
 
-def weighted_mean_speedup(job_speedups: Sequence[float], isolation_ips: Sequence[float]) -> float:
+def _weighted_mean(s: List[float], iso: List[float]) -> float:
     """Sum-of-IPS throughput, normalized by the isolation sum.
 
     ``sum_i ips_i / sum_i iso_i`` — the paper's default throughput
     metric in its [0, 1] normalized form.
-
-    Raises:
-        ExperimentError: on an empty, negative or mismatched input, or
-            isolation IPS that sum to zero.
     """
-    s = checked_speedups(job_speedups)
-    iso = [float(v) for v in isolation_ips]
-    if len(iso) != len(s):
-        raise ExperimentError(f"{len(s)} speedups for {len(iso)} baselines")
-    return _weighted_mean(s, iso)
-
-
-def _weighted_mean(s: List[float], iso: List[float]) -> float:
     iso_sum = np_sum(iso)
     if iso_sum == 0:
         raise ExperimentError("isolation IPS must not sum to zero")
     return np_sum([value * base for value, base in zip(s, iso)]) / iso_sum
-
-
-def total_ips(ips: Sequence[float]) -> float:
-    """Raw sum of instructions per second (unnormalized)."""
-    values = [float(v) for v in ips]
-    if not values:
-        raise ExperimentError("need at least one job")
-    return np_sum(values)
-
-
-#: Named throughput metrics over speedups alone, for metric-sweep
-#: experiments ("SATORI provides similar improvements ... for other
-#: commonly-used objective metrics").
-THROUGHPUT_METRICS: Dict[str, Callable[[Sequence[float]], float]] = {
-    "geometric_mean": geometric_mean_speedup,
-    "harmonic_mean": harmonic_mean_speedup,
-}
 
 
 def checked_speedups(job_speedups: Sequence[float]) -> List[float]:

@@ -21,11 +21,7 @@ from repro.policies.registry import (
     policy_names,
     register_policy,
 )
-from repro.policies.static import (
-    EqualPartitionPolicy,
-    FixedConfigurationPolicy,
-    UnmanagedPolicy,
-)
+from repro.policies.static import EqualPartitionPolicy
 
 __all__ = [
     "BoPFPolicy",
@@ -33,7 +29,6 @@ __all__ = [
     "DCatPolicy",
     "DEFAULT_MAX_CONFIGS",
     "EqualPartitionPolicy",
-    "FixedConfigurationPolicy",
     "OraclePolicy",
     "OracleResult",
     "OracleSearch",
@@ -42,7 +37,6 @@ __all__ = [
     "PolicyBuilder",
     "QosPartiesPolicy",
     "RandomSearchPolicy",
-    "UnmanagedPolicy",
     "balanced_oracle",
     "make_policy",
     "policy_is_qos_aware",

@@ -136,18 +136,18 @@ def _space(
 
 
 @register_policy("Random")
-def _build_random(mix, catalog, goals, rng, n_jobs, **kwargs):
-    return RandomSearchPolicy(_space(catalog, n_jobs), goals, rng=make_rng(rng), **kwargs)
+def _build_random(mix, catalog, goals, rng, n_jobs):
+    return RandomSearchPolicy(_space(catalog, n_jobs), goals, rng=make_rng(rng))
 
 
 @register_policy("dCAT")
-def _build_dcat(mix, catalog, goals, rng, n_jobs, **kwargs):
-    return DCatPolicy(_space(catalog, n_jobs, [LLC_WAYS]), goals, rng=make_rng(rng), **kwargs)
+def _build_dcat(mix, catalog, goals, rng, n_jobs):
+    return DCatPolicy(_space(catalog, n_jobs, [LLC_WAYS]), goals, rng=make_rng(rng))
 
 
 @register_policy("CoPart")
-def _build_copart(mix, catalog, goals, rng, n_jobs, **kwargs):
-    return CoPartPolicy(_space(catalog, n_jobs, [LLC_WAYS, MEMORY_BANDWIDTH]), goals, **kwargs)
+def _build_copart(mix, catalog, goals, rng, n_jobs):
+    return CoPartPolicy(_space(catalog, n_jobs, [LLC_WAYS, MEMORY_BANDWIDTH]), goals)
 
 
 @register_policy("PARTIES")
@@ -156,8 +156,8 @@ def _build_parties(mix, catalog, goals, rng, n_jobs):
 
 
 @register_policy("EqualPartition")
-def _build_equal(mix, catalog, goals, rng, n_jobs, **kwargs):
-    return EqualPartitionPolicy(_space(catalog, n_jobs), goals, **kwargs)
+def _build_equal(mix, catalog, goals, rng, n_jobs):
+    return EqualPartitionPolicy(_space(catalog, n_jobs), goals)
 
 
 @register_policy("SATORI")

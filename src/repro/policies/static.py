@@ -2,22 +2,14 @@
 
 * :class:`EqualPartitionPolicy` — install the equal split once and
   never move (a sanity baseline; also SATORI's ``S_init``).
-* :class:`FixedConfigurationPolicy` — hold an arbitrary fixed
-  configuration (used by characterization experiments that compare
-  specific configurations, e.g. Fig. 3).
-* :class:`UnmanagedPolicy` — no partitioning at all: every resource is
-  shared and the contention model applies. This is the paper's
-  "baseline (unmanaged partitioning of the resources)".
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.metrics.goals import GoalSet
 from repro.policies.base import PartitioningPolicy
 from repro.resources.allocation import Configuration
-from repro.resources.space import ConfigurationSpace
 from repro.system.simulation import Observation
 
 
@@ -28,31 +20,3 @@ class EqualPartitionPolicy(PartitioningPolicy):
 
     def decide(self, observation: Optional[Observation]) -> Configuration:
         return self._space.equal_partition()
-
-
-class FixedConfigurationPolicy(PartitioningPolicy):
-    """Hold one fixed configuration for the whole run."""
-
-    name = "Fixed"
-
-    def __init__(self, space: ConfigurationSpace, config: Configuration, goals: GoalSet = None):
-        super().__init__(space, goals)
-        config.validate(space.catalog)
-        self._config = config
-        self.name = f"Fixed({config!r})"
-
-    def decide(self, observation: Optional[Observation]) -> Configuration:
-        return self._config
-
-
-class UnmanagedPolicy(PartitioningPolicy):
-    """No partitioning: all resources shared (contention applies)."""
-
-    name = "Unmanaged"
-
-    def decide(self, observation: Optional[Observation]) -> Optional[Configuration]:
-        return None
-
-    @property
-    def controlled_resources(self):
-        return ()

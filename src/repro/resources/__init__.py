@@ -4,18 +4,13 @@ Public surface of the resource layer; higher layers (hardware
 substrate, policies, SATORI core) depend only on these names.
 """
 
-from repro.resources.allocation import (
-    Configuration,
-    configuration_distance,
-    equal_partition,
-)
+from repro.resources.allocation import Configuration, equal_partition
 from repro.resources.presets import preset_catalog, preset_names
 from repro.resources.space import (
     ConfigurationSpace,
     compositions_matrix,
     count_compositions,
     iter_compositions,
-    sample_composition,
 )
 from repro.resources.types import (
     CORES,
@@ -39,12 +34,10 @@ __all__ = [
     "ResourceCatalog",
     "ResourceKind",
     "compositions_matrix",
-    "configuration_distance",
     "count_compositions",
     "default_catalog",
     "equal_partition",
     "iter_compositions",
     "preset_catalog",
     "preset_names",
-    "sample_composition",
 ]

@@ -210,18 +210,3 @@ def equal_partition(catalog: ResourceCatalog, n_jobs: int) -> Configuration:
         allocations[resource.name] = tuple(base + (1 if j < extra else 0) for j in range(n_jobs))
     return Configuration(allocations)
 
-
-def configuration_distance(a: Configuration, b: Configuration) -> float:
-    """Euclidean distance between two configurations (paper Fig. 15).
-
-    Both configurations must partition the same resources for the same
-    number of jobs; the distance is taken over the flattened unit-count
-    vectors.
-    """
-    if a.resource_names != b.resource_names:
-        raise ConfigurationError(
-            f"configurations partition different resources: {a.resource_names} vs {b.resource_names}"
-        )
-    if a.n_jobs != b.n_jobs:
-        raise ConfigurationError(f"configurations cover {a.n_jobs} vs {b.n_jobs} jobs")
-    return float(np.linalg.norm(a.as_vector() - b.as_vector()))

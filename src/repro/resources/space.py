@@ -77,27 +77,6 @@ def compositions_matrix(units: int, parts: int, min_units: int = 1) -> np.ndarra
     return np.asarray(rows, dtype=np.int64)
 
 
-def sample_composition(
-    units: int, parts: int, rng: np.random.Generator, min_units: int = 1
-) -> Tuple[int, ...]:
-    """Draw one composition uniformly at random.
-
-    Uses the stars-and-bars bijection: choosing ``parts - 1`` distinct
-    cut points among ``free + parts - 1`` slots is uniform over
-    compositions.
-    """
-    free = units - parts * min_units
-    if free < 0:
-        raise SpaceError(f"cannot split {units} units into {parts} parts of >= {min_units}")
-    if parts == 1:
-        return (units,)
-    slots = free + parts - 1
-    cuts = np.sort(rng.choice(slots, size=parts - 1, replace=False))
-    bounds = np.concatenate(([-1], cuts, [slots]))
-    gaps = np.diff(bounds) - 1
-    return tuple(int(g) + min_units for g in gaps)
-
-
 class ConfigurationSpace:
     """All valid partitionings of a catalog's resources among ``n_jobs`` jobs.
 
@@ -141,9 +120,9 @@ class ConfigurationSpace:
         self._names = catalog.names
         self._column_units = np.repeat([r.units for r in catalog], n_jobs)
         self._column_floors = np.repeat([r.min_units for r in catalog], n_jobs)
-        # One delta row per unit move, in neighbors() order: resource,
-        # then donor, then receiver. A move is legal when its donor
-        # column stays at or above the resource's min_units.
+        # One delta row per unit move, ordered by resource, then donor,
+        # then receiver. A move is legal when its donor column stays at
+        # or above the resource's min_units.
         donor, receiver = np.nonzero(~np.eye(n_jobs, dtype=bool))
         offsets = np.repeat(np.arange(len(catalog)) * n_jobs, donor.size)
         self._move_donors = offsets + np.tile(donor, len(catalog))
@@ -342,19 +321,14 @@ class ConfigurationSpace:
 
     # -- local moves -------------------------------------------------------
 
-    def neighbors(self, config: Configuration) -> List[Configuration]:
-        """All configurations one unit-move away from ``config``.
+    def neighbor_rows(self, row: np.ndarray) -> np.ndarray:
+        """All rows one unit-move away from ``row``.
 
         A unit move transfers one unit of one resource from one job to
-        another, respecting the resource's ``min_units``. These moves are
-        the local-refinement part of SATORI's BO candidate pool, which
-        ``core/bo.py`` builds from :meth:`neighbor_rows`; this method is
-        a thin wrapper over it.
+        another, respecting the resource's ``min_units``. These moves
+        are the local-refinement part of SATORI's BO candidate pool
+        (``core/bo.py``).
         """
-        return [self.from_row(row) for row in self.neighbor_rows(self.to_rows([config])[0])]
-
-    def neighbor_rows(self, row: np.ndarray) -> np.ndarray:
-        """Every legal unit move of ``row``, in :meth:`neighbors` order."""
         legal = row[self._move_donors] > self._column_floors[self._move_donors]
         return row + self._move_deltas[legal]
 

@@ -9,11 +9,27 @@ repeatable.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import hashlib
+from typing import Any, Optional, Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, None]
+
+#: Derived seeds live in numpy's legal seed range.
+_SEED_SPACE = 2**63 - 1
+
+
+def derive_seed(*parts: Any) -> int:
+    """A stable 63-bit seed from arbitrary string-able parts.
+
+    The SHA-256 of the parts joined by ``/``, so a child seed depends
+    only on what it is derived from, never on call order or process:
+    spec streams, fault streams, fleet weather and serve sessions all
+    take theirs from here.
+    """
+    text = "/".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") % _SEED_SPACE
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:

@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from repro import serialize
-from repro.engine.spec import derive_seed
 from repro.errors import ExperimentError
 from repro.experiments.runner import experiment_catalog
 from repro.metrics.goals import GoalSet
 from repro.obs import active_collector
 from repro.policies.registry import make_policy, policy_is_qos_aware
+from repro.rng import derive_seed
 from repro.state import PolicyState
 from repro.system.session import ControlSession
 from repro.system.simulation import DEFAULT_CONTROL_INTERVAL_S, CoLocationSimulator

@@ -88,9 +88,6 @@ class ServerLike(Protocol):
 
     # -- control plane -----------------------------------------------------
 
-    @property
-    def current_config(self) -> Optional[Configuration]: ...
-
     def step(self, config: Optional[Configuration] = None) -> Observation: ...
 
     def measure_isolation(self, noisy: bool = False) -> np.ndarray: ...

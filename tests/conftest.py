@@ -38,7 +38,7 @@ def pytest_pyfunc_call(pyfuncitem):
 from repro.experiments.runner import experiment_catalog
 from repro.metrics.goals import GoalSet
 from repro.resources.space import ConfigurationSpace
-from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH, default_catalog
+from repro.resources.types import default_catalog
 from repro.system.simulation import CoLocationSimulator
 from repro.workloads.mixes import JobMix, mix_from_names, suite_mixes
 from repro.workloads.registry import default_registry

@@ -1,74 +1,11 @@
-"""Tests for the analysis module (export + replication statistics)."""
-
-import csv
-import io
-import json
+"""Tests for the analysis module's replication statistics."""
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.analysis.export import (
-    run_summary,
-    run_summary_json,
-    telemetry_rows,
-    telemetry_to_csv,
-)
-from repro.analysis.stats import (
-    confidence_interval,
-    convergence_time_s,
-    paired_deltas,
-    replicate_policy,
-)
-from repro.core.controller import SatoriController
+from repro.analysis.stats import confidence_interval, paired_deltas
 from repro.errors import ExperimentError
-from repro.experiments.comparison import full_space
-from repro.experiments.runner import RunConfig, run_policy
-from repro.policies.static import EqualPartitionPolicy
-
-
-@pytest.fixture(scope="module")
-def small_run(request):
-    catalog6 = request.getfixturevalue("catalog6")
-    mix = request.getfixturevalue("parsec_mix3")
-    policy = SatoriController(full_space(catalog6, 3), rng=0)
-    return run_policy(policy, mix, catalog6, RunConfig(duration_s=4.0), seed=0)
-
-
-class TestExport:
-    def test_rows_per_interval(self, small_run):
-        rows = telemetry_rows(small_run.telemetry)
-        assert len(rows) == len(small_run.telemetry)
-        assert {"time_s", "throughput", "fairness"} <= set(rows[0])
-
-    def test_rows_include_per_job_columns(self, small_run):
-        rows = telemetry_rows(small_run.telemetry)
-        assert "ips_job0" in rows[0] and "speedup_job2" in rows[0]
-
-    def test_rows_include_diagnostics(self, small_run):
-        rows = telemetry_rows(small_run.telemetry)
-        assert any("weight_throughput" in row for row in rows)
-
-    def test_csv_parses_back(self, small_run):
-        text = telemetry_to_csv(small_run.telemetry)
-        parsed = list(csv.DictReader(io.StringIO(text)))
-        assert len(parsed) == len(small_run.telemetry)
-        assert float(parsed[0]["time_s"]) == pytest.approx(0.1)
-
-    def test_csv_empty_log(self):
-        from repro.system.telemetry import TelemetryLog
-
-        assert telemetry_to_csv(TelemetryLog()) == ""
-
-    def test_summary_fields(self, small_run):
-        summary = run_summary(small_run)
-        assert summary["policy"] == "SATORI"
-        assert summary["intervals"] == 40
-        assert len(summary["mean_job_speedups"]) == 3
-
-    def test_summary_json_roundtrip(self, small_run):
-        parsed = json.loads(run_summary_json(small_run))
-        assert parsed["mix"] == small_run.mix_label
 
 
 class TestConfidenceInterval:
@@ -100,40 +37,6 @@ class TestConfidenceInterval:
             t = scipy_stats.t.ppf(0.975, df=n - 1)
             score = confidence_interval(values)
             assert (score.ci_low, score.ci_high) == (mean - t * sem, mean + t * sem), n
-
-
-class TestReplication:
-    def test_replicate_policy(self, catalog6, parsec_mix3):
-        replicated = replicate_policy(
-            lambda: EqualPartitionPolicy(full_space(catalog6, 3)),
-            parsec_mix3,
-            catalog6,
-            RunConfig(duration_s=2.0),
-            seeds=(0, 1, 2),
-        )
-        assert replicated.throughput.n == 3
-        assert 0 < replicated.throughput.mean <= 1
-        assert len(replicated.results) == 3
-
-    def test_needs_two_seeds(self, catalog6, parsec_mix3):
-        with pytest.raises(ExperimentError):
-            replicate_policy(
-                lambda: EqualPartitionPolicy(full_space(catalog6, 3)),
-                parsec_mix3,
-                catalog6,
-                seeds=(0,),
-            )
-
-
-class TestConvergence:
-    def test_convergence_within_run(self, small_run):
-        t = convergence_time_s(small_run)
-        assert 0 < t <= small_run.run_config.duration_s
-
-    def test_static_policy_converges_immediately(self, catalog6, parsec_mix3):
-        policy = EqualPartitionPolicy(full_space(catalog6, 3))
-        result = run_policy(policy, parsec_mix3, catalog6, RunConfig(duration_s=4.0), seed=0)
-        assert convergence_time_s(result) <= 2.0
 
 
 class TestPairedDeltas:

@@ -1,14 +1,8 @@
 """Tests for the terminal plot renderers."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.plots import (
-    bar_chart,
-    cluster_node_dashboard,
-    line_chart,
-    sparkline,
-)
+from repro.analysis.plots import bar_chart, cluster_node_dashboard, sparkline
 from repro.cluster.budget import ResourceBudget
 from repro.cluster.simulator import ClusterResult, NodeEpochRecord
 from repro.errors import ExperimentError
@@ -131,24 +125,3 @@ class TestClusterNodeDashboard:
         assert node0.rstrip().endswith("-")
         assert node1.rstrip().endswith("4.00")
 
-
-class TestLineChart:
-    def test_dimensions(self):
-        chart = line_chart({"s": np.sin(np.linspace(0, 6, 50))}, height=8, width=40)
-        lines = chart.splitlines()
-        assert len(lines) == 9  # height rows + legend
-        assert "s" in lines[-1]
-
-    def test_multi_series_legend(self):
-        chart = line_chart({"a": [1, 2], "b": [2, 1]})
-        assert "* a" in chart and "+ b" in chart
-
-    def test_axis_labels_show_range(self):
-        chart = line_chart({"a": [0.0, 10.0]})
-        assert "10.000" in chart and "0.000" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ExperimentError):
-            line_chart({})
-        with pytest.raises(ExperimentError):
-            line_chart({"a": []})

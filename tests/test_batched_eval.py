@@ -332,7 +332,6 @@ class TestCandidatePoolPairing:
             assert np.array_equal(
                 space.neighbor_rows(as_rows(space, [config])[0]), as_rows(space, expected)
             )
-            assert space.neighbors(config) == expected
 
 
 # -- workload models ------------------------------------------------------

@@ -2,7 +2,6 @@
 cluster-level budget broker (conservation, determinism, and the
 broker x placement sweep)."""
 
-import json
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.broker import (
     register_broker,
 )
 from repro.cluster import (
-    BudgetTransfer,
     ClusterSimulator,
     RecoveryConfig,
     ResourceBudget,
@@ -411,20 +409,6 @@ class TestDeterminism:
         a = self._drive(make_broker(name), rounds, catalog4)
         b = self._drive(make_broker(name), rounds, catalog4)
         assert a == b
-
-
-class TestBudgetTransfer:
-    def test_validation(self):
-        with pytest.raises(ClusterError):
-            BudgetTransfer(epoch=0, resource="cores", units=0, source=0, target=1)
-        with pytest.raises(ClusterError):
-            BudgetTransfer(epoch=0, resource="cores", units=1, source=1, target=1)
-
-    def test_round_trip(self):
-        transfer = BudgetTransfer(epoch=3, resource="cores", units=2, source=0, target=1)
-        assert BudgetTransfer.from_dict(
-            json.loads(json.dumps(transfer.to_dict()))
-        ) == transfer
 
 
 @register_broker

@@ -20,7 +20,7 @@ import pytest
 from repro.cluster import ClusterSimulator, MigrationConfig, NodeView, RecoveryConfig
 from repro.cluster.placement import SLOAwarePlacement, make_placement
 from repro.errors import ExperimentError
-from repro.experiments.qos import DEFAULT_QOS_SLO, qos_sweep, qos_trace
+from repro.experiments.qos import qos_sweep, qos_trace
 from repro.experiments.runner import RunConfig, experiment_catalog
 from repro.faults import NodeFaultPlan
 from repro.qos import SLOSpec

@@ -9,11 +9,9 @@ import pytest
 from repro import serialize
 from repro.core import controller as controller_module
 from repro.core.controller import SatoriController
-from repro.core.initializers import good_initial_set
 from repro.errors import ExperimentError, PolicyError
 from repro.experiments.runner import RunConfig, run_policy
 from repro.resources.space import ConfigurationSpace
-from repro.rng import make_rng
 from repro.system.simulation import CoLocationSimulator, Observation
 
 

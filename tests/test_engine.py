@@ -35,7 +35,7 @@ from repro.engine import (
     execute_run,
 )
 from repro.errors import EngineError, ExperimentError, PolicyError
-from repro.experiments.comparison import compare_on_mix, compare_on_mixes, seed_to_int
+from repro.experiments.comparison import compare_on_mix, compare_on_mixes
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.workloads.mixes import JobMix, suite_mixes
 
@@ -436,12 +436,10 @@ class TestComparisonAcceptance:
         with pytest.raises(PolicyError):
             execute_run(spec(mixes[0], catalog, policy="Nope"))
 
-    def test_engine_stats_surface_in_analysis(self, mixes, catalog, tmp_path):
-        from repro.analysis import engine_summary, engine_summary_json
-
+    def test_engine_stats_to_dict(self, mixes, catalog, tmp_path):
         engine = ExecutionEngine(cache=RunCache(tmp_path))
         engine.run([spec(mixes[0], catalog)])
-        summary = engine_summary(engine)
-        assert summary["executed"] == 1
-        assert summary["cache"]["misses"] == 1
-        assert json.loads(engine_summary_json(engine)) == summary
+        stats = engine.stats.to_dict()
+        assert stats["executed"] == 1
+        assert stats["cache_misses"] == 1
+        assert json.loads(json.dumps(stats)) == stats

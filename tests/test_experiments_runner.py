@@ -1,6 +1,5 @@
 """Tests for the experiment runner and comparison harness."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -9,10 +8,11 @@ from repro.experiments.comparison import (
     aggregate,
     compare_on_mix,
     compare_on_mixes,
+    comparison_specs,
     full_space,
-    standard_policies,
 )
 from repro.experiments.runner import RunConfig, experiment_catalog, run_policy
+from repro.policies.registry import make_policy
 from repro.policies.static import EqualPartitionPolicy
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
 
@@ -138,7 +138,10 @@ class TestComparison:
             aggregate([])
 
     def test_standard_policies_resource_sets(self, catalog6):
-        policies = standard_policies(catalog6, 3, seed=0)
+        policies = {
+            name: make_policy(name, None, catalog6, rng=0, n_jobs=3)
+            for name in STANDARD_POLICY_ORDER
+        }
         assert policies["dCAT"].controlled_resources == (LLC_WAYS,)
         assert set(policies["CoPart"].controlled_resources) == {LLC_WAYS, MEMORY_BANDWIDTH}
         assert set(policies["SATORI"].controlled_resources) == {
@@ -147,6 +150,6 @@ class TestComparison:
             MEMORY_BANDWIDTH,
         }
 
-    def test_standard_policies_unknown_name(self, catalog6):
+    def test_standard_policies_unknown_name(self, catalog6, parsec_mix3):
         with pytest.raises(ExperimentError):
-            standard_policies(catalog6, 3, include=("Heracles",))
+            comparison_specs(parsec_mix3, catalog6, include=("Heracles",))

@@ -12,6 +12,7 @@ partial batches, cache degradation).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -161,6 +162,23 @@ class TestFaultSchedule:
         assert [e.kind for _, e in schedule.workload_events(0, 0.5)] == [CRASH]
         assert schedule.active_count(0.05) == 3
         assert schedule.active_count(0.5) == 1
+
+    @pytest.mark.parametrize(
+        "family, streams",
+        [
+            ("faults", ("actuation", "monitoring", "workload")),
+            ("fleet", ("blackout", "straggler", "flaky")),
+        ],
+    )
+    def test_stream_seeds_are_the_sha256_formula(self, family, streams):
+        """Intra-run fault streams and fleet weather seed their RNGs with
+        ``derive_seed(family, seed, stream)``: the first 8 bytes of the
+        SHA-256 of ``family/seed/stream``, big-endian, mod 2**63 - 1."""
+        for seed in (0, 1, 7, np.int64(12345), 2**62 + 3):
+            for stream in streams:
+                digest = hashlib.sha256(f"{family}/{int(seed)}/{stream}".encode()).digest()
+                expected = int.from_bytes(digest[:8], "big") % (2**63 - 1)
+                assert derive_seed(family, int(seed), stream) == expected
 
     def test_generate_validation(self):
         with pytest.raises(ExperimentError):

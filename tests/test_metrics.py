@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.metrics.fairness import (
-    coefficient_of_variation,
-    jain_index,
-    one_minus_cov,
-    one_minus_cov_normalized,
-)
-from repro.metrics.goals import GoalScores, GoalSet
-from repro.metrics.throughput import (
-    geometric_mean_speedup,
-    harmonic_mean_speedup,
-    speedups,
-    total_ips,
-    weighted_mean_speedup,
-)
+from repro.metrics.fairness import jain_index
+from repro.metrics.goals import FAIRNESS_CHOICES, THROUGHPUT_CHOICES, GoalScores, GoalSet
+from repro.metrics.summation import np_sum
+from repro.metrics.throughput import speedups
 
 positive_speedups = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=8
 )
+
+
+def score(speedup_values, throughput_metric="sum_ips", fairness_metric="jain"):
+    """``GoalSet.scores`` of jobs with unit isolation IPS running at
+    the given speedups."""
+    iso = [1e9] * len(speedup_values)
+    ips = [value * 1e9 for value in speedup_values]
+    return GoalSet(throughput_metric, fairness_metric).scores(ips, iso)
 
 
 class TestSpeedups:
@@ -46,58 +44,56 @@ class TestSpeedups:
 
 class TestThroughputMetrics:
     def test_geometric_mean_of_equal_speedups(self):
-        assert geometric_mean_speedup([0.5, 0.5, 0.5]) == pytest.approx(0.5)
+        assert score([0.5, 0.5, 0.5], "geometric_mean").throughput == pytest.approx(0.5)
 
     def test_harmonic_below_geometric(self):
         s = [0.2, 0.8]
-        assert harmonic_mean_speedup(s) < geometric_mean_speedup(s)
+        assert score(s, "harmonic_mean").throughput < score(s, "geometric_mean").throughput
 
     def test_weighted_mean_equals_ips_ratio(self):
-        iso = np.array([2e9, 4e9])
-        s = np.array([0.5, 0.75])
+        iso = [2e9, 4e9]
+        ips = [0.5 * 2e9, 0.75 * 4e9]
         expected = (0.5 * 2e9 + 0.75 * 4e9) / 6e9
-        assert weighted_mean_speedup(s, iso) == pytest.approx(expected)
+        assert GoalSet().scores(ips, iso).throughput == pytest.approx(expected)
 
-    def test_total_ips(self):
-        assert total_ips([1e9, 2e9]) == pytest.approx(3e9)
-
-    def test_empty_rejected(self):
+    @pytest.mark.parametrize("throughput_metric", THROUGHPUT_CHOICES)
+    def test_empty_rejected(self, throughput_metric):
         with pytest.raises(ExperimentError):
-            geometric_mean_speedup([])
+            GoalSet(throughput_metric).scores([], [])
 
     @given(positive_speedups)
     @settings(max_examples=50, deadline=None)
     def test_means_bounded_by_extremes(self, s):
-        for metric in (geometric_mean_speedup, harmonic_mean_speedup):
-            value = metric(s)
+        for metric in ("geometric_mean", "harmonic_mean"):
+            value = score(s, metric).throughput
             assert min(s) - 1e-9 <= value <= max(s) + 1e-9
 
 
 class TestFairnessMetrics:
     def test_perfect_fairness(self):
         assert jain_index([0.5, 0.5, 0.5]) == pytest.approx(1.0)
-        assert one_minus_cov([0.5, 0.5, 0.5]) == pytest.approx(1.0)
+        assert score([0.5, 0.5, 0.5], fairness_metric="one_minus_cov").fairness == pytest.approx(1.0)
 
     def test_jain_decreases_with_spread(self):
         assert jain_index([0.4, 0.6]) > jain_index([0.2, 0.8])
 
     def test_jain_formula(self):
         s = [0.2, 0.8]
-        cov = coefficient_of_variation(s)
+        cov = np_cov(s)
         assert jain_index(s) == pytest.approx(1.0 / (1.0 + cov**2))
 
-    def test_one_minus_cov_can_be_negative(self):
-        assert one_minus_cov([0.01, 1.0, 0.01]) < 0
-
     def test_normalized_clipped(self):
-        assert one_minus_cov_normalized([0.01, 1.0, 0.01]) == 0.0
+        s = [0.01, 1.0, 0.01]
+        assert np_one_minus_cov(s) < 0
+        assert score(s, fairness_metric="one_minus_cov").fairness == 0.0
 
     def test_scale_invariance(self):
         assert jain_index([0.2, 0.4]) == pytest.approx(jain_index([0.4, 0.8]))
 
-    def test_zero_mean_rejected(self):
+    @pytest.mark.parametrize("fairness_metric", FAIRNESS_CHOICES)
+    def test_zero_mean_rejected(self, fairness_metric):
         with pytest.raises(ExperimentError):
-            coefficient_of_variation([0.0, 0.0])
+            score([0.0, 0.0], fairness_metric=fairness_metric)
 
     @given(positive_speedups)
     @settings(max_examples=50, deadline=None)
@@ -193,10 +189,6 @@ def np_geometric(s):
     return float(np.exp(np.mean(np.log(np.maximum(s, 1e-12)))))
 
 
-def np_total_ips(ips):
-    return float(np.sum(np.asarray(ips, dtype=float)))
-
-
 def np_scores_batch(throughput_metric, fairness_metric, ips, iso):
     """``GoalSet.scores_batch`` as one vectorized pass over the rows."""
     s = ips / iso
@@ -248,31 +240,19 @@ def metric_draws(seed, count):
 class TestFloatMetricsMatchNumpy:
     DRAWS = list(metric_draws(seed=25, count=600))
 
-    def test_sum_and_speedups(self):
+    def test_speedups(self):
         for ips, iso in self.DRAWS:
-            assert total_ips(ips.tolist()) == np_total_ips(ips)
             assert speedups(ips.tolist(), iso.tolist()) == tuple(np_speedups(ips, iso).tolist())
 
-    def test_fairness_metrics(self):
+    def test_jain_index(self):
         checked = 0
         for ips, iso in self.DRAWS:
             s = np_speedups(ips, iso)
             if not np.any(s > 0):
                 continue
-            values = s.tolist()
-            assert coefficient_of_variation(values) == np_cov(s)
-            assert jain_index(values) == np_jain(s)
-            assert one_minus_cov(values) == np_one_minus_cov(s)
-            assert one_minus_cov_normalized(values) == np_one_minus_cov_normalized(s)
+            assert jain_index(s.tolist()) == np_jain(s)
             checked += 1
         assert checked > 500
-
-    def test_throughput_metrics(self):
-        for ips, iso in self.DRAWS:
-            s = np_speedups(ips, iso)
-            assert weighted_mean_speedup(s.tolist(), iso.tolist()) == np_weighted_mean(s, iso)
-            assert harmonic_mean_speedup(s.tolist()) == np_harmonic(s)
-            assert geometric_mean_speedup(s.tolist()) == np_geometric(s)
 
     @pytest.mark.parametrize("throughput_metric", ["sum_ips", "geometric_mean", "harmonic_mean"])
     @pytest.mark.parametrize("fairness_metric", ["jain", "one_minus_cov"])
@@ -306,17 +286,19 @@ class TestFloatMetricsMatchNumpy:
         rng = np.random.default_rng(7)
         for n in (3, 8, 13, 128, 129, 200, 300):
             values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 9, n)
-            assert total_ips(values.tolist()) == float(np.sum(values))
+            assert np_sum(values.tolist()) == float(np.sum(values))
 
-    def test_results_are_python_floats(self):
+    @pytest.mark.parametrize("throughput_metric", THROUGHPUT_CHOICES)
+    @pytest.mark.parametrize("fairness_metric", FAIRNESS_CHOICES)
+    def test_results_are_python_floats(self, throughput_metric, fairness_metric):
+        scores = GoalSet(throughput_metric, fairness_metric).scores(
+            [0.25e9, 1e9, 2.25e9], [1e9, 2e9, 3e9]
+        )
         s = [0.25, 0.5, 0.75]
         for value in (
-            coefficient_of_variation(s),
+            scores.throughput,
+            scores.fairness,
             jain_index(s),
-            one_minus_cov_normalized(s),
-            harmonic_mean_speedup(s),
-            weighted_mean_speedup(s, [1e9, 2e9, 3e9]),
-            total_ips([1e9, 2e9]),
             *speedups([1e9, 2e9], [2e9, 4e9]),
         ):
             assert type(value) is float
@@ -329,21 +311,10 @@ class TestFloatMetricsMatchNumpy:
             lambda: speedups([1e9], [0.0]),
             lambda: speedups([1e9], [-1e9]),
             lambda: speedups([-1.0], [1e9]),
-            lambda: coefficient_of_variation([]),
-            lambda: coefficient_of_variation([0.5, -0.1]),
-            lambda: coefficient_of_variation([0.0, 0.0, 0.0]),
             lambda: jain_index([]),
+            lambda: jain_index([0.5, -0.1]),
+            lambda: jain_index([0.0, 0.0, 0.0]),
             lambda: jain_index([0.0]),
-            lambda: one_minus_cov([-1.0, 1.0]),
-            lambda: one_minus_cov_normalized([0.0, 0.0]),
-            lambda: harmonic_mean_speedup([]),
-            lambda: harmonic_mean_speedup([0.5, -0.5]),
-            lambda: geometric_mean_speedup([-0.5]),
-            lambda: weighted_mean_speedup([], []),
-            lambda: weighted_mean_speedup([0.5, 0.5], [1e9]),
-            lambda: weighted_mean_speedup([-0.5], [1e9]),
-            lambda: weighted_mean_speedup([0.5, 0.5], [0.0, 0.0]),
-            lambda: total_ips([]),
             lambda: GoalSet().scores([1e9, 2e9], [1e9]),
             lambda: GoalSet().scores([0.0, 0.0], [1e9, 1e9]),
             lambda: GoalSet("harmonic_mean", "one_minus_cov").scores([1e9], [0.0]),
@@ -353,38 +324,37 @@ class TestFloatMetricsMatchNumpy:
         with pytest.raises(ExperimentError):
             call()
 
-    @pytest.mark.parametrize("throughput_metric", ["sum_ips", "geometric_mean", "harmonic_mean"])
-    @pytest.mark.parametrize("fairness_metric", ["jain", "one_minus_cov"])
+    @pytest.mark.parametrize("throughput_metric", THROUGHPUT_CHOICES)
+    @pytest.mark.parametrize("fairness_metric", FAIRNESS_CHOICES)
     @pytest.mark.parametrize(
-        "ips, iso",
+        "ips, iso, message",
         [
-            ([], []),
-            ([1e9, 2e9], [1e9]),
-            ([1e9], [0.0]),
-            ([-1.0], [1e9]),
-            ([0.0, 0.0], [1e9, 1e9]),
-            ([0.0, 1e9], [1e9, float("inf")]),
+            pytest.param([], [], "need at least one job", id="empty"),
+            pytest.param([1e9, 2e9], [1e9], "2 IPS values for 1 baselines", id="mismatch"),
+            pytest.param([1e9], [0.0], "isolation IPS must be positive", id="zero-baseline"),
+            pytest.param(
+                [1e9, 1e9], [1e9, -1e9], "isolation IPS must be positive", id="negative-baseline"
+            ),
+            pytest.param([-1.0], [1e9], "IPS must be non-negative", id="negative-ips"),
+            pytest.param(
+                [0.5e9, -0.5e9], [1e9, 1e9], "IPS must be non-negative", id="one-negative-ips"
+            ),
+            pytest.param(
+                [0.0, 0.0], [1e9, 1e9], "mean speedup must be positive to compute CoV",
+                id="all-zero",
+            ),
+            pytest.param(
+                [0.0, 1e9], [1e9, float("inf")], "mean speedup must be positive to compute CoV",
+                id="infinite-baseline",
+            ),
         ],
     )
-    def test_scores_check_once_and_raise_as_the_metric_functions(
-        self, throughput_metric, fairness_metric, ips, iso
+    def test_scores_reject_each_measurement_at_its_check(
+        self, throughput_metric, fairness_metric, ips, iso, message
     ):
         """``GoalSet.scores`` checks the speedups once and then runs the
-        formulas; it rejects exactly what the metric functions, called
-        one after another on the same measurement, reject, with the
-        same message."""
-        throughput = {
-            "sum_ips": lambda s: weighted_mean_speedup(s, iso),
-            "geometric_mean": geometric_mean_speedup,
-            "harmonic_mean": harmonic_mean_speedup,
-        }[throughput_metric]
-        fairness = {"jain": jain_index, "one_minus_cov": one_minus_cov_normalized}[
-            fairness_metric
-        ]
-        with pytest.raises(ExperimentError) as expected:
-            s = speedups(ips, iso)
-            throughput(s)
-            fairness(s)
+        formulas; every metric choice rejects a bad measurement at the
+        same check, with the same message."""
         with pytest.raises(ExperimentError) as raised:
             GoalSet(throughput_metric, fairness_metric).scores(ips, iso)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == message

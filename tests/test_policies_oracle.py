@@ -1,12 +1,11 @@
 """Tests for the brute-force Oracle."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PolicyError
 from repro.metrics.goals import GoalSet
 from repro.policies.oracle import OraclePolicy, OracleSearch, balanced_oracle
-from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH, default_catalog
+from repro.resources.types import default_catalog
 from repro.workloads.mixes import mix_from_names
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.experiments.runner import experiment_catalog
 from repro.metrics.goals import GoalSet
 from repro.policies.oracle import OracleSearch
-from repro.resources.allocation import Configuration
 from repro.resources.space import ConfigurationSpace
-from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
 from repro.rng import make_rng
 from repro.system.contention import evaluate_system, isolation_ips
 from repro.workloads.mixes import JobMix

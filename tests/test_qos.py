@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import PolicyError, WorkloadError
 from repro.experiments.qos import qos_colocation
-from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.experiments.runner import RunConfig
 from repro.policies.qos_parties import QosPartiesPolicy
 from repro.resources.space import ConfigurationSpace
 from repro.system.simulation import CoLocationSimulator

@@ -1,14 +1,9 @@
 """Unit tests for resources.allocation: Configuration and helpers."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.resources.allocation import (
-    Configuration,
-    configuration_distance,
-    equal_partition,
-)
+from repro.resources.allocation import Configuration, equal_partition
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH, default_catalog
 
 
@@ -140,27 +135,3 @@ class TestEqualPartition:
         with pytest.raises(ConfigurationError):
             equal_partition(default_catalog(), 0)
 
-
-class TestDistance:
-    def test_zero_for_identical(self, config):
-        assert configuration_distance(config, config) == 0.0
-
-    def test_single_move_distance(self, config):
-        moved = config.move_unit(CORES, 2, 0)
-        assert configuration_distance(config, moved) == pytest.approx(np.sqrt(2))
-
-    def test_symmetric(self, config):
-        moved = config.move_unit(LLC_WAYS, 1, 0).move_unit(CORES, 2, 1)
-        assert configuration_distance(config, moved) == pytest.approx(
-            configuration_distance(moved, config)
-        )
-
-    def test_mismatched_resources_rejected(self, config):
-        other = config.restrict([CORES])
-        with pytest.raises(ConfigurationError):
-            configuration_distance(config, other)
-
-    def test_mismatched_jobs_rejected(self, config):
-        other = Configuration({name: config.units(name)[:2] for name in config.resource_names})
-        with pytest.raises(ConfigurationError):
-            configuration_distance(config, other)

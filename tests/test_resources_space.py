@@ -11,9 +11,8 @@ from repro.resources.space import (
     compositions_matrix,
     count_compositions,
     iter_compositions,
-    sample_composition,
 )
-from repro.resources.types import CORES, ResourceCatalog, default_catalog
+from repro.resources.types import Resource, ResourceCatalog, ResourceKind, default_catalog
 from repro.rng import make_rng
 
 
@@ -73,20 +72,24 @@ class TestCompositions:
         if units < parts:
             return
         rng = make_rng(units * 31 + parts)
-        comp = sample_composition(units, parts, rng)
+        (comp,) = cores_space(units, parts).sample_rows(1, rng).tolist()
         assert len(comp) == parts
         assert sum(comp) == units
         assert min(comp) >= 1
 
     def test_sample_roughly_uniform(self):
         # All C(3,1)=3 compositions of 4 into 2 parts appear.
-        rng = make_rng(0)
-        seen = {sample_composition(4, 2, rng) for _ in range(200)}
-        assert seen == {(1, 3), (2, 2), (3, 1)}
+        rows = cores_space(4, 2).sample_rows(200, make_rng(0))
+        assert set(map(tuple, rows.tolist())) == {(1, 3), (2, 2), (3, 1)}
 
     def test_sample_infeasible_raises(self):
         with pytest.raises(SpaceError):
-            sample_composition(2, 3, make_rng(0))
+            cores_space(2, 3)
+
+
+def cores_space(units, n_jobs):
+    """The space of one ``units``-core resource among ``n_jobs`` jobs."""
+    return ConfigurationSpace(ResourceCatalog([Resource(ResourceKind.CORES, units)]), n_jobs)
 
 
 class TestConfigurationSpace:
@@ -127,18 +130,16 @@ class TestConfigurationSpace:
         assert not space.contains(other)
 
     def test_neighbors_are_members_and_one_move_away(self, space):
-        config = space.equal_partition()
-        neighbors = space.neighbors(config)
-        assert neighbors
+        row = space.to_rows([space.equal_partition()])[0]
+        neighbors = space.neighbor_rows(row)
+        assert len(neighbors)
         for n in neighbors:
-            assert space.contains(n)
-            diff = np.abs(n.as_vector() - config.as_vector()).sum()
-            assert diff == 2  # one unit moved
+            assert space.contains(space.from_row(n))
+            assert np.abs(n - row).sum() == 2  # one unit moved
 
     def test_neighbors_unique(self, space):
-        config = space.equal_partition()
-        neighbors = space.neighbors(config)
-        assert len(set(neighbors)) == len(neighbors)
+        neighbors = space.neighbor_rows(space.to_rows([space.equal_partition()])[0])
+        assert len(set(map(tuple, neighbors.tolist()))) == len(neighbors)
 
     def test_encode_range_and_shape(self, space):
         vec = space.encode(space.equal_partition())

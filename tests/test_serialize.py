@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.budget import BudgetTransfer, ResourceBudget
+from repro.cluster.budget import ResourceBudget
 from repro.errors import ExperimentError
 from repro.experiments.runner import RunConfig, RunResult, run_policy
 from repro.faults.plan import FaultPlan
@@ -103,16 +103,6 @@ resource_budgets = st.dictionaries(
     names, st.integers(min_value=1, max_value=64), min_size=1, max_size=4
 ).map(ResourceBudget)
 
-budget_transfers = st.builds(
-    BudgetTransfer,
-    epoch=st.integers(min_value=0, max_value=1000),
-    resource=names,
-    units=st.integers(min_value=1, max_value=64),
-    source=st.integers(min_value=0, max_value=15),
-    target=st.integers(min_value=16, max_value=31),
-)
-
-
 def json_round(data):
     """Force the dict through an actual JSON encode/decode cycle."""
     return json.loads(json.dumps(data))
@@ -141,11 +131,6 @@ class TestRoundTrips:
     @settings(max_examples=50, deadline=None)
     def test_resource_budget(self, budget):
         assert ResourceBudget.from_dict(json_round(budget.to_dict())) == budget
-
-    @given(budget_transfers)
-    @settings(max_examples=50, deadline=None)
-    def test_budget_transfer(self, transfer):
-        assert BudgetTransfer.from_dict(json_round(transfer.to_dict())) == transfer
 
     def test_run_result(self, catalog6, parsec_mix3, goals):
         policy = make_policy("EqualPartition", parsec_mix3, catalog6, goals=goals)

@@ -71,8 +71,6 @@ class TestInterference:
         assert np.all(partialf >= unmanaged)
 
     def test_single_job_no_penalty(self, catalog6, synthetic_pair):
-        from repro.workloads.mixes import JobMix
-
         factors = interference_factors(synthetic_pair, catalog6, None)
         assert factors.shape == (2,)
 

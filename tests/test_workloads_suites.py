@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.mixes import SUITE_MIX_SIZE, JobMix, mix_from_names, suite_mixes
-from repro.workloads.registry import WorkloadRegistry, default_registry, get_workload
+from repro.workloads.registry import default_registry, get_workload
 from repro.workloads.synthetic import random_workload, random_workloads
 
 PARSEC_NAMES = {

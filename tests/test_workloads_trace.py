@@ -1,10 +1,8 @@
 """Tests for trace-driven workload construction."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.model import Phase, PhaseSchedule, Workload
 from repro.workloads.registry import get_workload
 from repro.workloads.trace import (
     TraceSample,

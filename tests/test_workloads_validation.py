@@ -8,7 +8,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.pqos import PqosMonitor
 from repro.workloads.model import Phase, PhaseSchedule, Workload
-from repro.workloads.registry import default_registry, get_workload
+from repro.workloads.registry import get_workload
 from repro.workloads.validation import (
     ERROR,
     INFO,
