@@ -170,8 +170,8 @@ class SatoriController(PartitioningPolicy):
         mode: ``"dynamic"`` (full SATORI), ``"static"``,
             ``"throughput"``, or ``"fairness"`` (see module docstring).
         prioritization_period_s / equalization_period_s: the T_P / T_E
-            knobs (1 s and 10 s paper defaults), counted in 0.1 s
-            control intervals.
+            knobs (1 s and 10 s paper defaults), counted in the
+            observed control intervals.
         favor_weaker_goal: Eq. 4 orientation; ``False`` is the paper's
             measured-worse alternative, kept for the Fig. 19 ablation.
         idle_detection: hold the best-known configuration and skip BO
@@ -503,7 +503,9 @@ class SatoriController(PartitioningPolicy):
                 return self._retreat_configuration()
 
         scores = self._record(observation)
-        weight_state = self._scheduler.update(scores.throughput, scores.fairness)
+        weight_state = self._scheduler.update(
+            scores.throughput, scores.fairness, observation.interval_s
+        )
         loop.last_weights = weight_state
         weights = weight_state.pair
         loop.last_objective = scores.weighted(*weights)

@@ -354,7 +354,6 @@ def stacked_cholesky(matrices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
         raise ModelError(f"expected a (B, n, n) stack, got shape {matrices.shape}")
     size = matrices.shape[0]
-    active_collector().metrics.histogram("gp.stacked_cholesky_batch").observe(float(size))
     try:
         return np.linalg.cholesky(matrices), np.ones(size, dtype=bool)
     except np.linalg.LinAlgError:

@@ -43,9 +43,6 @@ WEIGHT_UPPER_BOUND = 0.75
 DEFAULT_PRIORITIZATION_PERIOD_S = 1.0
 DEFAULT_EQUALIZATION_PERIOD_S = 10.0
 
-#: The control interval the periods are counted in (0.1 s, Sec. IV).
-_CONTROL_INTERVAL_S = 0.1
-
 
 @dataclass(frozen=True)
 class WeightState:
@@ -87,7 +84,7 @@ class StaticWeights:
         self._w_t = w_throughput / total
         self._w_f = w_fairness / total
 
-    def update(self, throughput: float, fairness: float) -> WeightState:
+    def update(self, throughput: float, fairness: float, interval_s: float) -> WeightState:
         """Return the fixed weights (inputs ignored; kept for protocol)."""
         return WeightState(
             w_throughput=self._w_t,
@@ -112,10 +109,9 @@ class DynamicWeightScheduler:
     """The paper's dynamic re-prioritization of throughput and fairness.
 
     Call :meth:`update` once per control interval with the goal scores
-    measured in that interval; it returns the weights to use for the
-    *next* objective-function reconstruction.
-
-    The periods are counted in 0.1 s control intervals.
+    measured in that interval and the interval's length; it returns the
+    weights to use for the *next* objective-function reconstruction.
+    The periods are counted in intervals of that length.
 
     Args:
         prioritization_period_s: ``T_P`` (1 s default).
@@ -132,14 +128,10 @@ class DynamicWeightScheduler:
         equalization_period_s: float = DEFAULT_EQUALIZATION_PERIOD_S,
         favor_weaker_goal: bool = True,
     ):
-        if prioritization_period_s < _CONTROL_INTERVAL_S:
-            raise PolicyError("prioritization period must cover at least one interval")
         if equalization_period_s < prioritization_period_s:
             raise PolicyError("equalization period must cover the prioritization period")
-        self._steps_per_tp = max(1, round(prioritization_period_s / _CONTROL_INTERVAL_S))
-        self._steps_per_te = max(
-            self._steps_per_tp, round(equalization_period_s / _CONTROL_INTERVAL_S)
-        )
+        self._t_p = prioritization_period_s
+        self._t_e = equalization_period_s
         self._favor_weaker = favor_weaker_goal
         # A fresh equalization period.
         self._step_in_te = 0
@@ -148,14 +140,6 @@ class DynamicWeightScheduler:
         self._w_tp = 0.5
         self._w_fp = 0.5
         self._period_scores: list = []
-
-    @property
-    def prioritization_period_s(self) -> float:
-        return self._steps_per_tp * _CONTROL_INTERVAL_S
-
-    @property
-    def equalization_period_s(self) -> float:
-        return self._steps_per_te * _CONTROL_INTERVAL_S
 
     def snapshot(self) -> dict:
         """The scheduler's position inside the current equalization period.
@@ -187,18 +171,27 @@ class DynamicWeightScheduler:
         self._w_fp = float(state["w_fp"])
         self._period_scores = [(float(t), float(f)) for t, f in state.get("period_scores", ())]
 
-    def update(self, throughput: float, fairness: float) -> WeightState:
+    def update(self, throughput: float, fairness: float, interval_s: float) -> WeightState:
         """Advance one interval and produce the next weights.
 
         Args:
             throughput: normalized throughput score this interval.
             fairness: normalized fairness score this interval.
+            interval_s: the interval's length; ``T_P`` and ``T_E``
+                count ``max(1, round(period / interval_s))`` intervals.
         """
+        if not 0 < interval_s <= self._t_p:
+            raise PolicyError(
+                f"prioritization period must cover at least one interval "
+                f"({self._t_p} s against {interval_s} s)"
+            )
+        steps_per_tp = max(1, round(self._t_p / interval_s))
+        steps_per_te = max(1, round(self._t_e / interval_s))
         self._period_scores.append((throughput, fairness))
 
         # Prioritization-period boundary: recompute Eq. 4 from the
         # percent improvements over the period just ended.
-        if self._step_in_te and self._step_in_te % self._steps_per_tp == 0:
+        if self._step_in_te and self._step_in_te % steps_per_tp == 0:
             self._w_tp, self._w_fp = self._prioritization_weights()
             self._period_scores = self._period_scores[-1:]
 
@@ -210,7 +203,7 @@ class DynamicWeightScheduler:
         w_fe = 0.5 * t_e - self._sum_w_f
 
         # Eqs. 5-6: linear cross-fade toward equalization.
-        fraction = t_e / self._steps_per_te
+        fraction = t_e / steps_per_te
         w_t_raw = fraction * w_te + (1.0 - fraction) * self._w_tp
         w_f_raw = fraction * w_fe + (1.0 - fraction) * self._w_fp
 
@@ -218,7 +211,7 @@ class DynamicWeightScheduler:
         self._sum_w_t += w_t
         self._sum_w_f += w_f
 
-        period_reset = self._step_in_te >= self._steps_per_te
+        period_reset = self._step_in_te >= steps_per_te
         state = WeightState(
             w_throughput=w_t,
             w_fairness=w_f,

@@ -8,9 +8,11 @@ This package turns that unit into a declarative, content-addressed job:
   that fully determines a :class:`~repro.experiments.runner.RunResult`;
 * :class:`~repro.engine.engine.ExecutionEngine` — runs batches of
   specs (:meth:`~repro.engine.engine.ExecutionEngine.run`, the one
-  way to execute them) serially or over a persistent worker-process
-  pool, with results guaranteed bit-identical regardless of worker
-  count, submission order, or completion order;
+  way to execute them) in one round, each distinct spec once,
+  serially or over a persistent worker-process pool, with results
+  guaranteed bit-identical regardless of worker count, submission
+  order, or completion order; a failed spec comes back as a
+  :class:`~repro.engine.engine.RunError` or raises;
 * :class:`~repro.engine.cache.RunCache` — an on-disk JSON artifact
   store keyed by spec digest + code-version salt, so shared reference
   runs (the Balanced Oracle behind Figs. 7-15) are computed once.

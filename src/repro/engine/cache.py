@@ -87,8 +87,6 @@ class RunCache:
     def __init__(self, root: Union[str, Path], salt: Optional[str] = None):
         self._root = Path(root)
         self._salt = salt or default_cache_salt()
-        self._hits = 0
-        self._misses = 0
         self._disabled = False
 
     @property
@@ -98,16 +96,6 @@ class RunCache:
     @property
     def salt(self) -> str:
         return self._salt
-
-    @property
-    def hits(self) -> int:
-        """Number of ``get`` calls served from disk."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of ``get`` calls that found no usable artifact."""
-        return self._misses
 
     @property
     def disabled(self) -> bool:
@@ -120,9 +108,8 @@ class RunCache:
         return self._root / self._salt / key[:2] / f"{key}.json"
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` (counted as a miss)."""
+        """The cached result for ``spec``, or ``None`` on a miss."""
         if self._disabled:
-            self._misses += 1
             return None
         path = self.path_for(spec)
         try:
@@ -132,9 +119,7 @@ class RunCache:
                 raise ValueError("artifact digest mismatch")
             result = RunResult.from_dict(artifact["result"])
         except (OSError, ValueError, KeyError, TypeError):
-            self._misses += 1
             return None
-        self._hits += 1
         return result
 
     def put(self, spec: RunSpec, result: RunResult) -> Optional[Path]:
@@ -189,12 +174,3 @@ class RunCache:
         count = sum(1 for _ in salt_dir.rglob("*.json")) if salt_dir.exists() else 0
         shutil.rmtree(salt_dir, ignore_errors=True)
         return count
-
-    def stats(self) -> dict:
-        """Hit/miss counters as a JSON-compatible dict."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "salt": self._salt,
-            "disabled": self._disabled,
-        }

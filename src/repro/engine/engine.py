@@ -7,8 +7,10 @@ serially or across a worker-process pool.
 Worker processes live in one persistent pool per engine, created
 lazily on first parallel work and reused across batches — per-batch
 pool spin-up is gone. :meth:`ExecutionEngine.close` (or the context
-manager form) releases the pool; an abandoned straggler retires the
-pool so a stuck worker cannot poison later batches.
+manager form) releases the pool. A batch executes in one round: each
+distinct spec runs once, serially or on the pool, and a spec whose
+execution fails becomes a :class:`RunError` (or an
+:class:`~repro.errors.EngineError` under ``on_error="raise"``).
 
 Results are *bit-identical* regardless of worker count, submission
 order, or completion order, because
@@ -109,19 +111,16 @@ class RunError:
     """A spec that could not be executed (partial-batch bookkeeping).
 
     Produced by :meth:`ExecutionEngine.run` with ``on_error="record"``
-    in place of the failed spec's :class:`RunResult`, so one crashed or
-    hung run does not discard the rest of the batch.
+    in place of the failed spec's :class:`RunResult`, so one crashed
+    run does not discard the rest of the batch.
 
     Attributes:
         spec: the failed spec.
-        error: ``"ExceptionType: message"`` of the last failure, or the
-            straggler-timeout description.
-        attempts: how many times the spec was tried (1 + retries used).
+        error: ``"ExceptionType: message"`` of the failure.
     """
 
     spec: RunSpec
     error: str
-    attempts: int
 
 
 @dataclass
@@ -136,8 +135,7 @@ class EngineStats:
         cache_hits / cache_misses: disk-cache lookups (zero without a
             cache attached).
         batches: number of ``run`` calls.
-        retried: failed executions that were re-attempted.
-        failed: specs that still had no result after all retries.
+        failed: specs whose execution failed.
         cache_errors: cache writes that failed (the cache disables
             itself after the first, so this is at most 1 per cache).
     """
@@ -148,7 +146,6 @@ class EngineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     batches: int = 0
-    retried: int = 0
     failed: int = 0
     cache_errors: int = 0
 
@@ -160,7 +157,6 @@ class EngineStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "batches": self.batches,
-            "retried": self.retried,
             "failed": self.failed,
             "cache_errors": self.cache_errors,
         }
@@ -172,8 +168,8 @@ class EngineStats:
             f"{self.deduplicated} deduplicated, "
             f"{self.cache_hits} cache hits, {self.cache_misses} cache misses"
         )
-        if self.retried or self.failed:
-            text += f", {self.retried} retried, {self.failed} failed"
+        if self.failed:
+            text += f", {self.failed} failed"
         if self.cache_errors:
             text += f", {self.cache_errors} cache errors"
         return text
@@ -182,17 +178,15 @@ class EngineStats:
 class _Slot:
     """One distinct spec of a batch, shared by every position holding it.
 
-    ``outcome`` stays ``None`` while the spec is queued or failed with
-    retries left; it holds the result, or the :class:`RunError` once
-    the retries are spent.
+    ``outcome`` stays ``None`` while the spec is queued; it holds the
+    result, or the :class:`RunError` of its one failed execution.
     """
 
-    __slots__ = ("spec", "outcome", "attempts")
+    __slots__ = ("spec", "outcome")
 
     def __init__(self, spec: RunSpec):
         self.spec = spec
         self.outcome: Optional[Union[RunResult, RunError]] = None
-        self.attempts = 0
 
     @property
     def done(self) -> bool:
@@ -208,68 +202,18 @@ class ExecutionEngine:
             deterministic fallback on single-core machines.
         cache: optional :class:`RunCache`; hits skip execution
             entirely and misses are stored after execution.
-        retries: extra execution rounds for specs that failed — a
-            worker crash or transient exception is re-attempted up to
-            this many times before the spec counts as failed.
-        timeout_s: batch deadline in seconds for the worker-pool path
-            of :meth:`run`, applied per retry round; specs still
-            running when it expires are recorded as straggler failures
-            (and retried if ``retries`` allows). ``None`` waits
-            indefinitely; the serial path ignores it.
-        spec_timeout_s: per-spec deadline in seconds for the
-            worker-pool path of :meth:`run`, measured from when the
-            spec is first observed *running* (queue time doesn't
-            count). A spec past its deadline is abandoned as a
-            straggler without waiting for the rest of the batch.
-            ``None`` disables it; the serial path ignores it (a serial
-            run can't be abandoned).
-        backoff_base_s: base delay for exponential backoff between
-            retry rounds; round *r* waits ``backoff_base_s * 2**(r-1)``
-            seconds. ``0`` (the default) retries immediately.
-        backoff_jitter: fractional jitter added to each backoff delay,
-            drawn deterministically from the retried spec's digest so
-            reruns sleep identically (``0.25`` stretches delays by up
-            to 25%).
 
     The worker pool is created lazily on first parallel work and then
     reused for the engine's lifetime (no per-batch spin-up); call
     :meth:`close` — or use the engine as a context manager — to
-    release it. Abandoning a straggler retires the pool (its stuck
-    process must not serve later work); a fresh pool replaces it on
-    the next parallel round.
+    release it.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[RunCache] = None,
-        retries: int = 0,
-        timeout_s: Optional[float] = None,
-        spec_timeout_s: Optional[float] = None,
-        backoff_base_s: float = 0.0,
-        backoff_jitter: float = 0.0,
-    ):
+    def __init__(self, workers: int = 1, cache: Optional[RunCache] = None):
         if workers < 1:
             raise EngineError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise EngineError(f"retries must be >= 0, got {retries}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise EngineError(f"timeout_s must be positive, got {timeout_s}")
-        if spec_timeout_s is not None and spec_timeout_s <= 0:
-            raise EngineError(
-                f"spec_timeout_s must be positive, got {spec_timeout_s}"
-            )
-        if backoff_base_s < 0:
-            raise EngineError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
-        if backoff_jitter < 0:
-            raise EngineError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
         self._workers = int(workers)
         self._cache = cache
-        self._retries = int(retries)
-        self._timeout_s = timeout_s
-        self._spec_timeout_s = spec_timeout_s
-        self._backoff_base_s = float(backoff_base_s)
-        self._backoff_jitter = float(backoff_jitter)
         self._stats = EngineStats()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
@@ -280,18 +224,6 @@ class ExecutionEngine:
     @property
     def cache(self) -> Optional[RunCache]:
         return self._cache
-
-    @property
-    def retries(self) -> int:
-        return self._retries
-
-    @property
-    def timeout_s(self) -> Optional[float]:
-        return self._timeout_s
-
-    @property
-    def spec_timeout_s(self) -> Optional[float]:
-        return self._spec_timeout_s
 
     @property
     def stats(self) -> EngineStats:
@@ -334,16 +266,17 @@ class ExecutionEngine:
 
         Identical specs (equal content, hence equal digest) execute at
         most once per batch; with a cache attached, at most once ever
-        per code version. Failed specs are retried in rounds, with the
-        backoff and straggler deadlines given at construction.
+        per code version. The batch runs in one round: serially, or
+        once on the persistent pool; a failed spec is not re-executed.
 
         Args:
             specs: the batch.
             on_error: ``"raise"`` (default) raises
-                :class:`~repro.errors.EngineError` on the first spec
-                that still fails after all retries; ``"record"``
-                returns a :class:`RunError` in that spec's position and
-                keeps the rest of the batch (partial results).
+                :class:`~repro.errors.EngineError` on the first spec,
+                in submission order, whose execution failed;
+                ``"record"`` returns a :class:`RunError` in that spec's
+                position and keeps the rest of the batch (partial
+                results).
         """
         if on_error not in ("raise", "record"):
             raise EngineError(f"on_error must be 'raise' or 'record', got {on_error!r}")
@@ -362,15 +295,17 @@ class ExecutionEngine:
                     obs.metrics.counter("engine.deduplicated").inc()
                 else:
                     slots[spec] = self._open_slot(spec, obs)
-            self._drive([slot for slot in slots.values() if not slot.done], obs)
+            queued = [slot for slot in slots.values() if not slot.done]
+            if self._workers == 1 or len(queued) <= 1:
+                for slot in queued:
+                    self._execute_serial(slot, obs)
+            else:
+                self._pool_round(queued, obs)
             results: List[Union[RunResult, RunError]] = []
             for spec in specs:
                 value = slots[spec].outcome
                 if isinstance(value, RunError) and on_error == "raise":
-                    raise EngineError(
-                        f"{value.spec!r} failed after {value.attempts} "
-                        f"attempt(s): {value.error}"
-                    )
+                    raise EngineError(f"{value.spec!r} failed: {value.error}")
                 results.append(value)
         return results
 
@@ -400,34 +335,15 @@ class ExecutionEngine:
             self._stats.cache_errors += 1
 
     def _note_success(self, slot: _Slot, result: RunResult, obs) -> None:
-        slot.attempts += 1
         self._stats.executed += 1
         obs.metrics.counter("engine.executed").inc()
         self._store(slot.spec, result)
         slot.outcome = result
 
     def _note_failure(self, slot: _Slot, error: str, obs) -> None:
-        slot.attempts += 1
-        if slot.attempts <= self._retries:
-            return  # left unresolved: the next round retries it
         self._stats.failed += 1
         obs.metrics.counter("engine.failed").inc()
-        slot.outcome = RunError(spec=slot.spec, error=str(error), attempts=slot.attempts)
-
-    def _retry_delay(self, spec: RunSpec, round_number: int) -> float:
-        """Backoff before retry round ``round_number`` (exponential + jitter).
-
-        The jitter fraction derives from the spec's digest and the
-        round number, so identical reruns back off identically —
-        determinism extends to the retry schedule.
-        """
-        if self._backoff_base_s <= 0:
-            return 0.0
-        delay = self._backoff_base_s * 2 ** (round_number - 1)
-        if self._backoff_jitter > 0:
-            unit = derive_seed(spec.digest, "backoff", round_number) % 10**6 / 10**6
-            delay *= 1.0 + self._backoff_jitter * unit
-        return delay
+        slot.outcome = RunError(spec=slot.spec, error=error)
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
@@ -485,108 +401,27 @@ class ExecutionEngine:
             time.perf_counter() - started
         )
 
-    def _drive(self, queued: List[_Slot], obs) -> None:
-        """Execute ``queued`` to resolution with round-synchronized retries.
-
-        Each round executes every queued slot (serially or on the
-        pool); failures eligible for retry wait for the *whole* round,
-        then back off once — via ``time.sleep``, announced as a
-        ``retry_backoff`` event — and re-queue together.
-        """
-        while queued:
-            if self._workers == 1 or len(queued) == 1:
-                for slot in queued:
-                    self._execute_serial(slot, obs)
-            else:
-                self._pool_round(queued, obs)
-            queued = [slot for slot in queued if not slot.done]
-            if not queued:
-                return
-            self._stats.retried += len(queued)
-            round_number = queued[0].attempts
-            delay = self._retry_delay(queued[0].spec, round_number)
-            if delay > 0:
-                obs.event(
-                    "retry_backoff", "engine",
-                    round=round_number, delay_s=delay, specs=len(queued),
-                )
-                time.sleep(delay)
-
-    def _pool_round(self, round_slots: List[_Slot], obs) -> None:
-        """One parallel round on the persistent pool, with deadlines."""
-        max_workers = min(self._workers, len(round_slots))
+    def _pool_round(self, queued: List[_Slot], obs) -> None:
+        """Submit every queued spec to the persistent pool and harvest
+        each future as it completes."""
+        max_workers = min(self._workers, len(queued))
         round_started = time.perf_counter()
         busy_seconds = 0.0
         pool = self._ensure_pool()
-        abandoned = False
-        futures: Dict[concurrent.futures.Future, Tuple[int, _Slot]] = {}
-        for index, slot in enumerate(round_slots):
-            future = pool.submit(_execute_run_traced, slot.spec, obs.enabled)
-            futures[future] = (index, slot)
-        remaining = set(futures)
-        batch_deadline = (
-            None if self._timeout_s is None else round_started + self._timeout_s
-        )
-        # When any spec was first seen *running* (queue time does not
-        # count against its deadline).
-        first_running: Dict[concurrent.futures.Future, float] = {}
+        futures = {
+            pool.submit(_execute_run_traced, slot.spec, obs.enabled): (index, slot)
+            for index, slot in enumerate(queued)
+        }
         try:
-            while remaining:
-                if self._spec_timeout_s is not None:
-                    # Poll often enough that an overdue spec is caught
-                    # within a quarter of its deadline.
-                    poll: Optional[float] = min(0.05, self._spec_timeout_s / 4)
-                elif batch_deadline is not None:
-                    poll = max(0.0, batch_deadline - time.perf_counter())
-                else:
-                    poll = None
-                done, _ = concurrent.futures.wait(remaining, timeout=poll)
-                now = time.perf_counter()
-                for future in done:
-                    remaining.discard(future)
-                    index, slot = futures[future]
-                    duration_s = self._harvest(future, slot, index, obs)
-                    if duration_s is not None:
-                        busy_seconds += duration_s
-                for future in list(remaining):
-                    if future not in first_running and future.running():
-                        first_running[future] = now
-                if self._spec_timeout_s is not None:
-                    for future in list(remaining):
-                        started = first_running.get(future)
-                        if started is None or now - started < self._spec_timeout_s:
-                            continue
-                        remaining.discard(future)
-                        future.cancel()  # running futures won't cancel; abandon
-                        abandoned = True
-                        _, slot = futures[future]
-                        self._note_failure(
-                            slot,
-                            f"straggler: no result within the "
-                            f"{self._spec_timeout_s}s per-spec deadline",
-                            obs,
-                        )
-                if batch_deadline is not None and time.perf_counter() >= batch_deadline:
-                    for future in remaining:
-                        future.cancel()
-                        _, slot = futures[future]
-                        self._note_failure(
-                            slot,
-                            f"straggler: no result within the "
-                            f"{self._timeout_s}s batch deadline",
-                            obs,
-                        )
-                    abandoned = abandoned or bool(remaining)
-                    remaining = set()
+            for future in concurrent.futures.as_completed(futures):
+                index, slot = futures[future]
+                duration_s = self._harvest(future, slot, index, obs)
+                if duration_s is not None:
+                    busy_seconds += duration_s
         except BaseException:
             # Abandon the pool without waiting: a worker may be stuck.
             self.close(wait=False)
             raise
-        if abandoned:
-            # A stuck worker must not serve later rounds: retire the
-            # pool without waiting on it; the next parallel round
-            # starts a fresh one.
-            self.close(wait=False)
         wall = time.perf_counter() - round_started
         if wall > 0:
             obs.metrics.gauge("engine.worker_utilization").set(

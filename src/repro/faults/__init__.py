@@ -24,9 +24,9 @@ The *hardening* that survives these faults lives with the components
 it protects: retry/fallback actuation in
 :class:`~repro.system.simulation.CoLocationSimulator`, sample
 validation and the watchdog in
-:class:`~repro.core.controller.SatoriController`, and per-spec
-retry/partial batches in :class:`~repro.engine.ExecutionEngine`. The
-experiment that measures the difference is
+:class:`~repro.core.controller.SatoriController`, and partial batches
+(``on_error="record"``) in :class:`~repro.engine.ExecutionEngine`.
+The experiment that measures the difference is
 :mod:`repro.experiments.resilience`.
 """
 

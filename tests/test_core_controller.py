@@ -133,6 +133,33 @@ class TestEndToEnd:
         assert 0 < result.fairness <= 1
         assert len(result.telemetry) == 40
 
+    def test_weight_periods_count_the_run_interval(self, space, parsec_mix3, catalog6):
+        """T_E = 10 s of simulated time closes near 10 and 20 s at 0.2 s
+        intervals, as at 0.1 s: the periods count the run's interval."""
+
+        def period_ends(interval_s):
+            controller = SatoriController(space, rng=1)
+            decide, ends = controller.decide, []
+
+            def recording(observation):
+                before = controller.weights
+                config = decide(observation)
+                if controller.weights is not before and controller.weights.period_reset:
+                    ends.append(observation.time_s)  # the interval that closed it
+                return config
+
+            controller.decide = recording
+            run_config = RunConfig(duration_s=21.0, interval_s=interval_s)
+            run_policy(controller, parsec_mix3, catalog6, run_config, seed=1)
+            return ends
+
+        reference = period_ends(0.1)
+        assert reference == pytest.approx([10.0, 20.0])
+        stretched = period_ends(0.2)
+        assert len(stretched) == 2
+        for end, expected in zip(stretched, reference):
+            assert abs(end - expected) <= 0.2 + 1e-9
+
     def test_beats_random_on_average(self, space, parsec_mix3, catalog6):
         from repro.policies.random_search import RandomSearchPolicy
 

@@ -26,8 +26,8 @@ class TestEquation4Prioritization:
     def test_exact_weights_for_known_deltas(self):
         scheduler = self.make()
         # Period 1: T 0.40 -> 0.44 (+10 %), F 0.80 -> 0.84 (+5 %).
-        scheduler.update(0.40, 0.80)
-        state = scheduler.update(0.44, 0.84)
+        scheduler.update(0.40, 0.80, 0.1)
+        state = scheduler.update(0.44, 0.84, 0.1)
         # At the boundary Eq. 4 gives W_TP = 0.25 + 0.5 * (5 / 15) = 5/12.
         expected_w_tp = 0.25 + 0.5 * (5.0 / 15.0)
         # With negligible equalization, the combined weight ~ W_TP.
@@ -38,15 +38,15 @@ class TestEquation4Prioritization:
     def test_prioritization_bounds_are_quarter_and_three_quarters(self):
         scheduler = self.make()
         # Fairness improves hugely, throughput not at all.
-        scheduler.update(0.40, 0.10)
-        state = scheduler.update(0.40, 0.90)
+        scheduler.update(0.40, 0.10, 0.1)
+        state = scheduler.update(0.40, 0.90, 0.1)
         w_tp = state.prioritization_throughput / (1 - state.equalization_fraction)
         assert w_tp == pytest.approx(0.75, abs=1e-6)  # throughput gets the max
 
     def test_symmetric_improvement_gives_half(self):
         scheduler = self.make()
-        scheduler.update(0.40, 0.80)
-        state = scheduler.update(0.44, 0.88)  # both +10 %
+        scheduler.update(0.40, 0.80, 0.1)
+        state = scheduler.update(0.44, 0.88, 0.1)  # both +10 %
         w_tp = state.prioritization_throughput / (1 - state.equalization_fraction)
         assert w_tp == pytest.approx(0.5, abs=1e-6)
 
@@ -62,7 +62,7 @@ class TestEquation3Equalization:
         # toward throughput early in the period.
         weights = []
         for i in range(20):
-            state = scheduler.update(0.4, 0.5 + 0.02 * i)
+            state = scheduler.update(0.4, 0.5 + 0.02 * i, 0.1)
             weights.append(state.w_throughput)
         # The equalization component must pull the period mean to ~0.5.
         assert np.mean(weights) == pytest.approx(0.5, abs=0.06)
@@ -71,7 +71,7 @@ class TestEquation3Equalization:
         scheduler = DynamicWeightScheduler(
             prioritization_period_s=0.2, equalization_period_s=2.0
         )
-        weights = [scheduler.update(0.4, 0.5 + 0.02 * i).w_throughput for i in range(20)]
+        weights = [scheduler.update(0.4, 0.5 + 0.02 * i, 0.1).w_throughput for i in range(20)]
         early = np.mean(weights[:10])
         late = np.mean(weights[10:])
         if early > 0.5:

@@ -13,6 +13,9 @@ from repro.core.weights import (
 )
 from repro.errors import PolicyError
 
+#: The paper's control interval (Sec. IV), which the runs use.
+INTERVAL_S = 0.1
+
 
 def make_scheduler(**kwargs):
     defaults = dict(prioritization_period_s=1.0, equalization_period_s=10.0)
@@ -23,16 +26,16 @@ def make_scheduler(**kwargs):
 class TestStaticWeights:
     def test_fixed_pair(self):
         scheduler = StaticWeights(0.5, 0.5)
-        state = scheduler.update(0.3, 0.9)
+        state = scheduler.update(0.3, 0.9, INTERVAL_S)
         assert state.pair == (0.5, 0.5)
 
     def test_normalizes(self):
         scheduler = StaticWeights(2.0, 2.0)
-        assert scheduler.update(0, 0).pair == (0.5, 0.5)
+        assert scheduler.update(0, 0, INTERVAL_S).pair == (0.5, 0.5)
 
     def test_single_goal_variants(self):
-        assert StaticWeights(1.0, 0.0).update(0, 0).pair == (1.0, 0.0)
-        assert StaticWeights(0.0, 1.0).update(0, 0).pair == (0.0, 1.0)
+        assert StaticWeights(1.0, 0.0).update(0, 0, INTERVAL_S).pair == (1.0, 0.0)
+        assert StaticWeights(0.0, 1.0).update(0, 0, INTERVAL_S).pair == (0.0, 1.0)
 
     def test_negative_rejected(self):
         with pytest.raises(PolicyError):
@@ -45,22 +48,45 @@ class TestStaticWeights:
 
 class TestDynamicScheduler:
     def test_periods_quantized_to_interval(self):
-        scheduler = make_scheduler()
-        assert scheduler.prioritization_period_s == pytest.approx(1.0)
-        assert scheduler.equalization_period_s == pytest.approx(10.0)
+        # T_E = 10 s is 100 updates at 0.1 s and 50 at 0.2 s.
+        for interval_s, per_period in ((0.1, 100), (0.2, 50)):
+            scheduler = make_scheduler()
+            resets = [
+                i + 1
+                for i in range(250)
+                if scheduler.update(0.4, 0.8, interval_s).period_reset
+            ]
+            assert resets == list(range(per_period, 251, per_period))
+
+    def test_prioritization_boundary_counts_observed_intervals(self):
+        # T_P = 1 s: Eq. 4 reruns after 5 updates at 0.2 s, so fairness
+        # improving over the first 5 hands throughput the weight at the
+        # 6th; at 0.1 s the period is still open there.
+        def sixth(interval_s):
+            scheduler = make_scheduler(equalization_period_s=100.0)
+            for i in range(5):
+                scheduler.update(0.4, 0.5 + 0.05 * i, interval_s)
+            return scheduler.update(0.4, 0.8, interval_s)
+
+        open_period = sixth(0.1)
+        assert open_period.prioritization_throughput == pytest.approx(
+            0.5 * (1 - open_period.equalization_fraction)
+        )
+        boundary = sixth(0.2)
+        assert boundary.prioritization_throughput > 0.5 * (1 - boundary.equalization_fraction)
 
     def test_weights_sum_to_one(self):
         scheduler = make_scheduler()
         rng = np.random.default_rng(0)
         for _ in range(250):
-            state = scheduler.update(rng.uniform(0.2, 0.5), rng.uniform(0.6, 1.0))
+            state = scheduler.update(rng.uniform(0.2, 0.5), rng.uniform(0.6, 1.0), INTERVAL_S)
             assert state.w_throughput + state.w_fairness == pytest.approx(1.0)
 
     def test_weights_bounded(self):
         scheduler = make_scheduler()
         rng = np.random.default_rng(1)
         for _ in range(500):
-            state = scheduler.update(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+            state = scheduler.update(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), INTERVAL_S)
             assert WEIGHT_LOWER_BOUND - 1e-9 <= state.w_throughput <= WEIGHT_UPPER_BOUND + 1e-9
             assert WEIGHT_LOWER_BOUND - 1e-9 <= state.w_fairness <= WEIGHT_UPPER_BOUND + 1e-9
 
@@ -68,13 +94,15 @@ class TestDynamicScheduler:
         """The equalization mechanism keeps the average weight ~0.5."""
         scheduler = make_scheduler()
         rng = np.random.default_rng(2)
-        weights = [scheduler.update(rng.uniform(0.2, 0.6), rng.uniform(0.5, 1.0)).w_throughput
-                   for _ in range(1000)]
+        weights = [
+            scheduler.update(rng.uniform(0.2, 0.6), rng.uniform(0.5, 1.0), INTERVAL_S).w_throughput
+            for _ in range(1000)
+        ]
         assert np.mean(weights) == pytest.approx(0.5, abs=0.05)
 
     def test_period_reset_flag_fires_each_equalization_period(self):
         scheduler = make_scheduler(equalization_period_s=1.0)
-        resets = [scheduler.update(0.4, 0.8).period_reset for _ in range(30)]
+        resets = [scheduler.update(0.4, 0.8, INTERVAL_S).period_reset for _ in range(30)]
         assert sum(resets) == 3
         assert resets[9] and resets[19] and resets[29]
 
@@ -83,40 +111,47 @@ class TestDynamicScheduler:
         scheduler = make_scheduler(equalization_period_s=100.0)
         # First prioritization period: fairness improves, throughput flat.
         for i in range(10):
-            scheduler.update(0.4, 0.5 + 0.03 * i)
-        state = scheduler.update(0.4, 0.8)
+            scheduler.update(0.4, 0.5 + 0.03 * i, INTERVAL_S)
+        state = scheduler.update(0.4, 0.8, INTERVAL_S)
         assert state.w_throughput > 0.5
 
     def test_favor_stronger_inverts(self):
         weaker = make_scheduler(equalization_period_s=100.0, favor_weaker_goal=True)
         stronger = make_scheduler(equalization_period_s=100.0, favor_weaker_goal=False)
         for i in range(10):
-            weaker.update(0.4, 0.5 + 0.03 * i)
-            stronger.update(0.4, 0.5 + 0.03 * i)
-        assert weaker.update(0.4, 0.8).w_throughput > 0.5
-        assert stronger.update(0.4, 0.8).w_throughput < 0.5
+            weaker.update(0.4, 0.5 + 0.03 * i, INTERVAL_S)
+            stronger.update(0.4, 0.5 + 0.03 * i, INTERVAL_S)
+        assert weaker.update(0.4, 0.8, INTERVAL_S).w_throughput > 0.5
+        assert stronger.update(0.4, 0.8, INTERVAL_S).w_throughput < 0.5
 
     def test_no_improvement_gives_equal_priorities(self):
         scheduler = make_scheduler(equalization_period_s=100.0)
         for _ in range(15):
-            state = scheduler.update(0.4, 0.8)
+            state = scheduler.update(0.4, 0.8, INTERVAL_S)
         assert state.prioritization_throughput + state.prioritization_fairness == pytest.approx(
             (1 - state.equalization_fraction) * 1.0
         )
 
     def test_equalization_fraction_grows(self):
         scheduler = make_scheduler()
-        fractions = [scheduler.update(0.4, 0.8).equalization_fraction for _ in range(100)]
+        fractions = [
+            scheduler.update(0.4, 0.8, INTERVAL_S).equalization_fraction for _ in range(100)
+        ]
         assert fractions[0] < fractions[50] < fractions[99]
         assert fractions[99] == pytest.approx(1.0)
 
     def test_starts_a_fresh_equalization_period(self):
-        state = make_scheduler().update(0.3, 0.9)
+        state = make_scheduler().update(0.3, 0.9, INTERVAL_S)
         assert state.equalization_fraction == pytest.approx(0.01)
 
     def test_invalid_periods_rejected(self):
-        with pytest.raises(PolicyError):
-            make_scheduler(prioritization_period_s=0.01)
+        # T_P shorter than the interval is known only when update runs.
+        short = make_scheduler(prioritization_period_s=0.01)
+        with pytest.raises(PolicyError, match="at least one interval"):
+            short.update(0.4, 0.8, INTERVAL_S)
+        make_scheduler(prioritization_period_s=0.2).update(0.4, 0.8, 0.2)
+        with pytest.raises(PolicyError, match="at least one interval"):
+            make_scheduler(prioritization_period_s=0.2).update(0.4, 0.8, 0.3)
         with pytest.raises(PolicyError):
             make_scheduler(equalization_period_s=0.5)
 
@@ -127,6 +162,6 @@ class TestDynamicScheduler:
     def test_invariants_hold_for_arbitrary_scores(self, t_seq):
         scheduler = make_scheduler(equalization_period_s=2.0)
         for i, t in enumerate(t_seq):
-            state = scheduler.update(t, 1.0 - 0.5 * t)
+            state = scheduler.update(t, 1.0 - 0.5 * t, INTERVAL_S)
             assert state.w_throughput + state.w_fairness == pytest.approx(1.0)
             assert WEIGHT_LOWER_BOUND - 1e-9 <= state.w_throughput <= WEIGHT_UPPER_BOUND + 1e-9

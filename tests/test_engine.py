@@ -37,6 +37,7 @@ from repro.engine import (
 from repro.errors import EngineError, ExperimentError, PolicyError
 from repro.experiments.comparison import compare_on_mix, compare_on_mixes
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
+from repro.obs import TraceCollector, use_collector
 from repro.workloads.mixes import JobMix, suite_mixes
 
 FAST = RunConfig(duration_s=2.0, interval_s=0.1, baseline_reset_s=1.0)
@@ -229,6 +230,22 @@ class TestDeterminism:
         assert engine.stats.deduplicated == 1
 
 
+class TestPoolRound:
+    def test_one_round_returns_every_result_in_order(self, mixes, catalog):
+        # The pool harvests each future as it completes; every result
+        # still lands in its own position, and the round sets the
+        # utilization gauge.
+        specs = [spec(mix, catalog) for mix in mixes]
+        collector = TraceCollector()
+        with use_collector(collector), ExecutionEngine(workers=2) as engine:
+            results = engine.run(specs)
+        assert all(isinstance(result, RunResult) for result in results)
+        assert [result.mix_label for result in results] == [mix.label for mix in mixes]
+        assert engine.stats.executed == len(specs)
+        assert engine.stats.failed == 0
+        assert collector.metrics.gauge("engine.worker_utilization").value > 0
+
+
 class TestFailedPoolSpec:
     def test_failure_does_not_pin_caller_frames(self, mixes, catalog, monkeypatch):
         """A worker exception must not keep the caller's frames alive.
@@ -342,11 +359,10 @@ class TestRunCache:
     def test_hit_after_put(self, mixes, catalog, tmp_path):
         cache = RunCache(tmp_path)
         s = spec(mixes[0], catalog)
-        assert cache.get(s) is None and cache.misses == 1
+        assert cache.get(s) is None
         result = execute_run(s)
         cache.put(s, result)
         assert cache.get(s).to_dict() == result.to_dict()
-        assert cache.hits == 1
 
     def test_warm_engine_executes_nothing(self, mixes, catalog, tmp_path, monkeypatch):
         specs = [spec(mix, catalog) for mix in mixes]
@@ -389,7 +405,11 @@ class TestRunCache:
         cache.put(s, execute_run(s))
         cache.path_for(s).write_text("{not json")
         assert cache.get(s) is None
-        assert cache.misses == 1
+        engine = ExecutionEngine(cache=cache)
+        engine.run([s])
+        assert engine.stats.cache_misses == 1
+        assert engine.stats.executed == 1
+        assert cache.get(s) is not None  # the recomputed result replaced it
 
 
 # -- driver acceptance ---------------------------------------------------

@@ -5,8 +5,8 @@ and serialization, the faulty register file, the simulator's injection
 points (actuation retry, last-known-good fallback, monitor corruption,
 crashes/hangs), the controller's hardening layer (validation, retreat,
 watchdog), and the engine-level guarantees (faulted runs bit-identical
-across worker counts, fault plans in digests and the cache, retries,
-partial batches, cache degradation).
+across worker counts, fault plans in digests and the cache, partial
+batches, cache degradation).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import time
 
 import numpy as np
 import pytest
@@ -496,23 +495,6 @@ class TestFaultedDeterminism:
 
 
 class TestEngineResilience:
-    def test_retry_rescues_transient_failure(self, fault_batch, monkeypatch):
-        real = engine_module.execute_run
-        failures = {"left": 1}
-
-        def flaky(spec):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("transient worker loss")
-            return real(spec)
-
-        monkeypatch.setattr(engine_module, "execute_run", flaky)
-        engine = ExecutionEngine(retries=1)
-        results = engine.run(fault_batch[:1])
-        assert results[0].to_dict() == ExecutionEngine().run(fault_batch[:1])[0].to_dict()
-        assert engine.stats.retried == 1
-        assert engine.stats.failed == 0
-
     def test_partial_batch_records_failures(self, fault_batch, monkeypatch):
         real = engine_module.execute_run
 
@@ -529,14 +511,22 @@ class TestEngineResilience:
         assert "this spec always dies" in results[0].error
         assert not isinstance(results[1], RunError)
         assert engine.stats.failed == 1
+        assert engine.stats.summary().endswith(", 1 failed")
 
     def test_on_error_raise_is_default(self, fault_batch, monkeypatch):
+        calls = []
+
         def boom(spec):
+            calls.append(spec)
             raise RuntimeError("no survivors")
 
         monkeypatch.setattr(engine_module, "execute_run", boom)
-        with pytest.raises(EngineError):
-            ExecutionEngine().run(fault_batch)
+        engine = ExecutionEngine()
+        with pytest.raises(EngineError, match="failed: RuntimeError: no survivors"):
+            engine.run(fault_batch)
+        # One round: each failing spec executed once, none again.
+        assert calls == fault_batch
+        assert engine.stats.failed == len(fault_batch)
 
     def test_on_error_validated(self, fault_batch):
         with pytest.raises(EngineError):
@@ -595,88 +585,3 @@ class TestFaultedRunPolicy:
         trail = result.telemetry.series("faults_active")
         assert len(trail) == FAST.n_steps
         assert trail.max() > 0
-
-
-class TestEngineHardening:
-    """Deadlines, backoff, and the knobs the fleet recovery layer uses."""
-
-    def test_constructor_validation(self):
-        with pytest.raises(EngineError):
-            ExecutionEngine(spec_timeout_s=0)
-        with pytest.raises(EngineError):
-            ExecutionEngine(backoff_base_s=-0.1)
-        with pytest.raises(EngineError):
-            ExecutionEngine(backoff_jitter=-0.5)
-
-    def test_backoff_is_exponential_and_deterministic(self, fault_batch, monkeypatch):
-        from repro.obs import TraceCollector, use_collector
-
-        real = engine_module.execute_run
-        failures = {"left": 2}
-
-        def flaky(spec):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("transient worker loss")
-            return real(spec)
-
-        slept = []
-        monkeypatch.setattr(engine_module, "execute_run", flaky)
-        monkeypatch.setattr(engine_module.time, "sleep", slept.append)
-        engine = ExecutionEngine(retries=2, backoff_base_s=0.2, backoff_jitter=0.25)
-        collector = TraceCollector()
-        with use_collector(collector):
-            engine.run(fault_batch[:1])
-        # Round r sleeps base * 2**(r-1), stretched by a jitter
-        # fraction derived from the retried spec's digest — the exact
-        # delays are reproducible, not merely bounded.
-        spec = fault_batch[0]
-        expected = [
-            0.2 * 2 ** (r - 1)
-            * (1.0 + 0.25 * (derive_seed(spec.digest, "backoff", r) % 10**6 / 10**6))
-            for r in (1, 2)
-        ]
-        assert slept == pytest.approx(expected)
-        backoffs = [e for e in collector.events if e.name == "retry_backoff"]
-        assert [dict(e.args)["round"] for e in backoffs] == [1, 2]
-        assert [dict(e.args)["delay_s"] for e in backoffs] == pytest.approx(expected)
-
-    def test_zero_base_skips_sleep(self, fault_batch, monkeypatch):
-        def boom(spec):
-            raise RuntimeError("always")
-
-        slept = []
-        monkeypatch.setattr(engine_module, "execute_run", boom)
-        monkeypatch.setattr(engine_module.time, "sleep", slept.append)
-        engine = ExecutionEngine(retries=2)  # backoff_base_s defaults to 0
-        engine.run(fault_batch[:1], on_error="record")
-        assert slept == []
-
-    def test_per_spec_deadline_abandons_straggler(self, fault_batch, monkeypatch):
-        # Worker pools fork on this platform, so the monkeypatched
-        # execute_run is inherited by the children: the first spec
-        # outlives its deadline, the second finishes normally.
-        real = engine_module.execute_run
-        hang_spec = fault_batch[0]
-
-        def selective(spec):
-            if spec == hang_spec:
-                time.sleep(2.5)
-            return real(spec)
-
-        monkeypatch.setattr(engine_module, "execute_run", selective)
-        engine = ExecutionEngine(workers=2, spec_timeout_s=0.4)
-        started = time.perf_counter()
-        results = engine.run(fault_batch, on_error="record")
-        assert isinstance(results[0], RunError)
-        assert "per-spec deadline" in results[0].error
-        assert not isinstance(results[1], RunError)
-        # The batch did not wait out the straggler's full 2.5s sleep.
-        assert time.perf_counter() - started < 2.5
-        assert engine.stats.failed == 1
-
-    def test_no_deadlines_is_single_wait(self, fault_batch):
-        # Without timeouts the pool path produces complete results and
-        # preserves order (the historical behavior).
-        results = ExecutionEngine(workers=2).run(fault_batch)
-        assert all(not isinstance(r, RunError) for r in results)

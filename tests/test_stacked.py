@@ -25,7 +25,6 @@ from repro.core.gp import (
     stacked_cholesky,
 )
 from repro.errors import ModelError
-from repro.obs import TraceCollector, use_collector
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -66,14 +65,6 @@ class TestStackedCholesky:
             stacked_cholesky(np.eye(3))
         with pytest.raises(ModelError):
             stacked_cholesky(np.zeros((2, 3, 4)))
-
-    def test_observes_batch_size(self):
-        collector = TraceCollector()
-        with use_collector(collector):
-            stacked_cholesky(spd_stack(np.random.default_rng(1), 5, 3))
-        hist = collector.metrics.histogram("gp.stacked_cholesky_batch")
-        assert hist.count == 1
-        assert hist.sum == 5.0
 
 
 class TestStackedChoSolve:
