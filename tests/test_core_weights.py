@@ -37,6 +37,12 @@ class TestStaticWeights:
         assert StaticWeights(1.0, 0.0).update(0, 0, INTERVAL_S).pair == (1.0, 0.0)
         assert StaticWeights(0.0, 1.0).update(0, 0, INTERVAL_S).pair == (0.0, 1.0)
 
+    def test_interval_is_ignored(self):
+        scheduler = StaticWeights(0.7, 0.3)
+        states = [scheduler.update(0.3, 0.9, interval_s) for interval_s in (0.1, 0.2, 5.0)]
+        assert states[0] == states[1] == states[2]
+        assert states[0].pair == pytest.approx((0.7, 0.3))
+
     def test_negative_rejected(self):
         with pytest.raises(PolicyError):
             StaticWeights(-1.0, 2.0)
@@ -154,6 +160,12 @@ class TestDynamicScheduler:
             make_scheduler(prioritization_period_s=0.2).update(0.4, 0.8, 0.3)
         with pytest.raises(PolicyError):
             make_scheduler(equalization_period_s=0.5)
+
+    def test_non_positive_interval_rejected(self):
+        # A zero or negative interval counts no periods at all.
+        for interval_s in (0.0, -0.1):
+            with pytest.raises(PolicyError, match="at least one interval"):
+                make_scheduler().update(0.4, 0.8, interval_s)
 
     @given(
         t_seq=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=30, max_size=60),

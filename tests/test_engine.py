@@ -245,6 +245,30 @@ class TestPoolRound:
         assert engine.stats.failed == 0
         assert collector.metrics.gauge("engine.worker_utilization").value > 0
 
+    def test_failed_spec_raises_after_the_round(self, mixes, catalog, monkeypatch):
+        real = engine_module.execute_run
+        doomed = spec(mixes[1], catalog)
+
+        def selective(run_spec):
+            if run_spec == doomed:
+                raise RuntimeError("injected worker failure")
+            return real(run_spec)
+
+        # Pools fork, so the workers inherit the patched execute_run.
+        monkeypatch.setattr(engine_module, "execute_run", selective)
+        specs = [spec(mixes[0], catalog), doomed, spec(mixes[2], catalog)]
+        with ExecutionEngine(workers=2) as engine:
+            with pytest.raises(EngineError, match="RuntimeError: injected worker failure"):
+                engine.run(specs)
+            # The whole round ran before the raise: the other specs
+            # executed and the failed one ran once.
+            assert engine.stats.executed == 2
+            assert engine.stats.failed == 1
+            # The pool outlives the failed batch.
+            assert [r.mix_label for r in engine.run(specs[::2])] == [
+                mixes[0].label, mixes[2].label
+            ]
+
 
 class TestFailedPoolSpec:
     def test_failure_does_not_pin_caller_frames(self, mixes, catalog, monkeypatch):

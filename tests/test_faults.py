@@ -528,6 +528,47 @@ class TestEngineResilience:
         assert calls == fault_batch
         assert engine.stats.failed == len(fault_batch)
 
+    def test_duplicate_failing_spec_executes_once(self, fault_batch, monkeypatch):
+        calls = []
+
+        def boom(spec):
+            calls.append(spec)
+            raise RuntimeError("dies once")
+
+        monkeypatch.setattr(engine_module, "execute_run", boom)
+        engine = ExecutionEngine()
+        doomed = fault_batch[0]
+        results = engine.run([doomed, doomed], on_error="record")
+        assert calls == [doomed]
+        assert isinstance(results[0], RunError)
+        assert results[1] is results[0]
+        assert engine.stats.deduplicated == 1
+        assert engine.stats.failed == 1
+
+    def test_failed_spec_is_not_cached(self, fault_batch, tmp_path, monkeypatch):
+        real = engine_module.execute_run
+        failures = {"left": 1}
+
+        def fails_once(spec):
+            if failures["left"]:
+                failures["left"] -= 1
+                raise RuntimeError("transient worker loss")
+            return real(spec)
+
+        monkeypatch.setattr(engine_module, "execute_run", fails_once)
+        cache = RunCache(tmp_path)
+        engine = ExecutionEngine(cache=cache)
+        spec = fault_batch[0]
+        assert isinstance(engine.run([spec], on_error="record")[0], RunError)
+        assert not cache.path_for(spec).exists()
+        # The next batch misses the cache and executes the spec afresh.
+        result = engine.run([spec])[0]
+        assert result.to_dict() == ExecutionEngine().run([spec])[0].to_dict()
+        assert engine.stats.cache_misses == 2
+        assert engine.stats.executed == 1
+        assert engine.stats.failed == 1
+        assert cache.get(spec).to_dict() == result.to_dict()
+
     def test_on_error_validated(self, fault_batch):
         with pytest.raises(EngineError):
             ExecutionEngine().run(fault_batch, on_error="ignore")
