@@ -9,60 +9,23 @@ CoPart by 7 / 4 points. Also includes the BO design-choice ablation
 
 import numpy as np
 
-from repro.experiments import (
-    bo_design_ablation,
-    experiment_catalog,
-    format_table,
-    resource_subset_ablation,
-)
+from repro.experiments import bo_design_ablation, experiment_catalog, format_table
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import RunConfig
-from repro.resources.types import LLC_WAYS, MEMORY_BANDWIDTH
 from repro.workloads.mixes import suite_mixes
 
-from common import RUN_SECONDS, run_once
+from common import run_once
 
 
 def test_ablation_resource_subsets(benchmark):
-    catalog = experiment_catalog()
-    mixes = suite_mixes("parsec")
+    (claim,) = FIGURES["ablation"]
 
-    def compute():
-        llc_results = []
-        both_results = []
-        for i in (5, 17):
-            rc = RunConfig(duration_s=RUN_SECONDS)
-            llc_results.append(resource_subset_ablation(mixes[i], [LLC_WAYS], catalog, rc, seed=i))
-            both_results.append(
-                resource_subset_ablation(
-                    mixes[i], [LLC_WAYS, MEMORY_BANDWIDTH], catalog, rc, seed=i
-                )
-            )
-        return llc_results, both_results
+    results = run_once(benchmark, claim.run)
+    llc_results, both_results = results
 
-    llc_results, both_results = run_once(benchmark, compute)
-
-    print("\nResource-subset ablation (% of Balanced Oracle)")
-    rows = []
-    for result in llc_results + both_results:
-        rows.append(
-            [
-                "+".join(result.resources),
-                result.mix_label[:36],
-                f"{result.satori_throughput:.0f}/{result.satori_fairness:.0f}",
-                result.baseline_name,
-                f"{result.baseline_throughput:.0f}/{result.baseline_fairness:.0f}",
-            ]
-        )
-    print(format_table(["resources", "mix", "SATORI T/F", "baseline", "baseline T/F"], rows))
-
+    print(f"\n{claim.render(results)}")
     llc_gap_t = np.mean([r.throughput_gap_points for r in llc_results])
-    llc_gap_f = np.mean([r.fairness_gap_points for r in llc_results])
     both_gap_t = np.mean([r.throughput_gap_points for r in both_results])
-    print(
-        f"\nSATORI-LLC-only vs dCAT: {llc_gap_t:+.1f} T pts, {llc_gap_f:+.1f} F pts "
-        "(paper: +4 / +5)"
-    )
-    print(f"SATORI-LLC+MBW vs CoPart: {both_gap_t:+.1f} T pts (paper: +7)")
 
     # SATORI's search advantage survives the restricted knob sets.
     assert llc_gap_t > -2.0

@@ -5,31 +5,17 @@ optimal configuration "can change by more than 20 %" over a run and
 changes frequently.
 """
 
-from repro.experiments import experiment_catalog, format_table, optimal_configuration_drift
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
 from common import run_once
 
 
 def test_fig01_optimal_configuration_drift(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[17]  # a five-job mix as in the paper's Fig. 1
+    (claim,) = FIGURES["fig1"]  # a five-job mix as in the paper's Fig. 1
 
-    drift = run_once(
-        benchmark,
-        lambda: optimal_configuration_drift(mix, catalog, duration_s=20.0, step_s=0.5),
-    )
+    drift = run_once(benchmark, claim.run)
 
-    print(f"\nFig. 1 — throughput-optimal configuration over time ({mix.label})")
-    rows = []
-    for i in range(0, len(drift.times), 4):
-        row = [drift.times[i]]
-        for name, series in drift.shares.items():
-            row.append("/".join(f"{v:.0f}" for v in series[i]))
-        rows.append(row)
-    print(format_table(["t (s)"] + list(drift.shares), rows))
-    print(f"\nmax per-job share swing: {drift.max_share_change_percent():.1f} %-points")
-    print(f"distinct optimal configurations: {drift.n_distinct_configs()}")
+    print(f"\n{claim.render(drift)}")
 
     # Observation 1: the optimum changes significantly and frequently.
     assert drift.n_distinct_configs() >= 3

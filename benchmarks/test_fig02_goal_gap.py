@@ -7,41 +7,17 @@ optimal throughput; averaging the two optima or alternating between
 them stays well below the Balanced Oracle.
 """
 
-import numpy as np
-
-from repro.experiments import conflicting_goal_gap, experiment_catalog, format_table
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
 from common import run_once
 
 
 def test_fig02_conflicting_goal_gap(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[0]
+    (claim,) = FIGURES["fig2"]
 
-    def compute():
-        return [conflicting_goal_gap(mix, catalog, time_s=t) for t in (0.0, 4.0, 8.0)]
+    gaps = run_once(benchmark, claim.run)
 
-    gaps = run_once(benchmark, compute)
-
-    print(f"\nFig. 2 — goal conflict over three instants ({mix.label})")
-    rows = []
-    for gap in gaps:
-        rows.append(
-            [
-                gap.time_s,
-                f"{gap.throughput_opt[0]:.3f}/{gap.throughput_opt[1]:.3f}",
-                f"{gap.fairness_opt[0]:.3f}/{gap.fairness_opt[1]:.3f}",
-                f"{gap.balanced_opt[0]:.3f}/{gap.balanced_opt[1]:.3f}",
-                f"{gap.config_distance:.1f}/{gap.max_distance:.1f}",
-            ]
-        )
-    print(format_table(["t (s)", "T-opt (T/F)", "F-opt (T/F)", "Balanced (T/F)", "distance"], rows))
-
-    cross_f = np.mean([g.cross_fairness_ratio for g in gaps])
-    cross_t = np.mean([g.cross_throughput_ratio for g in gaps])
-    print(f"\nT-opt achieves {100 * cross_f:.0f} % of optimal fairness (paper: 67 %)")
-    print(f"F-opt achieves {100 * cross_t:.0f} % of optimal throughput (paper: 59 %)")
+    print(f"\n{claim.render(gaps)}")
 
     for gap in gaps:
         # The optima genuinely conflict...

@@ -6,32 +6,18 @@ differences in opposite directions — so prioritizing different goals
 at different times yields a net gain.
 """
 
-from repro.experiments import experiment_catalog, rebalancing_opportunity
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
 from common import run_once
 
 
 def test_fig03_rebalancing_opportunity(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[0]
+    (claim,) = FIGURES["fig3"]
 
-    example = run_once(
-        benchmark,
-        lambda: rebalancing_opportunity(mix, catalog, n_samples=120, rng=7),
-    )
+    example = run_once(benchmark, claim.run)
 
     assert example is not None, "no re-balancing opportunity found (Observation 3 fails)"
-    print(f"\nFig. 3 — re-balancing opportunity ({mix.label})")
-    print(
-        f"  at t={example.time_a:.1f}s: dT={example.throughput_delta_a:+.4f} "
-        f"dF={example.fairness_delta_a:+.4f}"
-    )
-    print(
-        f"  at t={example.time_b:.1f}s: dT={example.throughput_delta_b:+.4f} "
-        f"dF={example.fairness_delta_b:+.4f}"
-    )
-    print("  -> same-sign throughput deltas, opposite-sign fairness deltas")
+    print(f"\n{claim.render(example)}")
 
     assert example.demonstrates_opportunity
     # The throughput deltas are matched within the search tolerance.

@@ -6,22 +6,18 @@ best technique (PARTIES) on both; ordering Random < dCAT < CoPart <
 PARTIES < SATORI.
 """
 
-from repro.experiments import STANDARD_POLICY_ORDER, aggregate, format_table
+from repro.experiments import STANDARD_POLICY_ORDER, aggregate
+from repro.experiments.figures import FIGURES
 
-from common import run_once, suite_comparisons
+from common import run_once
 
 
 def test_fig07_parsec_aggregate(benchmark):
-    comparisons = run_once(benchmark, lambda: suite_comparisons("parsec"))
+    (claim,) = FIGURES["fig7"]
+    comparisons = run_once(benchmark, claim.run)
     agg = aggregate(comparisons, STANDARD_POLICY_ORDER)
 
-    print("\nFig. 7 — PARSEC aggregate (% of Balanced Oracle, 21 mixes)")
-    print(
-        format_table(
-            ["policy", "throughput %", "fairness %"],
-            [[name, t, f] for name, (t, f) in agg.items()],
-        )
-    )
+    print(f"\n{claim.render(comparisons)}")
 
     satori_t, satori_f = agg["SATORI"]
     parties_t, parties_f = agg["PARTIES"]

@@ -5,27 +5,16 @@ Paper findings: SATORI outperforms the competition for every job mix
 never worse than the competing techniques.
 """
 
-from repro.experiments import STANDARD_POLICY_ORDER, format_table
+from repro.experiments.figures import FIGURES
 
-from common import run_once, suite_comparisons
+from common import run_once
 
 
 def test_fig08_parsec_per_mix(benchmark):
-    comparisons = run_once(benchmark, lambda: suite_comparisons("parsec"))
+    (claim,) = FIGURES["fig8"]
+    comparisons = run_once(benchmark, claim.run)
 
-    # The paper sorts mixes by SATORI's performance.
-    ordered = sorted(
-        comparisons, key=lambda c: c.score("SATORI").throughput_vs_oracle
-    )
-    print("\nFig. 8 — per-mix PARSEC results (% of Balanced Oracle, T/F)")
-    rows = []
-    for index, comparison in enumerate(ordered):
-        row = [index, comparison.mix_label[:44]]
-        for name in STANDARD_POLICY_ORDER:
-            score = comparison.score(name)
-            row.append(f"{score.throughput_vs_oracle:.0f}/{score.fairness_vs_oracle:.0f}")
-        rows.append(row)
-    print(format_table(["#", "mix"] + list(STANDARD_POLICY_ORDER), rows))
+    print(f"\n{claim.render(comparisons)}")
 
     combined_wins = sum(
         c.score("SATORI").throughput_vs_oracle + c.score("SATORI").fairness_vs_oracle
@@ -35,10 +24,6 @@ def test_fig08_parsec_per_mix(benchmark):
     throughput_wins = sum(
         c.score("SATORI").throughput_vs_oracle > c.score("PARTIES").throughput_vs_oracle
         for c in comparisons
-    )
-    print(
-        f"\nSATORI beats PARTIES: throughput on {throughput_wins}/21 mixes, "
-        f"combined objective on {combined_wins}/21 mixes"
     )
 
     # Consistency: SATORI wins the combined objective on a strong

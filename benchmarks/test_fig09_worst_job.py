@@ -7,13 +7,15 @@ averaging 87 % of the Balanced Oracle's worst-job performance.
 
 import numpy as np
 
-from repro.experiments import STANDARD_POLICY_ORDER, format_table
+from repro.experiments import STANDARD_POLICY_ORDER
+from repro.experiments.figures import FIGURES
 
-from common import run_once, suite_comparisons
+from common import run_once
 
 
 def test_fig09_worst_job(benchmark):
-    comparisons = run_once(benchmark, lambda: suite_comparisons("parsec"))
+    (claim,) = FIGURES["fig9"]
+    comparisons = run_once(benchmark, claim.run)
 
     means = {
         name: float(
@@ -22,13 +24,7 @@ def test_fig09_worst_job(benchmark):
         for name in STANDARD_POLICY_ORDER
     }
 
-    print("\nFig. 9 — worst-performing job (% of Balanced Oracle's worst job)")
-    print(
-        format_table(
-            ["policy", "worst-job % (mean of 21 mixes)"],
-            [[name, value] for name, value in means.items()],
-        )
-    )
+    print(f"\n{claim.render(comparisons)}")
 
     # SATORI protects the worst job better than the non-fairness
     # baselines and lands near the oracle (paper: 87 %).

@@ -11,33 +11,19 @@ ahead. The Random < dCAT < CoPart ordering and SATORI's near-oracle
 level reproduce.
 """
 
-from repro.experiments import STANDARD_POLICY_ORDER, aggregate, format_table
+from repro.experiments import STANDARD_POLICY_ORDER, aggregate
+from repro.experiments.figures import FIGURES
 
-from common import run_once, suite_comparisons
+from common import run_once
 
 
 def test_fig10_12_cloudsuite(benchmark):
-    comparisons = run_once(benchmark, lambda: suite_comparisons("cloudsuite"))
+    (per_mix,), (aggregated,) = FIGURES["fig10"], FIGURES["fig12"]
+    comparisons = run_once(benchmark, per_mix.run)
     agg = aggregate(comparisons, STANDARD_POLICY_ORDER)
 
-    print("\nFig. 10 — per-mix CloudSuite results (% of Balanced Oracle, T/F)")
-    rows = []
-    ordered = sorted(comparisons, key=lambda c: c.score("SATORI").throughput_vs_oracle)
-    for comparison in ordered:
-        row = [comparison.mix_label[:48]]
-        for name in STANDARD_POLICY_ORDER:
-            score = comparison.score(name)
-            row.append(f"{score.throughput_vs_oracle:.0f}/{score.fairness_vs_oracle:.0f}")
-        rows.append(row)
-    print(format_table(["mix"] + list(STANDARD_POLICY_ORDER), rows))
-
-    print("\nFig. 12 — CloudSuite aggregate (% of Balanced Oracle)")
-    print(
-        format_table(
-            ["policy", "throughput %", "fairness %"],
-            [[name, t, f] for name, (t, f) in agg.items()],
-        )
-    )
+    print(f"\n{per_mix.render(comparisons)}")
+    print(f"\n{aggregated.render(aggregated.run())}")
 
     satori_t, satori_f = agg["SATORI"]
     assert satori_t >= 85.0

@@ -6,33 +6,19 @@ the minife+swfft mix is SATORI's hardest (both want the LLC), and the
 amg+hypre mix its easiest (similar requirements, easy search space).
 """
 
-from repro.experiments import STANDARD_POLICY_ORDER, aggregate, format_table
+from repro.experiments import STANDARD_POLICY_ORDER, aggregate
+from repro.experiments.figures import FIGURES
 
-from common import run_once, suite_comparisons
+from common import run_once
 
 
 def test_fig11_13_ecp(benchmark):
-    comparisons = run_once(benchmark, lambda: suite_comparisons("ecp"))
+    (per_mix,), (aggregated,) = FIGURES["fig11"], FIGURES["fig13"]
+    comparisons = run_once(benchmark, per_mix.run)
     agg = aggregate(comparisons, STANDARD_POLICY_ORDER)
 
-    print("\nFig. 11 — per-mix ECP results (% of Balanced Oracle, T/F)")
-    ordered = sorted(comparisons, key=lambda c: c.score("SATORI").throughput_vs_oracle)
-    rows = []
-    for comparison in ordered:
-        row = [comparison.mix_label]
-        for name in STANDARD_POLICY_ORDER:
-            score = comparison.score(name)
-            row.append(f"{score.throughput_vs_oracle:.0f}/{score.fairness_vs_oracle:.0f}")
-        rows.append(row)
-    print(format_table(["mix"] + list(STANDARD_POLICY_ORDER), rows))
-
-    print("\nFig. 13 — ECP aggregate (% of Balanced Oracle)")
-    print(
-        format_table(
-            ["policy", "throughput %", "fairness %"],
-            [[name, t, f] for name, (t, f) in agg.items()],
-        )
-    )
+    print(f"\n{per_mix.render(comparisons)}")
+    print(f"\n{aggregated.render(aggregated.run())}")
 
     satori_t, satori_f = agg["SATORI"]
     assert satori_t >= 88.0

@@ -8,50 +8,20 @@ to 10 % additional benefit over static 0.5/0.5 weights, on both goals.
 
 import numpy as np
 
-from repro.experiments import (
-    dynamic_vs_static,
-    experiment_catalog,
-    format_table,
-    weight_trace,
-)
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
+from common import run_once
+
+FIG14A, FIG14B = FIGURES["fig14"]
 
 
 def test_fig14a_weight_trace(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[17]
+    traced = run_once(benchmark, FIG14A.run)
+    trace, _ = traced
 
-    trace, _ = run_once(
-        benchmark,
-        lambda: weight_trace(mix, catalog, RunConfig(duration_s=RUN_SECONDS), seed=3),
-    )
-
-    print(f"\nFig. 14(a) — weight decomposition trace ({mix.label})")
-    rows = []
-    for i in range(0, len(trace.times), 20):
-        rows.append(
-            [
-                trace.times[i],
-                trace.w_throughput[i],
-                trace.w_fairness[i],
-                trace.prioritization_throughput[i],
-                trace.equalization_throughput[i],
-            ]
-        )
-    print(
-        format_table(
-            ["t (s)", "W_T", "W_F", "prioritization(T)", "equalization(T)"],
-            rows,
-            precision=3,
-        )
-    )
+    print(f"\n{FIG14A.render(traced)}")
     mean_t, mean_f = trace.mean_weights()
     deviation = trace.max_deviation_from_equal()
-    print(f"\nlong-term mean weights: W_T={mean_t:.3f} W_F={mean_f:.3f}")
-    print(f"max deviation from 0.5: {deviation:.2f} (paper: up to 0.25 = 50 %)")
 
     assert abs(mean_t - 0.5) < 0.1, "equalization must pin long-term weights to ~0.5"
     assert deviation > 0.02, "temporary prioritization must actually move the weights"
@@ -59,42 +29,9 @@ def test_fig14a_weight_trace(benchmark):
 
 
 def test_fig14b_dynamic_vs_static(benchmark):
-    catalog = experiment_catalog()
-    mixes = suite_mixes("parsec")
+    results = run_once(benchmark, FIG14B.run)
 
-    def compute():
-        results = []
-        for index in (3, 10, 17):
-            results.append(
-                dynamic_vs_static(
-                    mixes[index], catalog, RunConfig(duration_s=RUN_SECONDS), seed=index
-                )
-            )
-        return results
-
-    results = run_once(benchmark, compute)
-
-    print("\nFig. 14(b) — dynamic vs static weights (three mixes)")
-    rows = [
-        [
-            r.mix_label[:44],
-            r.dynamic.throughput,
-            r.other.throughput,
-            r.dynamic.fairness,
-            r.other.fairness,
-        ]
-        for r in results
-    ]
-    print(
-        format_table(
-            ["mix", "T dyn", "T static", "F dyn", "F static"], rows, precision=3
-        )
-    )
-
-    gain_t = np.mean([r.throughput_gain_percent for r in results])
-    gain_f = np.mean([r.fairness_gain_percent for r in results])
-    print(f"\nmean dynamic-prioritization gain: {gain_t:+.1f} % T, {gain_f:+.1f} % F "
-          "(paper: up to +10 %)")
+    print(f"\n{FIG14B.render(results)}")
 
     # Dynamic prioritization must not lose to static weighting on the
     # combined objective on average.

@@ -6,45 +6,18 @@ other technique at least 1.3x farther; (b) SATORI tracks the optimum
 across phase changes better than PARTIES.
 """
 
-from repro.experiments import distance_to_oracle, experiment_catalog, format_table
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
+from common import run_once
 
 
 def test_fig15_configuration_proximity(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[17]
+    (claim,) = FIGURES["fig15"]
 
-    result = run_once(
-        benchmark,
-        lambda: distance_to_oracle(
-            mix, catalog, RunConfig(duration_s=RUN_SECONDS), seed=2
-        ),
-    )
+    result = run_once(benchmark, claim.run)
 
-    print(f"\nFig. 15(a) — mean distance to the Balanced Oracle config ({mix.label})")
+    print(f"\n{claim.render(result)}")
     relative = result.relative_to("SATORI")
-    print(
-        format_table(
-            ["policy", "mean distance", "x SATORI"],
-            [
-                [name, result.mean_distance[name], relative[name]]
-                for name in sorted(result.mean_distance, key=result.mean_distance.get)
-            ],
-            precision=2,
-        )
-    )
-
-    print("\nFig. 15(b) — distance over time, SATORI vs PARTIES (2 s samples)")
-    times = result.times
-    for name in ("SATORI", "PARTIES"):
-        series = result.distance_series[name]
-        samples = " ".join(
-            f"{series[i]:.1f}" for i in range(0, len(series), 20)
-        )
-        print(f"  {name:8s} {samples}")
 
     # SATORI installs the closest configurations.
     for name, distance in result.mean_distance.items():

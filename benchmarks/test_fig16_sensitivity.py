@@ -5,49 +5,17 @@ wide range of T_P and T_E; degradation appears only for very long
 periods (T_P > 5 s, T_E > 30 s). No tuning effort is required.
 """
 
-from repro.experiments import experiment_catalog, format_table, period_sensitivity
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
 from common import run_once
 
 
 def test_fig16_period_sensitivity(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[17]
+    (claim,) = FIGURES["fig16"]
 
-    result = run_once(
-        benchmark,
-        lambda: period_sensitivity(
-            mix,
-            catalog,
-            RunConfig(duration_s=15.0),
-            seed=4,
-            prioritization_sweep=(0.5, 1.0, 2.0, 5.0),
-            equalization_sweep=(5.0, 10.0, 20.0, 30.0),
-        ),
-    )
+    result = run_once(benchmark, claim.run)
 
-    print(f"\nFig. 16 — period sensitivity ({mix.label}, % of Balanced Oracle)")
-    print(
-        format_table(
-            ["T_P (s)", "throughput %", "fairness %"],
-            [[p.value_s, p.throughput_vs_oracle, p.fairness_vs_oracle] for p in result.prioritization],
-            title="prioritization-period sweep (T_E = 10 s):",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["T_E (s)", "throughput %", "fairness %"],
-            [[p.value_s, p.throughput_vs_oracle, p.fairness_vs_oracle] for p in result.equalization],
-            title="equalization-period sweep (T_P = 1 s):",
-        )
-    )
-    print(
-        f"\nspread across T_P sweep: {result.prioritization_spread():.1f} points; "
-        f"across T_E sweep: {result.equalization_spread():.1f} points"
-    )
+    print(f"\n{claim.render(result)}")
 
     # Low sensitivity: parameter choice in a reasonable range moves the
     # outcome by far less than the SATORI-vs-baseline gaps (~15+ pts).

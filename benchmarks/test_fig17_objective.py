@@ -9,34 +9,18 @@ its expected behaviour.
 
 import numpy as np
 
-from repro.experiments import experiment_catalog, format_series, objective_trace
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import mix_from_names
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
-
-#: The paper's Fig. 17 mix.
-FIG17_MIX = ("blackscholes", "canneal", "fluidanimate", "freqmine", "streamcluster")
+from common import run_once
 
 
 def test_fig17_objective_and_proxy_stability(benchmark):
-    catalog = experiment_catalog()
-    mix = mix_from_names(FIG17_MIX)
+    (claim,) = FIGURES["fig17"]  # the paper's Fig. 17 mix
 
-    traces = run_once(
-        benchmark,
-        lambda: objective_trace(mix, catalog, RunConfig(duration_s=RUN_SECONDS), seed=5),
-    )
+    traces = run_once(benchmark, claim.run)
 
-    print(f"\nFig. 17(a) — objective value over time ({mix.label})")
-    print(format_series("  dynamic", traces.dynamic_objective, limit=16))
-    print(format_series("  static ", traces.static_objective, limit=16))
-    gain = traces.mean_objective_gain()
-    print(f"  mean objective advantage of dynamic prioritization: {gain:+.4f}")
-
-    (dyn_lo, dyn_hi), (sta_lo, sta_hi) = traces.proxy_change_ranges()
-    print("\nFig. 17(b) — proxy-model change per iteration (%)")
-    print(f"  dynamic: [{dyn_lo:.2f}, {dyn_hi:.2f}]   static: [{sta_lo:.2f}, {sta_hi:.2f}]")
+    print(f"\n{claim.render(traces)}")
+    (_, dyn_hi), (_, sta_hi) = traces.proxy_change_ranges()
 
     # (a) dynamic prioritization does not lower the achieved objective.
     assert np.nanmean(traces.dynamic_objective) >= np.nanmean(traces.static_objective) - 0.02

@@ -6,49 +6,17 @@ no-prioritization variant's but vary comparably over time — the
 changing weights do not make behaviour erratic.
 """
 
-from repro.experiments import experiment_catalog, format_table, performance_variation
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import mix_from_names
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
-
-FIG18_MIX = ("blackscholes", "canneal", "fluidanimate", "freqmine", "streamcluster")
+from common import run_once
 
 
 def test_fig18_performance_variation(benchmark):
-    catalog = experiment_catalog()
-    mix = mix_from_names(FIG18_MIX)
+    (claim,) = FIGURES["fig18"]
 
-    variation = run_once(
-        benchmark,
-        lambda: performance_variation(
-            mix, catalog, RunConfig(duration_s=RUN_SECONDS), seed=6
-        ),
-    )
+    variation = run_once(benchmark, claim.run)
 
-    print(f"\nFig. 18 — observed-performance variation ({mix.label})")
-    print(
-        format_table(
-            ["variant", "T mean", "T std", "F mean", "F std"],
-            [
-                [
-                    "SATORI (dynamic)",
-                    variation.dynamic_means[0],
-                    variation.dynamic_throughput_std,
-                    variation.dynamic_means[1],
-                    variation.dynamic_fairness_std,
-                ],
-                [
-                    "no prioritization",
-                    variation.static_means[0],
-                    variation.static_throughput_std,
-                    variation.static_means[1],
-                    variation.static_fairness_std,
-                ],
-            ],
-            precision=4,
-        )
-    )
+    print(f"\n{claim.render(variation)}")
 
     # Similar variation: neither variant is more than ~2.5x noisier.
     assert variation.dynamic_throughput_std <= variation.static_throughput_std * 2.5 + 1e-3

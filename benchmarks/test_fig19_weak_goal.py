@@ -8,52 +8,19 @@ the alternative to underperform by roughly 5 %.
 
 import numpy as np
 
-from repro.experiments import experiment_catalog, format_table, weak_goal_priority
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
+from common import run_once
 
 
 def test_fig19_weak_goal_prioritization(benchmark):
-    catalog = experiment_catalog()
-    mixes = suite_mixes("parsec")
+    (claim,) = FIGURES["fig19"]
 
-    def compute():
-        return [
-            weak_goal_priority(mixes[i], catalog, RunConfig(duration_s=RUN_SECONDS), seed=i)
-            for i in (5, 17)
-        ]
+    results = run_once(benchmark, claim.run)
 
-    results = run_once(benchmark, compute)
-
-    print("\nFig. 19 — prioritize weaker vs stronger goal")
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.mix_label[:44],
-                r.dynamic.throughput,
-                r.other.throughput,
-                r.dynamic.fairness,
-                r.other.fairness,
-            ]
-        )
-    print(
-        format_table(
-            ["mix", "T weaker", "T stronger", "F weaker", "F stronger"],
-            rows,
-            precision=3,
-        )
-    )
-
+    print(f"\n{claim.render(results)}")
     weaker = np.mean([r.dynamic.throughput + r.dynamic.fairness for r in results])
     stronger = np.mean([r.other.throughput + r.other.fairness for r in results])
-    print(
-        f"\ncombined objective: weaker-goal design {weaker:.3f} vs "
-        f"stronger-goal design {stronger:.3f} "
-        f"({100 * (weaker / stronger - 1):+.1f} %; paper: weaker wins by ~5 %)"
-    )
 
     # The chosen design must not lose to the alternative.
     assert weaker >= stronger * 0.98

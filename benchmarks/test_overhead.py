@@ -12,43 +12,19 @@ import numpy as np
 
 from repro.core.bo import BayesianOptimizer
 from repro.core.objective import GoalRecords
-from repro.experiments import controller_overhead, experiment_catalog, format_table
+from repro.experiments import experiment_catalog
 from repro.experiments.comparison import full_space
-from repro.experiments.runner import RunConfig
-from repro.workloads.mixes import suite_mixes
+from repro.experiments.figures import FIGURES
 
 from common import run_once
 
 
 def test_overhead_controller_decision_time(benchmark):
-    catalog = experiment_catalog()
-    mix = suite_mixes("parsec")[0]
+    (claim,) = FIGURES["overhead"]
 
-    result = run_once(
-        benchmark,
-        lambda: controller_overhead(
-            mix, catalog, RunConfig(duration_s=15.0), seed=0, idle_detection=True
-        ),
-    )
+    result = run_once(benchmark, claim.run)
 
-    print("\nOverhead — SATORI controller on a live run")
-    print(
-        format_table(
-            ["metric", "value"],
-            [
-                ["mean decision time (ms)", result.mean_decision_time_ms],
-                ["control interval (ms)", result.control_interval_ms],
-                ["decision fraction of interval", result.decision_fraction_of_interval],
-                ["idle fraction", result.idle_fraction],
-            ],
-            precision=3,
-        )
-    )
-    print(
-        "\npaper: ~1.2 ms per 100 ms interval on a Skylake Xeon with "
-        "Skopt; this NumPy GP is heavier per update but remains a small "
-        "fraction of the interval and is off the critical path."
-    )
+    print(f"\n{claim.render(result)}")
 
     # Decisions fit comfortably inside one control interval, and the
     # idle optimization actually engages.

@@ -9,46 +9,18 @@ descent first.
 
 import numpy as np
 
-from repro.experiments import colocation_scalability, experiment_catalog, format_table
-from repro.experiments.runner import RunConfig
+from repro.experiments.figures import FIGURES
 
-from common import RUN_SECONDS, run_once
+from common import run_once
 
 
 def test_scalability_colocation_degree(benchmark):
-    catalog = experiment_catalog()
+    (claim,) = FIGURES["scalability"]
 
-    result = run_once(
-        benchmark,
-        lambda: colocation_scalability(
-            degrees=(3, 4, 5, 6, 7),
-            mixes_per_degree=2,
-            catalog=catalog,
-            run_config=RunConfig(duration_s=RUN_SECONDS),
-            seed=0,
-        ),
-    )
+    result = run_once(benchmark, claim.run)
 
-    print("\nScalability — SATORI vs PARTIES across co-location degrees")
-    rows = []
-    for point in result.points:
-        rows.append(
-            [
-                point.degree,
-                f"{point.satori_throughput:.0f}/{point.satori_fairness:.0f}",
-                f"{point.parties_throughput:.0f}/{point.parties_fairness:.0f}",
-                point.throughput_gap_points,
-                point.fairness_gap_points,
-            ]
-        )
-    print(
-        format_table(
-            ["degree", "SATORI T/F", "PARTIES T/F", "T gap (pts)", "F gap (pts)"],
-            rows,
-        )
-    )
+    print(f"\n{claim.render(result)}")
     gaps = result.gaps()
-    print(f"\nmean gaps by degree: {[f'{g:+.1f}' for g in gaps]} (paper: 8/11/13/13/15)")
 
     # The trend: the gap at high degree clearly exceeds the gap at low
     # degree (gradient descent degrades first as the space grows).

@@ -1,10 +1,8 @@
 """Dependency-free terminal plots for examples, the CLI, and reports.
 
 Matplotlib is not assumed (and not installed in offline reproduction
-environments); these renderers cover the shapes the paper's figures
-use — horizontal bars (policy comparisons), compact sparklines for
-time series in tables, and a per-node sparkline dashboard for
-cluster runs.
+environments); these renderers cover compact sparklines for time
+series in tables and a per-node sparkline dashboard for cluster runs.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ if TYPE_CHECKING:
     from repro.cluster.simulator import ClusterResult
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-_BAR_CHAR = "█"
 
 #: Dashboard columns, left to right, each read off one node-epoch
 #: record; ``None`` (no budget, no qos job hosted) adds no point.
@@ -118,28 +115,4 @@ def cluster_node_dashboard(results: Iterable["ClusterResult"]) -> str:
             lines.append(row.rstrip())
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-    max_value: Optional[float] = None,
-) -> str:
-    """Horizontal bar chart, one labeled row per value."""
-    labels = list(labels)
-    values = [float(v) for v in values]
-    if len(labels) != len(values):
-        raise ExperimentError(f"{len(labels)} labels but {len(values)} values")
-    if not values:
-        raise ExperimentError("nothing to chart")
-    peak = max(max(values), 1e-12) if max_value is None else max_value
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        filled = int(round(min(value / peak, 1.0) * width))
-        bar = _BAR_CHAR * filled
-        lines.append(f"{label.rjust(label_width)}  {bar} {value:.1f}{unit}")
-    return "\n".join(lines)
 

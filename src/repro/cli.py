@@ -61,17 +61,19 @@ from repro.workloads.registry import default_registry
 
 
 def _add_common(parser: argparse.ArgumentParser, groups: Sequence[str]) -> None:
-    """Register the experiment options: ``--duration``, ``--units`` and
-    ``--trace-dir`` always, plus the ``groups`` the command reads of
-    ``suite``, ``mix``, ``seed`` and ``engine`` (``--workers``,
-    ``--cache-dir``, ``--no-cache``)."""
+    """Register the experiment options: ``--trace-dir`` always, plus
+    the ``groups`` the command reads of ``suite``, ``mix``, ``scale``
+    (``--duration``, ``--units``), ``seed`` and ``engine``
+    (``--workers``, ``--cache-dir``, ``--no-cache``)."""
     if "suite" in groups:
         parser.add_argument("--suite", default="parsec",
                             choices=("parsec", "cloudsuite", "ecp"))
     if "mix" in groups:
         parser.add_argument("--mix", type=int, default=0, help="mix index within the suite")
-    parser.add_argument("--duration", type=float, default=20.0, help="simulated seconds")
-    parser.add_argument("--units", type=int, default=8, help="allocation units per resource")
+    if "scale" in groups:
+        parser.add_argument("--duration", type=float, default=20.0, help="simulated seconds")
+        parser.add_argument("--units", type=int, default=8,
+                            help="allocation units per resource")
     if "seed" in groups:
         parser.add_argument("--seed", type=int, default=0)
     if "engine" in groups:
@@ -802,7 +804,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import FigureScale, figure_names, run_figure
+    from repro.experiments.figures import figure_names, run_figure
 
     if args.list:
         print("\n".join(figure_names()))
@@ -810,28 +812,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if not args.name:
         print("specify a figure id (or --list)", file=sys.stderr)
         return 2
-    scale = FigureScale(
-        units=args.units, duration_s=args.duration, n_mixes=args.mixes, seed=args.seed,
-        workers=args.workers, cache_dir="" if args.no_cache else args.cache_dir,
-    )
-    print(run_figure(args.name, scale))
+    print(run_figure(args.name, _engine(args)))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import ReportConfig, generate_report
+    from repro.experiments.report import generate_report
 
-    report = generate_report(
-        ReportConfig(
-            suite=args.suite,
-            n_mixes=args.mixes,
-            duration_s=args.duration,
-            units=args.units,
-            seed=args.seed,
-            workers=args.workers,
-            cache_dir="" if args.no_cache else args.cache_dir,
-        )
-    )
+    report = generate_report(_engine(args))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)
@@ -846,27 +834,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The common options beyond --duration/--units/--trace-dir that
-    # each command reads (see _add_common); None registers none.
+    # The common options beyond --trace-dir that each command reads
+    # (see _add_common); None registers none.
     for name, func, common in (
         ("workloads", cmd_workloads, None),
-        ("quickstart", cmd_quickstart, "suite mix seed"),
-        ("compare", cmd_compare, "suite mix seed engine"),
-        ("weights", cmd_weights, "suite mix seed"),
-        ("sensitivity", cmd_sensitivity, "suite mix seed engine"),
-        ("scalability", cmd_scalability, "seed engine"),
-        ("overhead", cmd_overhead, "suite mix seed"),
-        ("obs", cmd_obs, "suite mix seed"),
-        ("resilience", cmd_resilience, "suite mix seed engine"),
-        ("cluster", cmd_cluster, "suite seed engine"),
-        ("broker", cmd_broker, "suite seed engine"),
-        ("warmstart", cmd_warmstart, "suite seed engine"),
-        ("chaos", cmd_chaos, "suite seed engine"),
-        ("qos", cmd_qos, "engine"),
+        ("quickstart", cmd_quickstart, "suite mix scale seed"),
+        ("compare", cmd_compare, "suite mix scale seed engine"),
+        ("weights", cmd_weights, "suite mix scale seed"),
+        ("sensitivity", cmd_sensitivity, "suite mix scale seed engine"),
+        ("scalability", cmd_scalability, "scale seed engine"),
+        ("overhead", cmd_overhead, "suite mix scale seed"),
+        ("obs", cmd_obs, "suite mix scale seed"),
+        ("resilience", cmd_resilience, "suite mix scale seed engine"),
+        ("cluster", cmd_cluster, "suite scale seed engine"),
+        ("broker", cmd_broker, "suite scale seed engine"),
+        ("warmstart", cmd_warmstart, "suite scale seed engine"),
+        ("chaos", cmd_chaos, "suite scale seed engine"),
+        ("qos", cmd_qos, "scale engine"),
         ("serve", cmd_serve, None),
         ("loadgen", cmd_loadgen, None),
-        ("report", cmd_report, "suite seed engine"),
-        ("figure", cmd_figure, "seed engine"),
+        # figure and report run each claim at its own definition
+        ("report", cmd_report, "engine"),
+        ("figure", cmd_figure, "engine"),
     ):
         # No abbreviations: an option a command does not take must not
         # pass as a prefix of one it does (--mix for --mixes).
@@ -1050,12 +1039,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", default="",
                            help="write the JSON load report to this path")
         if name == "report":
-            p.add_argument("--mixes", type=int, default=4, help="mixes to include")
             p.add_argument("--out", default="", help="write markdown to this path")
         if name == "figure":
             p.add_argument("name", nargs="?", default="", help="figure id (e.g. fig7)")
             p.add_argument("--list", action="store_true", help="list figure ids")
-            p.add_argument("--mixes", type=int, default=4)
         p.set_defaults(func=func)
     return parser
 

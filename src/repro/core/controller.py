@@ -239,7 +239,15 @@ class SatoriController(PartitioningPolicy):
     # -- protocol -----------------------------------------------------------
 
     def decide(self, observation: Optional[Observation]) -> Configuration:
-        """One Algorithm-1 iteration; returns the next configuration."""
+        """One Algorithm-1 iteration; returns the next configuration.
+
+        Raises:
+            PolicyError: for an interval longer than ``T_P``, checked
+                before anything is recorded or counted, so the
+                controller's state is unchanged.
+        """
+        if observation is not None:
+            self._scheduler.check_interval(observation.interval_s)
         started = time.perf_counter()
         try:
             with active_collector().span("decide", "controller"):

@@ -84,6 +84,9 @@ class StaticWeights:
         self._w_t = w_throughput / total
         self._w_f = w_fairness / total
 
+    def check_interval(self, interval_s: float) -> None:
+        """Any interval: fixed weights count no periods."""
+
     def update(self, throughput: float, fairness: float, interval_s: float) -> WeightState:
         """Return the fixed weights (inputs ignored; kept for protocol)."""
         return WeightState(
@@ -171,6 +174,19 @@ class DynamicWeightScheduler:
         self._w_fp = float(state["w_fp"])
         self._period_scores = [(float(t), float(f)) for t, f in state.get("period_scores", ())]
 
+    def check_interval(self, interval_s: float) -> None:
+        """Reject an interval the periods cannot be counted in.
+
+        Raises:
+            PolicyError: if ``interval_s`` is not positive or is longer
+                than ``T_P``.
+        """
+        if not 0 < interval_s <= self._t_p:
+            raise PolicyError(
+                f"prioritization period must cover at least one interval "
+                f"({self._t_p} s against {interval_s} s)"
+            )
+
     def update(self, throughput: float, fairness: float, interval_s: float) -> WeightState:
         """Advance one interval and produce the next weights.
 
@@ -179,12 +195,12 @@ class DynamicWeightScheduler:
             fairness: normalized fairness score this interval.
             interval_s: the interval's length; ``T_P`` and ``T_E``
                 count ``max(1, round(period / interval_s))`` intervals.
+
+        Raises:
+            PolicyError: from :meth:`check_interval`, before any state
+                changes.
         """
-        if not 0 < interval_s <= self._t_p:
-            raise PolicyError(
-                f"prioritization period must cover at least one interval "
-                f"({self._t_p} s against {interval_s} s)"
-            )
+        self.check_interval(interval_s)
         steps_per_tp = max(1, round(self._t_p / interval_s))
         steps_per_te = max(1, round(self._t_e / interval_s))
         self._period_scores.append((throughput, fairness))

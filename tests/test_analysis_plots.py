@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plots import bar_chart, cluster_node_dashboard, sparkline
+from repro.analysis.plots import cluster_node_dashboard, sparkline
 from repro.cluster.budget import ResourceBudget
 from repro.cluster.simulator import ClusterResult, NodeEpochRecord
 from repro.errors import ExperimentError
@@ -30,31 +30,6 @@ class TestSparkline:
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
             sparkline([])
-
-
-class TestBarChart:
-    def test_rows_and_scaling(self):
-        chart = bar_chart(["a", "bb"], [10.0, 5.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[0].count("█") == 10
-        assert lines[1].count("█") == 5
-
-    def test_labels_aligned(self):
-        chart = bar_chart(["x", "long"], [1.0, 1.0])
-        lines = chart.splitlines()
-        assert lines[0].index("█") == lines[1].index("█")
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ExperimentError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_unit_suffix(self):
-        assert "%" in bar_chart(["a"], [42.0], unit="%")
-
-    def test_max_value_caps_bars(self):
-        chart = bar_chart(["a"], [200.0], width=10, max_value=100.0)
-        assert chart.count("█") == 10
 
 
 def cluster_result(trends, placement="round_robin", broker="none", budgets=None):

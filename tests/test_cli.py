@@ -41,6 +41,8 @@ SERVE_COMMANDS = ("serve", "loadgen")
 
 #: Common options with a sample value each.
 COMMON_OPTIONS = {
+    "--duration": ["2"],
+    "--units": ["4"],
     "--suite": ["ecp"],
     "--mix": ["1"],
     "--seed": ["7"],
@@ -54,8 +56,11 @@ UNREAD_OPTIONS = (
     [("qos", option) for option in ("--seed", "--suite", "--mix")]
     + [(command, option) for command in ("figure", "scalability")
        for option in ("--suite", "--mix")]
-    + [(command, "--mix")
-       for command in ("cluster", "broker", "warmstart", "chaos", "report")]
+    + [(command, "--mix") for command in ("cluster", "broker", "warmstart", "chaos")]
+    + [("figure", "--seed")]
+    + [("report", option) for option in ("--suite", "--mix", "--seed")]
+    + [(command, option) for command in ("figure", "report")
+       for option in ("--duration", "--units")]
     + [(command, option) for command in ("quickstart", "weights", "overhead", "obs")
        for option in ("--workers", "--cache-dir", "--no-cache")]
 )
@@ -90,7 +95,7 @@ TINY_INVOCATIONS = {
     "loadgen": ["loadgen", "--self-host", "--suite", "ecp", "--units", "4",
                 "--policy", "EqualPartition", "--epochs", "3",
                 "--epoch-s", "0.02", "--connections", "4"],
-    "report": ["report", "--duration", "2", "--units", "4", "--suite", "ecp", "--mixes", "1"],
+    "report": ["report"],  # on the stand-in figure registry below
     "figure": ["figure", "--list"],
 }
 
@@ -117,7 +122,7 @@ class TestParser:
     def test_known_commands_accept_common_options(self):
         parser = build_parser()
         for command in COMMANDS:
-            if command in ("workloads", "figure") + SERVE_COMMANDS:
+            if command in ("workloads", "figure", "report") + SERVE_COMMANDS:
                 continue
             args = parser.parse_args([command, "--duration", "2"])
             assert args.command == command
@@ -169,6 +174,13 @@ class TestStartup:
 
 
 class TestTinyInvocations:
+    @pytest.fixture(autouse=True)
+    def cheap_figures(self, monkeypatch):
+        """report runs every figure at its definition: keep one cheap id."""
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "FIGURES", {"fig2": figures.FIGURES["fig2"]})
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_runs_clean(self, command, capsys):
         assert main(TINY_INVOCATIONS[command]) == 0

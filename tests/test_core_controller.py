@@ -160,6 +160,20 @@ class TestEndToEnd:
         for end, expected in zip(stretched, reference):
             assert abs(end - expected) <= 0.2 + 1e-9
 
+    def test_interval_longer_than_tp_rejected_before_any_state_changes(self):
+        """A 2 s interval against T_P = 1 s fails every observed step
+        the same way, and a failing step records and counts nothing."""
+        from repro.serve.manager import SessionManager, SessionSpec
+
+        manager = SessionManager()
+        session_id = manager.create(SessionSpec(policy="SATORI", units=6, interval_s=2.0))
+        manager.step(session_id)  # decide(None): no interval to check yet
+        for _ in range(3):
+            before = json.dumps(manager.snapshot(session_id), sort_keys=True)
+            with pytest.raises(PolicyError, match=r"\(1\.0 s against 2\.0 s\)"):
+                manager.step(session_id)
+            assert json.dumps(manager.snapshot(session_id), sort_keys=True) == before
+
     def test_beats_random_on_average(self, space, parsec_mix3, catalog6):
         from repro.policies.random_search import RandomSearchPolicy
 

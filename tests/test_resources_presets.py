@@ -1,8 +1,8 @@
-"""Tests for server presets and the reproduction report."""
+"""Tests for server presets."""
 
 import pytest
 
-from repro.errors import ExperimentError, SpaceError
+from repro.errors import SpaceError
 from repro.resources.presets import preset_catalog, preset_names
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
 
@@ -37,56 +37,3 @@ class TestPresets:
         obs = sim.step(sim.equal_partition())
         assert all(v > 0 for v in obs.ips)
 
-
-class TestReport:
-    def test_generate_small_report(self):
-        from repro.experiments.report import ReportConfig, generate_report
-
-        report = generate_report(
-            ReportConfig(suite="ecp", n_mixes=1, duration_s=4.0, units=4)
-        )
-        assert "# SATORI reproduction report" in report
-        assert "Policy comparison" in report
-        assert "SATORI" in report
-        assert "Controller overhead" in report
-
-    def test_sections_configurable(self):
-        from repro.experiments.report import ReportConfig, generate_report
-
-        report = generate_report(
-            ReportConfig(
-                suite="ecp", n_mixes=1, duration_s=3.0, units=4, sections=("overhead",)
-            )
-        )
-        assert "Controller overhead" in report
-        assert "Policy comparison" not in report
-
-    def test_unknown_section_rejected(self):
-        from repro.experiments.report import ReportConfig
-
-        with pytest.raises(ExperimentError):
-            ReportConfig(sections=("bogus",))
-
-    def test_cli_report_to_file(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "report.md"
-        assert (
-            main(
-                [
-                    "report",
-                    "--suite",
-                    "ecp",
-                    "--mixes",
-                    "1",
-                    "--duration",
-                    "3",
-                    "--units",
-                    "4",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert out.read_text().startswith("# SATORI reproduction report")
